@@ -57,7 +57,6 @@ from .smallmat import (
     CayleyDomainError,
     SingularMatrixError,
     SkewMat3,
-    cayley,
     frobenius,
     inverse,
     qr_decompose,

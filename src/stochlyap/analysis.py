@@ -138,7 +138,7 @@ class SweepConfig:
     dt: float = DEFAULT_DT
     spin_up_steps: int = DEFAULT_SPIN_UP_STEPS
     nle_steps: int = DEFAULT_NLE_STEPS
-    eta: float = DEFAULT_ETA
+    eta: float = DEFAULT_ETA  # validated by run_nle; does not change its output
     sample_every: int = 100
     jobs: int = 1
 

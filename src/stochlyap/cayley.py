@@ -1,23 +1,26 @@
-"""Numerical Lyapunov exponents via the Cayley-parameterized QR method.
+"""Numerical Lyapunov exponents via the stochastic Cayley-QR method.
 
 The variational flow v of a (stochastic) Lorenz system is factored as
-v = Q R with Q maintained through the Cayley transform of a skew-symmetric
-matrix K, and the log-diagonal of R accumulated directly in the vector rho.
-Per step, with the conjugated generator increment M = j0*dt + j1*dW and
-Q_cay = (I - K)(I + K)^-1:
+v = Q R with Q orthogonal; the log-diagonal of R is accumulated directly in
+the vector rho.  ``run_nle`` advances the state (x, Q, rho) with one frame
+kernel.  Per step, with the generator increment M = Df0(x) dt + Df1 dW:
 
-    A        = Q_cay^T M Q_cay
-    drho     = diag(A)
+    A        = Q^T M Q
+    rho     += diag(A)
     S        = -(1/2) * (skew completion of the strictly lower triangle of A)
-    dK       = (I - K) S (I - K)^T
+    Q       <- Q cayley(S)
 
-The -(1/2) factor makes Q_cay satisfy the continuous QR frame equation
+The -(1/2) factor makes the frame satisfy the continuous QR equation
 Q^T dQ = skew-lower-split of A (verifiable in closed form on a 2x2
 rotation).  Summing drho gives trace(M) exactly, which is the discrete
 Liouville identity and the reason the exponent sum is robust.
 
-Whenever ||K|| reaches the user threshold eta < 1 the accumulated rotation
-absorbs cayley(K), K restarts from zero and rho carries over unchanged.
+``CayleyState``, ``step_k_rho`` and ``maybe_restart`` keep the paper's
+parameterisation as the reference stepper: the frame is q_accum cayley(K),
+K advances through dK = (I - K) S (I - K)^T by Cayley composition, and once
+||K|| reaches the threshold eta < 1 the rotation folds into q_accum and K
+restarts from zero.  Composition is exact, so the kernel is this stepper
+with a restart after every step and eta does not change the exponents.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import smallmat
-from .integrator import BlowUpError, IntegratorConfig, Scheme, step
+from .integrator import BlowUpError, IntegratorConfig, Scheme, heun_step, step
 from .models import SystemDef, jacobian_diffusion, jacobian_drift
 from .smallmat import CayleyDomainError, SkewMat3, cayley, inverse, qr_decompose
 from .wiener import WienerPath
@@ -69,10 +72,10 @@ class NleResult:
     sum: float
     trace_residual: float
     rho_series: np.ndarray  # rows (t, rho1, rho2, rho3)
-    restarts: int
+    restarts: int  # the kernel restarts after every step: equals n_steps
     t_final: float
     w_terminal: float
-    ortho_drift: float  # ||q_accum^T q_accum - I||_F at the end of the run
+    ortho_drift: float  # ||Q^T Q - I||_F at the end of the run
 
 
 def conjugated_jacobians(
@@ -92,20 +95,17 @@ def inverse_cayley(q: np.ndarray) -> SkewMat3:
 
 
 def _increment_at(
-    q_cay: np.ndarray, j0: np.ndarray, j1: np.ndarray, dt: float, dW: float
+    q: np.ndarray, j0: np.ndarray, j1: np.ndarray, dt: float, dW: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step increment (k_step_lower, drho) of the K and rho equations.
+    """One-step increment (s_lower, drho) of the frame q and of rho.
 
-    ``k_step_lower`` parameterizes the within-step rotation relative to the
-    current frame q_cay = cayley(K): the new frame is q_cay @ cayley(k_step).
+    ``s_lower`` parameterizes the within-step rotation relative to q: the
+    new frame is q @ cayley(SkewMat3(s_lower)).
     """
-    m = j0 * dt + j1 * dW
-    a = q_cay.T @ m @ q_cay
-    drho = np.diagonal(a).copy()
-    low = np.tril(a, -1)
-    # -(1/2) skew split: at K = 0 this is the Euler increment of the K ODE.
-    s_lower = -0.5 * np.array([low[1, 0], low[2, 0], low[2, 1]])
-    return s_lower, drho
+    a = q.T @ (j0 * dt + j1 * dW) @ q
+    # -(1/2) skew split: the Euler increment of the K ODE at K = 0.
+    s_lower = -0.5 * np.array([a[1, 0], a[2, 0], a[2, 1]])
+    return s_lower, a.diagonal().copy()
 
 
 def step_k_rho(
@@ -130,10 +130,14 @@ def step_k_rho(
     return replace(cs, k=k_new, rho=cs.rho + drho, step=cs.step + 1)
 
 
-def maybe_restart(cs: CayleyState, eta: float) -> CayleyState:
-    """Fold cayley(K) into the accumulated rotation once ||K|| reaches eta."""
+def _check_eta(eta: float) -> None:
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+
+
+def maybe_restart(cs: CayleyState, eta: float) -> CayleyState:
+    """Fold cayley(K) into the accumulated rotation once ||K|| reaches eta."""
+    _check_eta(eta)
     if cs.k.norm() < eta:
         return cs
     q_new = cs.q_accum @ cayley(cs.k)
@@ -148,12 +152,10 @@ def exponents_from_rho(rho: np.ndarray, t: float) -> np.ndarray:
     return np.sort(np.asarray(rho, dtype=float) / t)[::-1]
 
 
-def _reorthogonalize(cs: CayleyState) -> CayleyState:
-    drift = smallmat.frobenius(cs.q_accum.T @ cs.q_accum - np.eye(3))
-    if drift <= _ORTHO_DRIFT_TOL:
-        return cs
-    q_new, _ = qr_decompose(cs.q_accum)
-    return replace(cs, q_accum=q_new)
+def _reorthogonalize(q: np.ndarray) -> np.ndarray:
+    if smallmat.frobenius(q.T @ q - np.eye(3)) <= _ORTHO_DRIFT_TOL:
+        return q
+    return qr_decompose(q)[0]
 
 
 def run_nle(
@@ -169,21 +171,25 @@ def run_nle(
     path_offset: int = 0,
     allow_convention_mismatch: bool = False,
 ) -> NleResult:
-    """Co-evolve the base state and the Cayley variational state.
+    """Co-evolve the base state x and the frame state (Q, rho).
 
     The base trajectory starts from x0 (normally the spin-up end state) and
     consumes path increments [path_offset, path_offset + n_steps).  In the
-    default Euler mode both the base state and the K/rho equations take
-    explicit Euler increments of the system's declared coefficient form; in
-    Heun mode both are corrected at the predictor point for Stratonovich
-    consistency.
+    default Euler mode both the base state and the frame take explicit
+    Euler increments of the system's declared coefficient form; in Heun
+    mode both are corrected at the predictor point for Stratonovich
+    consistency.  The kernel is the K/eta reference stepper with a restart
+    after every step, so ``eta`` is validated but does not change the output.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if path_offset + n_steps > len(path):
         raise ValueError(
             f"path has {len(path)} steps, need {path_offset + n_steps}"
         )
+    _check_eta(eta)
     cfg = IntegratorConfig(
         scheme=scheme,
         dt=dt,
@@ -192,59 +198,49 @@ def run_nle(
     )
     cfg.check(s)
     inc = path.scalar()
-    x = np.asarray(x0, dtype=float)
-    cs = CayleyState()
-    samples: list[tuple[float, float, float, float]] = []
     heun = scheme is Scheme.HEUN
+    j1 = jacobian_diffusion(s)
+    x = np.asarray(x0, dtype=float)
+    q = np.eye(3)
+    rho = np.zeros(3)
+    samples: list[tuple[float, float, float, float]] = []
 
     for i in range(n_steps):
         dW = float(inc[path_offset + i])
         try:
-            x_next = step(s, x, dW, cfg)
+            if heun:
+                x_pred, x_next = heun_step(s, x, dW, dt)
+            else:
+                x_next = step(s, x, dW, cfg)
         except BlowUpError as err:
             raise BlowUpError(i, err.state) from None
-        j0, j1 = conjugated_jacobians(s, x, cs.q_accum)
-        if not heun:
-            cs = step_k_rho(cs, j0, j1, dt, dW)
-        else:
-            q_cay = cayley(cs.k)
-            dk1, dr1 = _increment_at(q_cay, j0, j1, dt, dW)
-            x_pred = step(s, x, dW, IntegratorConfig(
-                scheme=Scheme.EULER_MARUYAMA, dt=dt, n_steps=1,
-                allow_convention_mismatch=True))
-            j0p, j1p = conjugated_jacobians(s, x_pred, cs.q_accum)
-            q_pred = q_cay @ cayley(SkewMat3(dk1))
-            dk2, dr2 = _increment_at(q_pred, j0p, j1p, dt, dW)
-            q_new = q_cay @ cayley(SkewMat3(0.5 * (dk1 + dk2)))
-            k_new = inverse_cayley(q_new)
-            if k_new.norm() >= 1.0:
-                raise CayleyDomainError(
-                    f"||K|| >= 1 after step {i}; eta is too loose"
-                )
-            cs = replace(cs, k=k_new, rho=cs.rho + 0.5 * (dr1 + dr2),
-                         step=cs.step + 1)
-        cs = maybe_restart(cs, eta)
+        s_low, drho = _increment_at(q, jacobian_drift(s, x), j1, dt, dW)
+        if heun:
+            q_pred = q @ cayley(SkewMat3(s_low))
+            s_low2, drho2 = _increment_at(q_pred, jacobian_drift(s, x_pred), j1, dt, dW)
+            s_low, drho = 0.5 * (s_low + s_low2), 0.5 * (drho + drho2)
+        rho = rho + drho
+        q = q @ cayley(SkewMat3(s_low))
         if (i + 1) % REORTH_EVERY == 0:
-            cs = _reorthogonalize(cs)
+            q = _reorthogonalize(q)
         x = x_next
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            t = (i + 1) * dt
-            samples.append((t, cs.rho[0], cs.rho[1], cs.rho[2]))
+            samples.append(((i + 1) * dt, rho[0], rho[1], rho[2]))
 
     t_final = n_steps * dt
     w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))
-    lambdas = exponents_from_rho(cs.rho, t_final)
+    lambdas = exponents_from_rho(rho, t_final)
     total = float(np.sum(lambdas))
     tr0 = float(np.trace(jacobian_drift(s, x0)))
-    tr1 = float(np.trace(jacobian_diffusion(s)))
+    tr1 = float(np.trace(j1))
     trace_residual = abs(total - (tr0 + tr1 * w_terminal / t_final))
     return NleResult(
         lambdas=lambdas,
         sum=total,
         trace_residual=trace_residual,
         rho_series=np.array(samples),
-        restarts=cs.restarts,
+        restarts=n_steps,
         t_final=t_final,
         w_terminal=w_terminal,
-        ortho_drift=smallmat.frobenius(cs.q_accum.T @ cs.q_accum - np.eye(3)),
+        ortho_drift=smallmat.frobenius(q.T @ q - np.eye(3)),
     )

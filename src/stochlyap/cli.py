@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -51,7 +52,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully resolved run configuration; defaults match the reference
     experiments (sigma=10, r=28, b=8/3, beta=0.5, dt=0.001, 50000 spin-up
-    steps, 100000 exponent steps, eta=0.8, Euler-Maruyama)."""
+    steps, 100000 exponent steps, eta=0.8, Euler-Maruyama).  The engine is
+    the K/eta reference stepper restarted every step, so eta leaves it unchanged."""
 
     system: str = "deterministic"
     sigma: float = 10.0
@@ -75,12 +77,17 @@ class RunConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.convention_mode not in ("paper", "stratonovich-strict"):
             raise ConfigError(f"unknown convention_mode {self.convention_mode!r}")
+        for name in ("sigma", "r", "b", "beta", "dt", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not 0 < self.eta < 1:
             raise ConfigError(f"eta must lie in (0, 1), got {self.eta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.sample_every < 1:
+            raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
 
     def params(self) -> LorenzParams:
         return LorenzParams(self.sigma, self.r, self.b)
@@ -341,7 +348,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float)
     parser.add_argument("--spin-up-steps", type=int, dest="spin_up_steps")
     parser.add_argument("--nle-steps", type=int, dest="nle_steps")
-    parser.add_argument("--eta", type=float)
+    parser.add_argument("--eta", type=float, help=(
+        "restart threshold in (0, 1) of the K/eta reference stepper; the engine "
+        "restarts after every step, so eta does not change the exponents"))
     parser.add_argument("--scheme", choices=["euler-maruyama", "heun"])
     parser.add_argument("--convention-mode",
                         choices=["paper", "stratonovich-strict"],
@@ -401,12 +410,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config_hash = {cfg.config_hash()}")
             return EXIT_OK
         return args.func(cfg, args)
-    except (ConfigError, ValueError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (BlowUpError, CayleyDomainError, SingularMatrixError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

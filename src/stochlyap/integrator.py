@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_DT",
     "SPIN_UP_STATE",
     "step",
+    "heun_step",
     "simulate",
     "spin_up",
 ]
@@ -66,7 +67,7 @@ class IntegratorConfig:
     allow_convention_mismatch: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
@@ -84,18 +85,28 @@ class IntegratorConfig:
             )
 
 
+def _checked(out: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > _OVERFLOW):
+        raise BlowUpError(-1, out)
+    return out
+
+
 def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.ndarray:
     """One integration step of size cfg.dt consuming the increment dW."""
     dt = cfg.dt
     if cfg.scheme is Scheme.EULER_MARUYAMA:
-        out = x + drift(s, x) * dt + diffusion(s, x) * dW
-    else:
-        pred = x + drift(s, x) * dt + diffusion(s, x) * dW
-        out = x + 0.5 * (drift(s, x) + drift(s, pred)) * dt
-        out = out + 0.5 * (diffusion(s, x) + diffusion(s, pred)) * dW
-    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > _OVERFLOW):
-        raise BlowUpError(-1, out)
-    return out
+        return _checked(x + drift(s, x) * dt + diffusion(s, x) * dW)
+    return heun_step(s, x, dW, dt)[1]
+
+
+def heun_step(
+    s: SystemDef, x: np.ndarray, dW: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Heun step: (Euler-Maruyama predictor, corrected state)."""
+    f0, f1 = drift(s, x), diffusion(s, x)
+    pred = x + f0 * dt + f1 * dW
+    out = x + 0.5 * (f0 + drift(s, pred)) * dt + 0.5 * (f1 + diffusion(s, pred)) * dW
+    return pred, _checked(out)
 
 
 def simulate(

@@ -58,7 +58,7 @@ class LorenzParams:
     b: float = 8.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0 or self.r <= 0 or self.b <= 0:
+        if not (self.sigma > 0 and self.r > 0 and self.b > 0):
             raise ValueError(f"parameters must be positive: {self}")
 
 
@@ -70,10 +70,9 @@ class SystemDef:
     kind: NoiseKind = NoiseKind.NONE
     beta: float = 0.0
     convention: Convention = Convention.ITO
-    dimension: int = 3
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.kind is NoiseKind.NONE and self.beta != 0.0:
             raise ValueError("noise kind 'none' requires beta = 0")

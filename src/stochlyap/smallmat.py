@@ -1,8 +1,7 @@
 """Small dense matrix kernels: QR, inversion and the Cayley transform.
 
 Everything here operates on plain numpy arrays with value semantics.  The
-3x3 case has closed-form fast paths; the generic routines accept any small
-square matrix.
+inverse and the Cayley transform are closed-form 3x3 formulas.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
 
 _QR_DIAG_FLOOR = 1e-14
 _DET_FLOOR = 1e-14
-_CAYLEY_COND_LIMIT = 1e12
 
 
 class SingularMatrixError(ValueError):
@@ -31,7 +29,7 @@ class SingularMatrixError(ValueError):
 
 
 class CayleyDomainError(ValueError):
-    """The Cayley transform was evaluated too close to its domain boundary."""
+    """A Cayley parameter left the domain its caller guarantees."""
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -74,9 +72,6 @@ class SkewMat3:
         # ||K||_F for a skew matrix: each lower entry appears twice.
         return float(np.sqrt(2.0 * np.dot(self.lower, self.lower)))
 
-    def __add__(self, other: "SkewMat3") -> "SkewMat3":
-        return SkewMat3(self.lower + other.lower)
-
 
 def qr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR factorization with the positive-diagonal sign convention.
@@ -95,8 +90,9 @@ def qr_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, signs[:, None] * r
 
 
-def _inverse3(m: np.ndarray) -> np.ndarray:
+def inverse(m: np.ndarray) -> np.ndarray:
     """Closed-form 3x3 inverse via the adjugate."""
+    m = np.asarray(m, dtype=float)
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -115,34 +111,19 @@ def _inverse3(m: np.ndarray) -> np.ndarray:
     return np.array([[ca, cb, cc], [cd, ce, cf], [cg, ch, ci]]) / det
 
 
-def inverse(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse; adjugate formula at n=3, Gaussian elimination otherwise."""
-    m = np.asarray(m, dtype=float)
-    if m.shape == (3, 3):
-        return _inverse3(m)
-    if abs(np.linalg.det(m)) < _DET_FLOOR:
-        raise SingularMatrixError("matrix is numerically singular")
-    return np.linalg.solve(m, np.eye(m.shape[0]))
+def cayley(k: SkewMat3) -> np.ndarray:
+    """Cayley transform (I - K)(I + K)^-1 of a skew-symmetric 3x3 matrix.
 
-
-def cayley(k: SkewMat3 | np.ndarray) -> np.ndarray:
-    """Cayley transform (I - K)(I + K)^-1 of a skew-symmetric matrix.
-
-    The result is orthogonal with determinant +1 as long as no eigenvalue
-    of it reaches -1, which the caller guarantees by keeping ||K|| small.
+    With the Gibbs vector w of K (K v = w x v) the transform is the rotation
+    ((1 - |w|^2) I + 2 w w^T - 2 K) / (1 + |w|^2).  The denominator is
+    det(I + K) >= 1, so the map is total and its image orthogonal with
+    determinant +1 for every real skew K.
     """
-    km = k.matrix() if isinstance(k, SkewMat3) else np.asarray(k, dtype=float)
-    n = km.shape[0]
-    eye = np.eye(n)
-    ipk = eye + km
-    try:
-        h = inverse(ipk)
-    except SingularMatrixError as err:
-        raise CayleyDomainError(
-            "I + K is singular; the norm discipline on K was violated"
-        ) from err
-    if frobenius(ipk) * frobenius(h) > _CAYLEY_COND_LIMIT:
-        raise CayleyDomainError(
-            "I + K is near singular; the norm discipline on K was violated"
-        )
-    return (eye - km) @ h
+    a, b, c = k.lower.tolist()
+    w2 = a * a + b * b + c * c  # w = (c, -b, a)
+    d = 1.0 - w2
+    return np.array([
+        [d + 2.0 * c * c, 2.0 * (a - b * c), 2.0 * (b + a * c)],
+        [-2.0 * (a + b * c), d + 2.0 * b * b, 2.0 * (c - a * b)],
+        [2.0 * (a * c - b), -2.0 * (c + a * b), d + 2.0 * a * a],
+    ]) / (1.0 + w2)

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from stochlyap.cayley import (
+    CayleyState,
+    conjugated_jacobians,
+    exponents_from_rho,
+    maybe_restart,
+    step_k_rho,
+)
+from stochlyap.integrator import IntegratorConfig, step
 from stochlyap.wiener import generate_path
 
 
@@ -13,3 +21,20 @@ def short_path():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(12345))
+
+
+def _reference_nle(s, x0, path, dt, n_steps, eta, path_offset=0):
+    """The paper's K/eta stepper under Euler-Maruyama: (lambdas, restarts)."""
+    cfg = IntegratorConfig(dt=dt, n_steps=1, allow_convention_mismatch=True)
+    x, cs = np.asarray(x0, dtype=float), CayleyState()
+    for dW in path.scalar()[path_offset:path_offset + n_steps].tolist():
+        j0, j1 = conjugated_jacobians(s, x, cs.q_accum)
+        cs = maybe_restart(step_k_rho(cs, j0, j1, dt, dW), eta)
+        x = step(s, x, dW, cfg)
+    return exponents_from_rho(cs.rho, n_steps * dt), cs.restarts
+
+
+@pytest.fixture(scope="session")
+def reference_nle():
+    """The K/eta reference stepper that ``run_nle``'s frame kernel replaces."""
+    return _reference_nle

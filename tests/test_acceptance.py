@@ -165,14 +165,20 @@ def test_criterion_6_fixed_path_amplitude_sweep():
     assert salt_ok, f"salt-sum std {salt_std}"
 
 
-def test_criterion_7_restart_threshold_invariance():
+def test_criterion_7_restart_threshold_invariance(reference_nle):
+    # the K/eta reference stepper at two thresholds, and the frame kernel,
+    # which is that stepper restarted after every step
     s = salt_lorenz(beta=0.5)
-    a = full_run(s, eta=0.5)
-    b = full_run(s, eta=0.8)
-    diff = float(np.max(np.abs(a.lambdas - b.lambdas)))
-    ok = diff <= 1e-6
+    path = generate_path(1, SPIN + NLE, DT)
+    icfg = IntegratorConfig(dt=DT, n_steps=SPIN, allow_convention_mismatch=True)
+    x0 = spin_up(s, path, icfg)
+    a, restarts_a = reference_nle(s, x0, path, DT, NLE, 0.5, SPIN)
+    b, restarts_b = reference_nle(s, x0, path, DT, NLE, 0.8, SPIN)
+    kernel = full_run(s).lambdas
+    diff = max(float(np.max(np.abs(u - v))) for u, v in ((a, b), (kernel, a), (kernel, b)))
+    ok = diff <= 1e-6 and restarts_a != restarts_b
     report(7, "exponents independent of the restart threshold", ok)
-    assert ok, f"max exponent difference {diff} (restarts {a.restarts} vs {b.restarts})"
+    assert ok, f"max exponent difference {diff} (restarts {restarts_a} vs {restarts_b})"
 
 
 def test_criterion_8_structural_properties(table1_result):

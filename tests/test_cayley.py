@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import stochlyap
 from stochlyap.cayley import (
     CayleyState,
     conjugated_jacobians,
@@ -163,15 +166,50 @@ class TestRunNle:
         b = run_nle(s, x0, short_path, 0.001, 5_000, path_offset=5_000)
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
 
-    def test_eta_invariance(self, short_path):
+    def test_eta_invariance(self, short_path, reference_nle):
+        # the reference stepper at two thresholds restarts a different number
+        # of times; the kernel, which restarts every step, matches both
         s = salt_lorenz(beta=0.5)
         cfg = IntegratorConfig(n_steps=5_000, allow_convention_mismatch=True)
         x0 = spin_up(s, short_path, cfg)
-        kwargs = dict(path_offset=5_000, allow_convention_mismatch=True)
-        a = run_nle(s, x0, short_path, 0.001, 10_000, eta=0.5, **kwargs)
-        b = run_nle(s, x0, short_path, 0.001, 10_000, eta=0.8, **kwargs)
-        np.testing.assert_allclose(a.lambdas, b.lambdas, atol=1e-9)
-        assert a.restarts > b.restarts
+        a, restarts_a = reference_nle(s, x0, short_path, 0.001, 10_000, 0.5, 5_000)
+        b, restarts_b = reference_nle(s, x0, short_path, 0.001, 10_000, 0.8, 5_000)
+        assert restarts_a > restarts_b > 0
+        np.testing.assert_allclose(a, b, atol=1e-9)
+        res = run_nle(s, x0, short_path, 0.001, 10_000, path_offset=5_000,
+                      allow_convention_mismatch=True)
+        np.testing.assert_allclose(res.lambdas, a, atol=1e-9)
+        np.testing.assert_allclose(res.lambdas, b, atol=1e-9)
+
+    @pytest.mark.parametrize("system", [
+        salt_lorenz(beta=0.5), fd_lorenz(beta=0.5), deterministic_lorenz(),
+    ], ids=["salt", "fd", "deterministic"])
+    def test_matches_reference_stepper(self, system, short_path, reference_nle):
+        cfg = IntegratorConfig(n_steps=5_000, allow_convention_mismatch=True)
+        x0 = spin_up(system, short_path, cfg)
+        want, _ = reference_nle(system, x0, short_path, 0.001, 10_000, 0.8, 5_000)
+        res = run_nle(system, x0, short_path, 0.001, 10_000, path_offset=5_000,
+                      allow_convention_mismatch=True)
+        np.testing.assert_allclose(res.lambdas, want, rtol=0, atol=1e-10)
+        assert res.restarts == 10_000
+
+    def test_heun_matches_pinned_values(self, short_path):
+        # exponents of the K/eta engine this kernel replaced, on the same input
+        s = salt_lorenz(beta=0.5)
+        x0 = spin_up(s, short_path, IntegratorConfig(scheme=Scheme.HEUN, n_steps=5_000))
+        res = run_nle(s, x0, short_path, 0.001, 10_000, scheme=Scheme.HEUN,
+                      path_offset=5_000)
+        want = [0.5364754832675234, -0.8760765871749664, -13.32706556275922]
+        np.testing.assert_allclose(res.lambdas, want, rtol=0, atol=1e-10)
+        assert res.trace_residual <= 1e-10
+
+    def test_rejects_bad_eta_and_sampling(self, short_path):
+        s = deterministic_lorenz()
+        x0 = np.array([1.0, 1.0, 20.0])
+        with pytest.raises(ValueError, match="eta"):
+            run_nle(s, x0, short_path, 0.001, 100, eta=float("nan"))
+        with pytest.raises(ValueError, match="sample_every"):
+            run_nle(s, x0, short_path, 0.001, 100, sample_every=0)
 
     def test_blow_up_carries_step_index(self, short_path):
         s = deterministic_lorenz()
@@ -229,3 +267,7 @@ class TestRunNle:
             scheme=Scheme.HEUN, path_offset=5_000,
         )
         assert np.all(np.isfinite(res.lambdas))
+
+
+def test_package_attribute_is_engine_module():
+    assert stochlyap.cayley is sys.modules["stochlyap.cayley"]

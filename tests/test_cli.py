@@ -2,14 +2,17 @@ import json
 
 import pytest
 
+from stochlyap import cli
 from stochlyap.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     OUTDIR_ENV,
     RunConfig,
     main,
 )
 from stochlyap.models import Convention, NoiseKind
+from stochlyap.smallmat import SingularMatrixError
 
 SMALL = [
     "--spin-up-steps", "200",
@@ -40,6 +43,11 @@ class TestRunConfig:
             RunConfig(eta=1.2).validate()
         with pytest.raises(ValueError):
             RunConfig(dt=-1.0).validate()
+        nan = float("nan")
+        for bad in (dict(dt=nan), dict(sigma=nan), dict(beta=nan),
+                    dict(eta=nan), dict(r=float("inf")), dict(sample_every=0)):
+            with pytest.raises(ValueError):
+                RunConfig(**bad).validate()
 
     def test_system_def_kinds(self):
         assert RunConfig(system="deterministic").system_def().kind is NoiseKind.NONE
@@ -90,9 +98,13 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG
 
     def test_invalid_value_exit_code(self, capsys):
-        code, _, err = run(["nle", "--eta", "1.5"], capsys)
-        assert code == EXIT_CONFIG
-        assert "eta" in err
+        for flag, value in (("--eta", "1.5"), ("--sample-every", "0"),
+                            ("--dt", "nan"), ("--sigma", "nan"), ("--beta", "nan")):
+            code, _, err = run(["nle", flag, value] + SMALL[:4], capsys)
+            assert code == EXIT_CONFIG, (flag, value, err)
+            assert "configuration error" in err
+            assert flag.lstrip("-").replace("-", "_") in err
+            assert "Traceback" not in err
 
     def test_outdir_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))
@@ -108,6 +120,19 @@ class TestConfigResolution:
         assert code == EXIT_OK
         assert (tmp_path / "flagout" / "trajectory.csv").exists()
         assert not (tmp_path / "envout").exists()
+
+
+class TestNumericalFailure:
+    def test_numerical_error_exit_code(self, monkeypatch, capsys):
+        # the numerical errors subclass ValueError; they must not be
+        # reported as configuration errors
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("QR diagonal entry below 1e-14")
+
+        monkeypatch.setattr(cli, "run_nle", singular)
+        code, _, err = run(["nle"] + SMALL, capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err
 
 
 class TestSimulate:

@@ -68,6 +68,13 @@ class TestStep:
             step(s, np.array([1e80, 1e80, 1e80]), 0.0, cfg())
 
 
+class TestIntegratorConfig:
+    def test_rejects_nonpositive_and_nan_dt(self):
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="dt"):
+                cfg(dt=dt)
+
+
 class TestConventionCheck:
     def test_em_rejects_stratonovich(self):
         s = salt_lorenz(beta=0.5)

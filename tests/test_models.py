@@ -33,8 +33,12 @@ class TestParams:
         assert STD.sigma == 10.0 and STD.r == 28.0 and STD.b == pytest.approx(8 / 3)
 
     def test_positivity(self):
+        nan = float("nan")
+        for bad in (dict(sigma=-1.0), dict(sigma=nan), dict(r=nan), dict(b=nan)):
+            with pytest.raises(ValueError):
+                LorenzParams(**bad)
         with pytest.raises(ValueError):
-            LorenzParams(sigma=-1.0)
+            SystemDef(STD, NoiseKind.SALT, beta=nan)
 
     def test_none_requires_zero_beta(self):
         with pytest.raises(ValueError):
