@@ -28,6 +28,7 @@ from .cayley import (
     exponents_from_rho,
     maybe_restart,
     run_nle,
+    run_nle_batch,
     step_k_rho,
 )
 from .integrator import (

@@ -2,6 +2,9 @@
 
 Closed-form exponent sums, the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
+A sweep runs its rows' SALT and FD trajectories as one lockstep batch
+(``cayley.run_nle_batch``), split into contiguous shards across worker
+processes when ``SweepConfig.jobs`` > 1.
 """
 
 from __future__ import annotations
@@ -12,14 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cayley import DEFAULT_ETA, DEFAULT_NLE_STEPS, NleResult, run_nle
-from .integrator import (
-    DEFAULT_DT,
-    DEFAULT_SPIN_UP_STEPS,
-    IntegratorConfig,
-    Scheme,
-    spin_up,
-)
+from .cayley import DEFAULT_ETA, DEFAULT_NLE_STEPS, NleResult, run_nle_batch
+from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS
 from .models import (
     LorenzParams,
     NoiseKind,
@@ -29,7 +26,7 @@ from .models import (
     jacobian_drift,
     salt_lorenz,
 )
-from .wiener import WienerPath, generate_path
+from .wiener import WienerPath
 
 __all__ = [
     "SweepMode",
@@ -138,43 +135,37 @@ class SweepConfig:
     dt: float = DEFAULT_DT
     spin_up_steps: int = DEFAULT_SPIN_UP_STEPS
     nle_steps: int = DEFAULT_NLE_STEPS
-    eta: float = DEFAULT_ETA  # validated by run_nle; does not change its output
+    eta: float = DEFAULT_ETA  # validated by the engine; does not change its output
     sample_every: int = 100
-    jobs: int = 1
+    jobs: int = 1  # worker processes the rows are split across; 1 runs in-process
 
 
-def _sweep_row(args: tuple[float, int, SweepConfig]) -> SweepRow:
-    beta, seed, cfg = args
-    path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-    sums = {}
-    for system in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)):
-        icfg = IntegratorConfig(
-            scheme=Scheme.EULER_MARUYAMA,
-            dt=cfg.dt,
-            n_steps=cfg.spin_up_steps,
-            allow_convention_mismatch=True,
-        )
-        x0 = spin_up(system, path, icfg)
-        res = run_nle(
-            system,
-            x0,
-            path,
-            cfg.dt,
-            cfg.nle_steps,
-            cfg.eta,
-            sample_every=cfg.sample_every,
-            path_offset=cfg.spin_up_steps,
-            allow_convention_mismatch=True,
-        )
-        sums[system.kind] = res
-    fd_res = sums[NoiseKind.FD]
-    return SweepRow(
-        beta=beta,
-        seed=seed,
-        sum_salt=sums[NoiseKind.SALT].sum,
-        sum_fd=fd_res.sum,
-        w_T_over_T=fd_res.w_terminal / fd_res.t_final,
+def _sweep_shard(args: tuple[list[tuple[float, int]], SweepConfig]) -> list[SweepRow]:
+    """One batched engine call for the (beta, seed) rows of a shard."""
+    tasks, cfg = args
+    systems, seeds = [], []
+    for beta, seed in tasks:
+        systems += [salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)]
+        seeds += [seed, seed]
+    res = run_nle_batch(
+        systems,
+        seeds,
+        cfg.dt,
+        cfg.spin_up_steps,
+        cfg.nle_steps,
+        cfg.eta,
+        sample_every=cfg.sample_every,
     )
+    return [
+        SweepRow(
+            beta=beta,
+            seed=seed,
+            sum_salt=salt.sum,
+            sum_fd=fd.sum,
+            w_T_over_T=fd.w_terminal / fd.t_final,
+        )
+        for (beta, seed), salt, fd in zip(tasks, res[0::2], res[1::2])
+    ]
 
 
 def sweep_beta(
@@ -185,26 +176,34 @@ def sweep_beta(
 ) -> list[SweepRow]:
     """Run SALT and FD exponent computations over a grid of noise amplitudes.
 
-    FIXED_PATH reuses the base_seed realisation for every amplitude; the
-    fresh mode derives seed base_seed + index per amplitude.  Rows come back
-    ordered by beta regardless of execution order.
+    FIXED_PATH reuses the base_seed realisation for every amplitude, so the
+    whole batch reads one increment vector; the fresh mode derives seed
+    base_seed + index per amplitude, and a shard holds its rows' paths.
+    The rows are split into at most ``cfg.jobs`` contiguous shards, each
+    advanced by one ``run_nle_batch`` call in its own worker process (one
+    shard runs in-process).  Rows come back ordered by beta.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("betas must be nonempty")
-    if np.any(betas < 0):
-        raise ValueError("betas must be nonnegative")
+    if not np.all(np.isfinite(betas) & (betas >= 0)):
+        raise ValueError("betas must be finite and nonnegative")
     cfg = cfg or SweepConfig()
-    if mode is SweepMode.FIXED_PATH:
-        tasks = [(float(b), base_seed, cfg) for b in betas]
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+    fixed = mode is SweepMode.FIXED_PATH
+    tasks = [
+        (float(b), base_seed if fixed else base_seed + i) for i, b in enumerate(betas)
+    ]
+    n_shards = min(cfg.jobs, len(tasks))
+    edges = [len(tasks) * k // n_shards for k in range(n_shards + 1)]
+    shards = [(tasks[lo:hi], cfg) for lo, hi in zip(edges, edges[1:])]
+    if len(shards) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            parts = list(pool.map(_sweep_shard, shards))
     else:
-        tasks = [(float(b), base_seed + i, cfg) for i, b in enumerate(betas)]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    return sorted(rows, key=lambda row: row.beta)
+        parts = [_sweep_shard(shards[0])]
+    return sorted((row for part in parts for row in part), key=lambda row: row.beta)
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,10 @@ class RegressionSummary:
 
 def fit_fd_sum(rows: list[SweepRow]) -> RegressionSummary:
     """Least-squares fit of the FD exponent sum against the noise amplitude."""
+    if len({row.beta for row in rows}) < 2:
+        raise ValueError(
+            f"the fit needs at least two distinct beta values, got {len(rows)} rows"
+        )
     beta = np.array([row.beta for row in rows])
     y = np.array([row.sum_fd for row in rows])
     slope, intercept = np.polyfit(beta, y, 1)

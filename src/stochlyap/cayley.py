@@ -21,19 +21,46 @@ K advances through dK = (I - K) S (I - K)^T by Cayley composition, and once
 ||K|| reaches the threshold eta < 1 the rotation folds into q_accum and K
 restarts from zero.  Composition is exact, so the kernel is this stepper
 with a restart after every step and eta does not change the exponents.
+
+``run_nle_batch`` advances B trajectories in lockstep, a spin-up and then
+the same kernel on states of shape (B, 3), (B, 3, 3) and (B, 3); it serves
+ensembles such as amplitude sweeps.  A single run stays on ``run_nle``,
+whose per-step cost is lower at B = 1 and which is the batch's reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import smallmat
-from .integrator import BlowUpError, IntegratorConfig, Scheme, heun_step, step
-from .models import SystemDef, jacobian_diffusion, jacobian_drift
-from .smallmat import CayleyDomainError, SkewMat3, cayley, inverse, qr_decompose
-from .wiener import WienerPath
+from .integrator import (
+    _OVERFLOW,
+    SPIN_UP_STATE,
+    BlowUpError,
+    IntegratorConfig,
+    Scheme,
+    heun_step,
+    step,
+)
+from .models import (
+    LorenzParams,
+    SystemDef,
+    jacobian_diffusion,
+    jacobian_drift,
+    native_convention,
+)
+from .smallmat import (
+    CayleyDomainError,
+    SkewMat3,
+    cayley,
+    cayley_batch,
+    inverse,
+    qr_decompose,
+)
+from .wiener import WienerPath, generate_path
 
 __all__ = [
     "CayleyState",
@@ -43,6 +70,7 @@ __all__ = [
     "maybe_restart",
     "exponents_from_rho",
     "run_nle",
+    "run_nle_batch",
     "DEFAULT_ETA",
     "DEFAULT_NLE_STEPS",
 ]
@@ -227,20 +255,155 @@ def run_nle(
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
             samples.append(((i + 1) * dt, rho[0], rho[1], rho[2]))
 
-    t_final = n_steps * dt
     w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))
+    return _nle_result(s, x0, q, rho, np.array(samples), n_steps, dt, w_terminal)
+
+
+def _nle_result(
+    s: SystemDef,
+    x0: np.ndarray,
+    q: np.ndarray,
+    rho: np.ndarray,
+    rho_series: np.ndarray,
+    n_steps: int,
+    dt: float,
+    w_terminal: float,
+) -> NleResult:
+    t_final = n_steps * dt
     lambdas = exponents_from_rho(rho, t_final)
     total = float(np.sum(lambdas))
     tr0 = float(np.trace(jacobian_drift(s, x0)))
-    tr1 = float(np.trace(j1))
+    tr1 = float(np.trace(jacobian_diffusion(s)))
     trace_residual = abs(total - (tr0 + tr1 * w_terminal / t_final))
     return NleResult(
         lambdas=lambdas,
         sum=total,
         trace_residual=trace_residual,
-        rho_series=np.array(samples),
+        rho_series=rho_series,
         restarts=n_steps,
         t_final=t_final,
         w_terminal=w_terminal,
         ortho_drift=smallmat.frobenius(q.T @ q - np.eye(3)),
     )
+
+
+def _batch_params(systems: Sequence[SystemDef]) -> LorenzParams:
+    if not systems:
+        raise ValueError("a batch needs at least one system")
+    params = systems[0].params
+    for s in systems:
+        if s.params != params:
+            raise ValueError(
+                f"a batch shares one set of parameters, got {s.params} and {params}"
+            )
+        if s.convention is not native_convention(s.kind):
+            raise ValueError(
+                f"the batched engine takes systems in their native convention, got "
+                f"a {s.kind.value} system in {s.convention.value} form"
+            )
+    return params
+
+
+# (row, column) indices of the strictly lower triangle, in SkewMat3 order
+_LOWER = ((1, 2, 2), (0, 0, 1))
+
+
+def run_nle_batch(
+    systems: Sequence[SystemDef],
+    seeds: Sequence[int],
+    dt: float,
+    spin_up_steps: int,
+    n_steps: int = DEFAULT_NLE_STEPS,
+    eta: float = DEFAULT_ETA,
+    *,
+    sample_every: int = 100,
+) -> list[NleResult]:
+    """Spin up and run B trajectories in lockstep under Euler-Maruyama.
+
+    Trajectory k integrates ``systems[k]`` in its native coefficient form
+    along ``generate_path(seeds[k], spin_up_steps + n_steps, dt)``:
+    ``spin_up_steps`` base steps from ``SPIN_UP_STATE``, then ``n_steps``
+    steps of the frame kernel on the remaining increments.  Trajectories
+    with equal seeds share one increment column.  The per-step arithmetic
+    is that of ``spin_up`` followed by ``run_nle`` with
+    ``allow_convention_mismatch=True``, so ``results[k]`` agrees with that
+    run's result.  Both noises are linear, so the diffusion is Df1 x exactly.
+    The systems must share their parameters.  A blow-up raises
+    ``BlowUpError`` naming the phase, the step, and the trajectory's
+    system, beta and seed.
+    """
+    if len(systems) != len(seeds):
+        raise ValueError(f"{len(systems)} systems but {len(seeds)} seeds")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if spin_up_steps < 0:
+        raise ValueError(f"spin_up_steps must be nonnegative, got {spin_up_steps}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    _check_eta(eta)
+    p = _batch_params(systems)
+
+    unique, column = np.unique(np.asarray(seeds, dtype=np.int64), return_inverse=True)
+    inc = np.empty((spin_up_steps + n_steps, unique.size))
+    w_terminal = np.empty(unique.size)
+    for u, seed in enumerate(unique.tolist()):
+        path = generate_path(seed, spin_up_steps + n_steps, dt).scalar()
+        inc[:, u] = path
+        w_terminal[u] = float(np.sum(path[spin_up_steps:]))
+    j1 = np.array([jacobian_diffusion(s) for s in systems])
+    j0 = np.array([jacobian_drift(s, np.zeros(3)) for s in systems])
+
+    def base_step(x: np.ndarray, dw: np.ndarray, i: int, phase: str) -> np.ndarray:
+        # The expressions of models.drift and integrator.step, so the base
+        # states equal the scalar ones bit for bit: the chaotic flow would
+        # amplify any rounding difference over a reference run.
+        x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+        f0 = np.stack(
+            [p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2], 1
+        )
+        out = x + f0 * dt + (j1 @ x[:, :, None])[:, :, 0] * dw[:, None]
+        if np.abs(out).max() <= _OVERFLOW:  # False on NaN as well
+            return out
+        k = int(np.argmin(np.abs(out).max(axis=1) <= _OVERFLOW))
+        s = systems[k]
+        raise BlowUpError(
+            i, out[k], f"the {phase} ({s.kind.value}, beta={s.beta}, seed={seeds[k]})"
+        )
+
+    x = np.tile(SPIN_UP_STATE, (len(systems), 1))
+    for i in range(spin_up_steps):
+        x = base_step(x, inc[i, column], i, "spin-up")
+
+    x_start = x
+    q = np.tile(np.eye(3), (len(systems), 1, 1))
+    rho = np.zeros((len(systems), 3))
+    times: list[float] = []
+    samples: list[np.ndarray] = []
+    for i in range(n_steps):
+        dw = inc[spin_up_steps + i, column]
+        x_next = base_step(x, dw, i, "exponent phase")
+        j0[:, 1, 0] = p.r - x[:, 2]
+        j0[:, 1, 2] = -x[:, 0]
+        j0[:, 2, 0] = x[:, 1]
+        j0[:, 2, 1] = x[:, 0]
+        a = np.swapaxes(q, 1, 2) @ (j0 * dt + j1 * dw[:, None, None]) @ q
+        rho = rho + a.diagonal(axis1=1, axis2=2)
+        q = q @ cayley_batch(-0.5 * a[:, _LOWER[0], _LOWER[1]])
+        if (i + 1) % REORTH_EVERY == 0:
+            q = np.array([_reorthogonalize(m) for m in q])
+        x = x_next
+        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+            times.append((i + 1) * dt)
+            samples.append(rho)
+
+    t = np.array(times)[:, None]
+    series = np.array(samples)
+    return [
+        _nle_result(
+            s, x_start[k], q[k], rho[k], np.hstack([t, series[:, k]]), n_steps, dt,
+            float(w_terminal[column[k]]),
+        )
+        for k, s in enumerate(systems)
+    ]

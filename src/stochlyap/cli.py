@@ -23,7 +23,14 @@ import numpy as np
 from . import analysis
 from .analysis import SweepConfig, SweepMode, fit_fd_sum, sweep_beta
 from .cayley import run_nle
-from .integrator import BlowUpError, IntegratorConfig, Scheme, simulate, spin_up
+from .integrator import (
+    BlowUpError,
+    ConventionMismatchError,
+    IntegratorConfig,
+    Scheme,
+    simulate,
+    spin_up,
+)
 from .models import (
     Convention,
     LorenzParams,
@@ -187,14 +194,26 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
 
 def _spin_and_path(cfg: RunConfig):
     s = cfg.system_def()
-    path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-    mismatch = cfg.convention_mode == "paper"
+    # Paper mode applies Euler-Maruyama to the native coefficients.  Heun
+    # consistently integrates Stratonovich systems only, so an Ito system
+    # under Heun is refused rather than silently integrated as another SDE.
     icfg = IntegratorConfig(
         scheme=cfg.scheme_enum(),
         dt=cfg.dt,
         n_steps=cfg.spin_up_steps,
-        allow_convention_mismatch=mismatch,
+        allow_convention_mismatch=(
+            cfg.convention_mode == "paper"
+            and cfg.scheme_enum() is Scheme.EULER_MARUYAMA
+        ),
     )
+    try:
+        icfg.check(s)
+    except ConventionMismatchError as err:
+        other = "stratonovich-strict" if cfg.convention_mode == "paper" else "paper"
+        raise ConfigError(
+            f"{err}; on the command line, pass --convention-mode {other}"
+        ) from None
+    path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
     x0 = spin_up(s, path, icfg)
     return s, path, x0, icfg
 
@@ -252,6 +271,7 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
         "sum": res.sum,
         "trace_residual": res.trace_residual,
         "restarts": res.restarts,
+        "ortho_drift": res.ortho_drift,
         "w_T_over_T": w_over_t,
         "theoretical_sum": theory,
         "t_final": res.t_final,
@@ -274,8 +294,24 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+    fixed = args.mode == "fixed"
+    # the fixed-path regression needs two distinct amplitudes
+    min_count = 2 if fixed else 1
+    if args.count < min_count:
+        raise ConfigError(
+            f"--count must be >= {min_count} in {args.mode} mode, got {args.count}"
+        )
+    if fixed and args.beta_min == args.beta_max:
+        raise ConfigError("--beta-min and --beta-max must differ in fixed mode")
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0 (0: all cores), got {args.jobs}")
+    if cfg.scheme != "euler-maruyama" or cfg.convention_mode != "paper":
+        raise ConfigError(
+            "sweep runs Euler-Maruyama in paper mode only; drop --scheme "
+            "and --convention-mode"
+        )
     betas = np.linspace(args.beta_min, args.beta_max, args.count)
-    mode = SweepMode.FIXED_PATH if args.mode == "fixed" else SweepMode.FRESH_PATH_PER_BETA
+    mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     sweep_cfg = SweepConfig(
         params=cfg.params(),
@@ -299,7 +335,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"{row.w_T_over_T!r},{theory!r}\n"
             )
     print(f"wrote {out} ({len(rows)} rows)")
-    if mode is SweepMode.FIXED_PATH:
+    if fixed:
         fit = fit_fd_sum(rows)
         expected = 3.0 * rows[0].w_T_over_T
         print(
@@ -359,6 +395,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir")
 
 
+_JOBS_HELP = "worker processes the sweep's rows are split across (default 0: all cores)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochlyap",
@@ -383,15 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-max", type=float, default=1.0)
     p_sweep.add_argument("--count", type=int, default=100)
     p_sweep.add_argument("--mode", choices=["fresh", "fixed"], default="fixed")
-    p_sweep.add_argument("--jobs", type=int, default=0,
-                         help="parallel workers (default: all cores)")
+    p_sweep.add_argument("--jobs", type=int, default=0, help=_JOBS_HELP)
     p_sweep.add_argument("--output", help="sweep CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run a pinned reference experiment")
     _add_config_flags(p_rep)
     p_rep.add_argument("target", choices=sorted(_REPRODUCTIONS))
-    p_rep.add_argument("--jobs", type=int, default=0)
+    p_rep.add_argument("--jobs", type=int, default=0, help=_JOBS_HELP)
     p_rep.add_argument("--output")
     p_rep.add_argument("--json-output", dest="json_output", default=None)
     p_rep.set_defaults(func=cmd_reproduce)

@@ -43,12 +43,22 @@ class Scheme(Enum):
 
 
 class BlowUpError(RuntimeError):
-    """A state component left the finite range during integration."""
+    """A state component left the finite range during integration.
 
-    def __init__(self, step_index: int, state: np.ndarray):
-        super().__init__(f"non-finite state at step {step_index}: {state}")
+    ``context`` names the phase and trajectory when the step alone does not,
+    as in an ensemble run.
+    """
+
+    def __init__(self, step_index: int, state: np.ndarray, context: str = ""):
+        where = f"step {step_index} of {context}" if context else f"step {step_index}"
+        super().__init__(f"non-finite state at {where}: {state}")
         self.step_index = step_index
         self.state = state
+        self.context = context
+
+    def __reduce__(self):
+        # pickled by its fields, so the error survives a worker process
+        return type(self), (self.step_index, self.state, self.context)
 
 
 class ConventionMismatchError(ValueError):

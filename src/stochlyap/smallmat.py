@@ -18,6 +18,7 @@ __all__ = [
     "qr_decompose",
     "inverse",
     "cayley",
+    "cayley_batch",
 ]
 
 _QR_DIAG_FLOOR = 1e-14
@@ -127,3 +128,24 @@ def cayley(k: SkewMat3) -> np.ndarray:
         [-2.0 * (a + b * c), d + 2.0 * b * b, 2.0 * (c - a * b)],
         [2.0 * (a * c - b), -2.0 * (c + a * b), d + 2.0 * a * a],
     ]) / (1.0 + w2)
+
+
+def cayley_batch(lower: np.ndarray) -> np.ndarray:
+    """``cayley`` of a stack of skew matrices given by their (B, 3) lower
+    triangles; entry for entry the same arithmetic, so each (3, 3) slice of
+    the (B, 3, 3) result equals ``cayley(SkewMat3(lower[k]))`` exactly."""
+    a, b, c = lower[:, 0], lower[:, 1], lower[:, 2]
+    w2 = a * a + b * b + c * c
+    d = 1.0 - w2
+    out = np.empty((lower.shape[0], 3, 3))
+    out[:, 0, 0] = d + 2.0 * c * c
+    out[:, 0, 1] = 2.0 * (a - b * c)
+    out[:, 0, 2] = 2.0 * (b + a * c)
+    out[:, 1, 0] = -2.0 * (a + b * c)
+    out[:, 1, 1] = d + 2.0 * b * b
+    out[:, 1, 2] = 2.0 * (c - a * b)
+    out[:, 2, 0] = 2.0 * (a * c - b)
+    out[:, 2, 1] = -2.0 * (c + a * b)
+    out[:, 2, 2] = d + 2.0 * a * a
+    out /= (1.0 + w2)[:, None, None]
+    return out

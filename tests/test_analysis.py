@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from stochlyap.analysis import (
     theoretical_sum,
 )
 from stochlyap.cayley import run_nle
-from stochlyap.integrator import IntegratorConfig, simulate, spin_up
+from stochlyap.integrator import BlowUpError, IntegratorConfig, simulate, spin_up
 from stochlyap.models import (
     LorenzParams,
     deterministic_lorenz,
@@ -196,6 +198,38 @@ class TestSweep:
             sweep_beta(np.array([]), SweepMode.FIXED_PATH, 1)
         with pytest.raises(ValueError):
             sweep_beta(np.array([-0.1]), SweepMode.FIXED_PATH, 1)
+        with pytest.raises(ValueError):
+            sweep_beta(np.array([np.nan]), SweepMode.FIXED_PATH, 1)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, SweepConfig(jobs=0))
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_rows_match_scalar_runs(self, mode, small_cfg):
+        # each row pairs a SALT and an FD run on its own path; both must be
+        # what the scalar engine computes for that system and path
+        rows = sweep_beta(np.array([0.6, 0.1]), mode, 21, small_cfg)
+        n_spin, n = small_cfg.spin_up_steps, small_cfg.nle_steps
+        for row in rows:
+            path = generate_path(row.seed, n_spin + n, small_cfg.dt)
+            icfg = IntegratorConfig(n_steps=n_spin, allow_convention_mismatch=True)
+            for system, got in ((salt_lorenz(beta=row.beta), row.sum_salt),
+                                (fd_lorenz(beta=row.beta), row.sum_fd)):
+                want = run_nle(system, spin_up(system, path, icfg), path, small_cfg.dt,
+                               n, path_offset=n_spin, allow_convention_mismatch=True)
+                assert abs(got - want.sum) <= 1e-10
+            assert abs(row.w_T_over_T - want.w_terminal / want.t_final) <= 1e-10
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_sharded_rows_equal_in_process_rows(self, mode, small_cfg):
+        betas = np.array([0.9, 0.0, 0.45, 0.2, 0.7])
+        serial = sweep_beta(betas, mode, 5, small_cfg)
+        sharded = sweep_beta(betas, mode, 5, dataclasses.replace(small_cfg, jobs=2))
+        assert sharded == serial
+
+    def test_blow_up_in_a_worker_keeps_its_context(self):
+        cfg = SweepConfig(dt=0.5, spin_up_steps=100, nle_steps=100, jobs=2)
+        with pytest.raises(BlowUpError, match=r"step \d+ of the spin-up \((salt|fd), beta="):
+            sweep_beta(np.array([0.1, 0.2]), SweepMode.FRESH_PATH_PER_BETA, 3, cfg)
 
 
 class TestFitFdSum:
@@ -210,6 +244,12 @@ class TestFitFdSum:
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.intercept == pytest.approx(TRACE, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_needs_two_distinct_betas(self):
+        row = SweepRow(beta=0.5, seed=0, sum_salt=TRACE, sum_fd=TRACE, w_T_over_T=0.5)
+        for rows in ([row], [row, row]):
+            with pytest.raises(ValueError, match="two distinct beta"):
+                fit_fd_sum(rows)
 
     def test_noisy_line_r_squared(self, rng):
         beta = np.linspace(0.0, 1.0, 50)

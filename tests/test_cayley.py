@@ -1,7 +1,11 @@
 import sys
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochlyap
 from stochlyap.cayley import (
@@ -11,6 +15,7 @@ from stochlyap.cayley import (
     inverse_cayley,
     maybe_restart,
     run_nle,
+    run_nle_batch,
     step_k_rho,
 )
 from stochlyap.integrator import (
@@ -21,6 +26,9 @@ from stochlyap.integrator import (
     step,
 )
 from stochlyap.models import (
+    Convention,
+    LorenzParams,
+    convert_convention,
     deterministic_lorenz,
     fd_lorenz,
     jacobian_drift,
@@ -267,6 +275,90 @@ class TestRunNle:
             scheme=Scheme.HEUN, path_offset=5_000,
         )
         assert np.all(np.isfinite(res.lambdas))
+
+
+def scalar_run(s, seed, dt, n_spin, n_steps, sample_every=100):
+    """The per-trajectory reference of the batch: spin_up, then run_nle."""
+    path = generate_path(seed, n_spin + n_steps, dt)
+    x0 = spin_up(s, path, IntegratorConfig(dt=dt, n_steps=n_spin,
+                                           allow_convention_mismatch=True))
+    return run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
+                   path_offset=n_spin, allow_convention_mismatch=True)
+
+
+def assert_matches_scalar(batch, scalar, tol=1e-10):
+    np.testing.assert_allclose(batch.lambdas, scalar.lambdas, rtol=0, atol=tol)
+    for name in ("sum", "trace_residual", "w_terminal", "t_final"):
+        assert abs(getattr(batch, name) - getattr(scalar, name)) <= tol, name
+    assert batch.rho_series.shape == scalar.rho_series.shape
+    assert batch.restarts == scalar.restarts
+
+
+class TestRunNleBatch:
+    MIXED = [
+        salt_lorenz(beta=0.5), fd_lorenz(beta=0.5), salt_lorenz(beta=0.9),
+        fd_lorenz(beta=0.2), deterministic_lorenz(), fd_lorenz(beta=0.0),
+    ]
+
+    @pytest.mark.parametrize("seeds", [[3] * 6, [3, 4, 5, 3, 6, 7]],
+                             ids=["fixed", "fresh"])
+    def test_rows_match_scalar_runs(self, seeds):
+        res = run_nle_batch(self.MIXED, seeds, 0.001, 2_000, 3_000, sample_every=70)
+        assert len(res) == len(self.MIXED)
+        for s, seed, got in zip(self.MIXED, seeds, res):
+            assert_matches_scalar(got, scalar_run(s, seed, 0.001, 2_000, 3_000, 70))
+
+    def test_zero_spin_up_and_single_trajectory(self):
+        s = fd_lorenz(beta=0.7)
+        (got,) = run_nle_batch([s], [9], 0.001, 0, 500, sample_every=1)
+        assert_matches_scalar(got, scalar_run(s, 9, 0.001, 0, 500, 1))
+
+    def test_rejects_mixed_params_and_foreign_convention(self):
+        other = salt_lorenz(LorenzParams(16.0, 45.92, 4.0), 0.5)
+        with pytest.raises(ValueError, match="parameters"):
+            run_nle_batch([salt_lorenz(), other], [1, 1], 0.001, 10, 10)
+        strat_fd = convert_convention(fd_lorenz(), Convention.STRATONOVICH)
+        with pytest.raises(ValueError, match="native convention"):
+            run_nle_batch([strat_fd], [1], 0.001, 10, 10)
+
+    def test_rejects_bad_sizes(self):
+        s = [salt_lorenz()]
+        for kwargs in (dict(seeds=[1, 2]), dict(n_steps=0), dict(spin_up_steps=-1),
+                       dict(dt=float("nan")), dict(eta=1.0), dict(sample_every=0)):
+            args = dict(systems=s, seeds=[1], dt=0.001, spin_up_steps=10, n_steps=10)
+            with pytest.raises(ValueError):
+                run_nle_batch(**{**args, **kwargs})
+        with pytest.raises(ValueError):
+            run_nle_batch([], [], 0.001, 10, 10)
+
+    @pytest.mark.parametrize("n_spin, phase", [(100, "spin-up"), (0, "exponent phase")])
+    def test_blow_up_names_phase_step_and_trajectory(self, n_spin, phase):
+        systems = [salt_lorenz(beta=0.1), fd_lorenz(beta=0.3)]
+        with pytest.raises(BlowUpError) as exc:
+            run_nle_batch(systems, [4, 11], 0.5, n_spin, 100)
+        err = exc.value
+        assert err.context.startswith(f"the {phase} (")
+        assert "beta=" in err.context and "seed=" in err.context
+        msg = str(err)
+        assert f"step {err.step_index} of the {phase}" in msg
+        # the error survives a worker process
+        again = pickle.loads(pickle.dumps(err))
+        assert str(again) == msg and again.step_index == err.step_index
+
+    @given(
+        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
+        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_batch_equals_scalar_and_sum_identities(self, sigma, r, b, beta, seed):
+        p = LorenzParams(sigma, r, b)
+        systems = [salt_lorenz(p, beta), fd_lorenz(p, beta)]
+        salt, fd = run_nle_batch(systems, [seed, seed], 0.001, 50, 150, sample_every=50)
+        for s, got in zip(systems, (salt, fd)):
+            assert_matches_scalar(got, scalar_run(s, seed, 0.001, 50, 150, 50))
+        trace = -(sigma + 1.0 + b)
+        assert abs(salt.sum - trace) <= 1e-10
+        assert abs(fd.sum - (trace + 3.0 * beta * fd.w_terminal / fd.t_final)) <= 1e-10
 
 
 def test_package_attribute_is_engine_module():

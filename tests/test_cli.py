@@ -97,7 +97,7 @@ class TestConfigResolution:
         code, _, _ = run(["nle", "--config", str(cfgfile)], capsys)
         assert code == EXIT_CONFIG
 
-    def test_invalid_value_exit_code(self, capsys):
+    def test_invalid_value_exit_code(self, tmp_path, capsys):
         for flag, value in (("--eta", "1.5"), ("--sample-every", "0"),
                             ("--dt", "nan"), ("--sigma", "nan"), ("--beta", "nan")):
             code, _, err = run(["nle", flag, value] + SMALL[:4], capsys)
@@ -105,6 +105,19 @@ class TestConfigResolution:
             assert "configuration error" in err
             assert flag.lstrip("-").replace("-", "_") in err
             assert "Traceback" not in err
+        # sweep arguments are checked before any path is drawn or file written
+        for argv, flag in (
+            (["--count", "1", "--mode", "fixed"], "--count"),
+            (["--count", "0", "--mode", "fresh"], "--count"),
+            (["--count", "3", "--jobs", "-1"], "--jobs"),
+            (["--count", "3", "--beta-min", "0.4", "--beta-max", "0.4"], "--beta-min"),
+            (["--count", "3", "--scheme", "heun"], "--scheme"),
+        ):
+            code, _, err = run(["sweep", "--outdir", str(tmp_path)] + argv + SMALL, capsys)
+            assert code == EXIT_CONFIG, (argv, err)
+            assert "configuration error" in err and flag in err, (argv, err)
+            assert "Traceback" not in err
+            assert not (tmp_path / "sweep.csv").exists()
 
     def test_outdir_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))
@@ -133,6 +146,33 @@ class TestNumericalFailure:
         code, _, err = run(["nle"] + SMALL, capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
+
+
+    def test_sweep_blow_up_names_phase_and_trajectory(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--count", "2", "--jobs", "1", "--dt", "0.5",
+                            "--seed", "8", "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and "Traceback" not in err
+        assert "of the spin-up (" in err and "beta=" in err and "seed=8" in err
+
+
+class TestConventionGuard:
+    def test_heun_refuses_ito_system_in_paper_mode(self, tmp_path, capsys):
+        code, _, err = run(["nle", "--scheme", "heun", "--system", "fd",
+                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_CONFIG
+        assert "--convention-mode stratonovich-strict" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--system", "salt"],
+        ["--system", "fd", "--convention-mode", "stratonovich-strict"],
+    ])
+    def test_heun_runs_stratonovich_systems(self, argv, tmp_path, capsys):
+        code, _, err = run(["nle", "--scheme", "heun", "--outdir", str(tmp_path)]
+                           + argv + SMALL, capsys)
+        assert code == EXIT_OK, err
 
 
 class TestSimulate:
@@ -173,9 +213,10 @@ class TestNle:
         assert code == EXIT_OK
         data = json.loads(summ.read_text())
         for key in ("lambdas", "sum", "trace_residual", "restarts",
-                    "w_T_over_T", "theoretical_sum", "t_final",
+                    "ortho_drift", "w_T_over_T", "theoretical_sum", "t_final",
                     "generator_id", "config_hash"):
             assert key in data
+        assert 0.0 <= data["ortho_drift"] <= 1e-10
         assert len(data["lambdas"]) == 3
         assert data["sum"] == pytest.approx(-(10 + 1 + 8 / 3), abs=1e-9)
         assert "sum = " in stdout
