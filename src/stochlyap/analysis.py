@@ -15,7 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .cayley import DEFAULT_ETA, DEFAULT_NLE_STEPS, NleResult, run_nle_batch
+from .cayley import (
+    DEFAULT_ETA,
+    DEFAULT_NLE_STEPS,
+    NleResult,
+    _check_eta,
+    run_nle_batch,
+)
 from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS
 from .models import (
     LorenzParams,
@@ -135,7 +141,7 @@ class SweepConfig:
     dt: float = DEFAULT_DT
     spin_up_steps: int = DEFAULT_SPIN_UP_STEPS
     nle_steps: int = DEFAULT_NLE_STEPS
-    eta: float = DEFAULT_ETA  # validated by the engine; does not change its output
+    eta: float = DEFAULT_ETA  # validated by sweep_beta; does not change its output
     sample_every: int = 100
     jobs: int = 1  # worker processes the rows are split across; 1 runs in-process
 
@@ -153,7 +159,6 @@ def _sweep_shard(args: tuple[list[tuple[float, int]], SweepConfig]) -> list[Swee
         cfg.dt,
         cfg.spin_up_steps,
         cfg.nle_steps,
-        cfg.eta,
         sample_every=cfg.sample_every,
     )
     return [
@@ -177,8 +182,8 @@ def sweep_beta(
     """Run SALT and FD exponent computations over a grid of noise amplitudes.
 
     FIXED_PATH reuses the base_seed realisation for every amplitude, so the
-    whole batch reads one increment vector; the fresh mode derives seed
-    base_seed + index per amplitude, and a shard holds its rows' paths.
+    whole batch reads one increment stream; the fresh mode derives seed
+    base_seed + index per amplitude, one stream per row.
     The rows are split into at most ``cfg.jobs`` contiguous shards, each
     advanced by one ``run_nle_batch`` call in its own worker process (one
     shard runs in-process).  Rows come back ordered by beta.
@@ -191,6 +196,7 @@ def sweep_beta(
     cfg = cfg or SweepConfig()
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+    _check_eta(cfg.eta)
     fixed = mode is SweepMode.FIXED_PATH
     tasks = [
         (float(b), base_seed if fixed else base_seed + i) for i, b in enumerate(betas)

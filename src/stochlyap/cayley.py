@@ -30,6 +30,7 @@ whose per-step cost is lower at B = 1 and which is the batch's reference.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -48,11 +49,14 @@ from .integrator import (
 from .models import (
     LorenzParams,
     SystemDef,
+    drift_batch,
     jacobian_diffusion,
     jacobian_drift,
+    jacobian_drift_batch,
     native_convention,
 )
 from .smallmat import (
+    LOWER_FLAT,
     CayleyDomainError,
     SkewMat3,
     cayley,
@@ -60,7 +64,7 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import WienerPath, generate_path
+from .wiener import WienerPath, increment_blocks
 
 __all__ = [
     "CayleyState",
@@ -132,7 +136,7 @@ def _increment_at(
     """
     a = q.T @ (j0 * dt + j1 * dW) @ q
     # -(1/2) skew split: the Euler increment of the K ODE at K = 0.
-    s_lower = -0.5 * np.array([a[1, 0], a[2, 0], a[2, 1]])
+    s_lower = -0.5 * a.take(LOWER_FLAT)
     return s_lower, a.diagonal().copy()
 
 
@@ -296,6 +300,7 @@ def _batch_params(systems: Sequence[SystemDef]) -> LorenzParams:
             raise ValueError(
                 f"a batch shares one set of parameters, got {s.params} and {params}"
             )
+        # drift_batch carries no convention correction
         if s.convention is not native_convention(s.kind):
             raise ValueError(
                 f"the batched engine takes systems in their native convention, got "
@@ -304,17 +309,12 @@ def _batch_params(systems: Sequence[SystemDef]) -> LorenzParams:
     return params
 
 
-# (row, column) indices of the strictly lower triangle, in SkewMat3 order
-_LOWER = ((1, 2, 2), (0, 0, 1))
-
-
 def run_nle_batch(
     systems: Sequence[SystemDef],
     seeds: Sequence[int],
     dt: float,
     spin_up_steps: int,
     n_steps: int = DEFAULT_NLE_STEPS,
-    eta: float = DEFAULT_ETA,
     *,
     sample_every: int = 100,
 ) -> list[NleResult]:
@@ -324,10 +324,12 @@ def run_nle_batch(
     along ``generate_path(seeds[k], spin_up_steps + n_steps, dt)``:
     ``spin_up_steps`` base steps from ``SPIN_UP_STATE``, then ``n_steps``
     steps of the frame kernel on the remaining increments.  Trajectories
-    with equal seeds share one increment column.  The per-step arithmetic
-    is that of ``spin_up`` followed by ``run_nle`` with
+    with equal seeds share one increment column, and the increments are
+    drawn in blocks, so memory does not grow with the path length.  The
+    per-step arithmetic is that of ``spin_up`` followed by ``run_nle`` with
     ``allow_convention_mismatch=True``, so ``results[k]`` agrees with that
-    run's result.  Both noises are linear, so the diffusion is Df1 x exactly.
+    run's result (``w_terminal`` is summed step by step, so it agrees to
+    rounding).  Both noises are linear, so the diffusion is Df1 x exactly.
     The systems must share their parameters.  A blow-up raises
     ``BlowUpError`` naming the phase, the step, and the trajectory's
     system, beta and seed.
@@ -342,28 +344,16 @@ def run_nle_batch(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    _check_eta(eta)
     p = _batch_params(systems)
 
     unique, column = np.unique(np.asarray(seeds, dtype=np.int64), return_inverse=True)
-    inc = np.empty((spin_up_steps + n_steps, unique.size))
-    w_terminal = np.empty(unique.size)
-    for u, seed in enumerate(unique.tolist()):
-        path = generate_path(seed, spin_up_steps + n_steps, dt).scalar()
-        inc[:, u] = path
-        w_terminal[u] = float(np.sum(path[spin_up_steps:]))
+    blocks = increment_blocks(unique.tolist(), spin_up_steps + n_steps, dt)
+    dws = itertools.chain.from_iterable(block[:, column] for block in blocks)
     j1 = np.array([jacobian_diffusion(s) for s in systems])
-    j0 = np.array([jacobian_drift(s, np.zeros(3)) for s in systems])
 
     def base_step(x: np.ndarray, dw: np.ndarray, i: int, phase: str) -> np.ndarray:
-        # The expressions of models.drift and integrator.step, so the base
-        # states equal the scalar ones bit for bit: the chaotic flow would
-        # amplify any rounding difference over a reference run.
-        x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-        f0 = np.stack(
-            [p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2], 1
-        )
-        out = x + f0 * dt + (j1 @ x[:, :, None])[:, :, 0] * dw[:, None]
+        # integrator.step's Euler-Maruyama update, row by row
+        out = x + drift_batch(p, x) * dt + (j1 @ x[:, :, None])[:, :, 0] * dw[:, None]
         if np.abs(out).max() <= _OVERFLOW:  # False on NaN as well
             return out
         k = int(np.argmin(np.abs(out).max(axis=1) <= _OVERFLOW))
@@ -374,26 +364,25 @@ def run_nle_batch(
 
     x = np.tile(SPIN_UP_STATE, (len(systems), 1))
     for i in range(spin_up_steps):
-        x = base_step(x, inc[i, column], i, "spin-up")
+        x = base_step(x, next(dws), i, "spin-up")
 
     x_start = x
     q = np.tile(np.eye(3), (len(systems), 1, 1))
     rho = np.zeros((len(systems), 3))
+    w_terminal = np.zeros(len(systems))
     times: list[float] = []
     samples: list[np.ndarray] = []
     for i in range(n_steps):
-        dw = inc[spin_up_steps + i, column]
+        dw = next(dws)
         x_next = base_step(x, dw, i, "exponent phase")
-        j0[:, 1, 0] = p.r - x[:, 2]
-        j0[:, 1, 2] = -x[:, 0]
-        j0[:, 2, 0] = x[:, 1]
-        j0[:, 2, 1] = x[:, 0]
-        a = np.swapaxes(q, 1, 2) @ (j0 * dt + j1 * dw[:, None, None]) @ q
+        m = jacobian_drift_batch(p, x) * dt + j1 * dw[:, None, None]
+        a = np.swapaxes(q, 1, 2) @ m @ q
         rho = rho + a.diagonal(axis1=1, axis2=2)
-        q = q @ cayley_batch(-0.5 * a[:, _LOWER[0], _LOWER[1]])
+        q = q @ cayley_batch(-0.5 * a.reshape(-1, 9).take(LOWER_FLAT, axis=1))
         if (i + 1) % REORTH_EVERY == 0:
-            q = np.array([_reorthogonalize(m) for m in q])
+            q = np.array([_reorthogonalize(qk) for qk in q])
         x = x_next
+        w_terminal = w_terminal + dw
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
             times.append((i + 1) * dt)
             samples.append(rho)
@@ -403,7 +392,7 @@ def run_nle_batch(
     return [
         _nle_result(
             s, x_start[k], q[k], rho[k], np.hstack([t, series[:, k]]), n_steps, dt,
-            float(w_terminal[column[k]]),
+            float(w_terminal[k]),
         )
         for k, s in enumerate(systems)
     ]

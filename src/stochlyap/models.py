@@ -29,6 +29,8 @@ __all__ = [
     "diffusion",
     "jacobian_drift",
     "jacobian_diffusion",
+    "drift_batch",
+    "jacobian_drift_batch",
     "convert_convention",
 ]
 
@@ -156,6 +158,33 @@ def jacobian_drift(s: SystemDef, x: np.ndarray) -> np.ndarray:
     if sign != 0.0:
         j1 = jacobian_diffusion(s)
         jac = jac + sign * 0.5 * (j1 @ j1)
+    return jac
+
+
+def drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
+    """``drift`` at each row of x, shape (B, 3), for systems with parameters p
+    stated in their native convention (no drift correction).
+
+    The expressions are those of ``drift``, so row k equals ``drift(s, x[k])``
+    bit for bit; a chaotic flow would amplify any rounding difference.
+    """
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return np.stack(
+        [p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2], axis=1
+    )
+
+
+def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
+    """``jacobian_drift`` at each row of x, shape (B, 3, 3), for systems with
+    parameters p stated in their native convention."""
+    jac = np.empty((x.shape[0], 3, 3))
+    jac[:, 0] = (-p.sigma, p.sigma, 0.0)
+    jac[:, 1, 0] = p.r - x[:, 2]
+    jac[:, 1, 1] = -1.0
+    jac[:, 1, 2] = -x[:, 0]
+    jac[:, 2, 0] = x[:, 1]
+    jac[:, 2, 1] = x[:, 0]
+    jac[:, 2, 2] = -p.b
     return jac
 
 

@@ -14,6 +14,7 @@ __all__ = [
     "SingularMatrixError",
     "CayleyDomainError",
     "SkewMat3",
+    "LOWER_FLAT",
     "frobenius",
     "qr_decompose",
     "inverse",
@@ -23,6 +24,10 @@ __all__ = [
 
 _QR_DIAG_FLOOR = 1e-14
 _DET_FLOOR = 1e-14
+
+# Row-major flat positions of the strictly lower triangle (1,0), (2,0), (2,1)
+# of a 3x3 matrix, in the order of ``SkewMat3.lower``.
+LOWER_FLAT = np.array([3, 6, 7])
 
 
 class SingularMatrixError(ValueError):
@@ -62,8 +67,7 @@ class SkewMat3:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SkewMat3":
         """Project a matrix onto its skew part, keeping the lower triangle."""
-        m = np.asarray(m, dtype=float)
-        return cls(np.array([m[1, 0], m[2, 0], m[2, 1]]))
+        return cls(np.asarray(m, dtype=float).take(LOWER_FLAT))
 
     def matrix(self) -> np.ndarray:
         a, b, c = self.lower

@@ -7,16 +7,26 @@ increments, so comparisons across systems see the identical realisation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["GENERATOR_ID", "WienerPath", "generate_path", "terminal_value"]
+__all__ = [
+    "GENERATOR_ID",
+    "WienerPath",
+    "generate_path",
+    "increment_blocks",
+    "terminal_value",
+]
 
 # Counter-based Philox keyed by the seed, increments drawn as
 # sqrt(dt) * standard_normal.  Pinned so outputs are replayable.
 GENERATOR_ID = "np-philox4x64-standard-normal-v1"
+
+# Steps per block of increment_blocks: under 1 MB per hundred seeds.
+_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,27 @@ def generate_path(seed: int, n_steps: int, dt: float, channels: int = 1) -> Wien
         raise ValueError(f"dt must be positive, got {dt}")
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _generator(seed)
     shape = (n_steps,) if channels == 1 else (n_steps, channels)
     increments = np.sqrt(dt) * rng.standard_normal(shape)
     return WienerPath(seed=seed, dt=dt, increments=increments)
+
+
+def increment_blocks(seeds: Sequence[int], n_steps: int, dt: float) -> Iterator[np.ndarray]:
+    """The scalar increments of ``generate_path(seed, n_steps, dt)`` for each
+    seed, as consecutive (m, len(seeds)) blocks of at most ``_BLOCK_STEPS`` steps.
+
+    Column u continues the stream of ``seeds[u]`` exactly, so the blocks
+    stacked equal the paths side by side, while only one block is held.
+    """
+    rngs = [_generator(seed) for seed in seeds]
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, n_steps - start)
+        yield np.stack([np.sqrt(dt) * rng.standard_normal(m) for rng in rngs], axis=1)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def terminal_value(path: WienerPath, k: int) -> float:

@@ -202,6 +202,8 @@ class TestSweep:
             sweep_beta(np.array([np.nan]), SweepMode.FIXED_PATH, 1)
         with pytest.raises(ValueError, match="jobs"):
             sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, SweepConfig(jobs=0))
+        with pytest.raises(ValueError, match="eta"):
+            sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, SweepConfig(eta=1.0))
 
     @pytest.mark.parametrize("mode", list(SweepMode))
     def test_rows_match_scalar_runs(self, mode, small_cfg):

@@ -324,7 +324,7 @@ class TestRunNleBatch:
     def test_rejects_bad_sizes(self):
         s = [salt_lorenz()]
         for kwargs in (dict(seeds=[1, 2]), dict(n_steps=0), dict(spin_up_steps=-1),
-                       dict(dt=float("nan")), dict(eta=1.0), dict(sample_every=0)):
+                       dict(dt=float("nan")), dict(sample_every=0)):
             args = dict(systems=s, seeds=[1], dt=0.001, spin_up_steps=10, n_steps=10)
             with pytest.raises(ValueError):
                 run_nle_batch(**{**args, **kwargs})
