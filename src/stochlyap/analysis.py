@@ -1,6 +1,7 @@
 """Analytical oracles and experiment drivers.
 
-Closed-form exponent sums, the Liouville trace oracle, the Lorenz
+The closed-form exponent sum (``theoretical_sum``, stated in ``models``
+next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
 A sweep runs its rows' SALT and FD trajectories as one lockstep batch
 (``cayley.run_nle_batch``), split into contiguous shards across worker
@@ -25,12 +26,13 @@ from .cayley import (
 from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS
 from .models import (
     LorenzParams,
-    NoiseKind,
     SystemDef,
     fd_lorenz,
+    jacobian_correction,
     jacobian_diffusion,
-    jacobian_drift,
+    jacobian_drift_batch,
     salt_lorenz,
+    theoretical_sum,
 )
 from .wiener import WienerPath
 
@@ -49,17 +51,6 @@ __all__ = [
 ]
 
 
-def theoretical_sum(s: SystemDef, w_t: float, t: float) -> float:
-    """Closed-form exponent sum: -(sigma+1+b), plus 3*beta*W_T/T for FD noise."""
-    if t <= 0:
-        raise ValueError(f"time horizon must be positive, got {t}")
-    p = s.params
-    base = -(p.sigma + 1.0 + p.b)
-    if s.kind is NoiseKind.FD:
-        return base + 3.0 * s.beta * w_t / t
-    return base
-
-
 def liouville_oracle(
     s: SystemDef,
     trajectory: np.ndarray,
@@ -69,7 +60,8 @@ def liouville_oracle(
     """Finite-time log-determinant rate of the variational flow.
 
     (1/T) * sum_k [trace(Df0(x_k)) dt + trace(Df1) dW_k] over the steps of
-    the trajectory, with x_k the pre-step states.  Exact for the constant
+    the trajectory, with x_k the pre-step states and Df0 the Jacobian of the
+    declared drift, convention correction included.  Exact for the constant
     traces of the Lorenz variants, and independent of the Cayley engine.
     """
     n = trajectory.shape[0] - 1
@@ -77,12 +69,11 @@ def liouville_oracle(
         raise ValueError("trajectory and path lengths do not match")
     dt = path.dt
     inc = path.scalar()[path_offset:path_offset + n]
+    j0 = jacobian_drift_batch(s.params, trajectory[:n])
+    j0 += jacobian_correction(s)
+    tr0 = np.trace(j0, axis1=1, axis2=2)
     tr1 = float(np.trace(jacobian_diffusion(s)))
-    acc = 0.0
-    for k in range(n):
-        acc += float(np.trace(jacobian_drift(s, trajectory[k]))) * dt
-    acc += tr1 * float(np.sum(inc))
-    return acc / (n * dt)
+    return (float(np.sum(tr0 * dt)) + tr1 * float(np.sum(inc))) / (n * dt)
 
 
 def lyapunov_function(p: LorenzParams, x: np.ndarray) -> float | np.ndarray:
@@ -130,9 +121,6 @@ class SweepRow:
     sum_salt: float
     sum_fd: float
     w_T_over_T: float
-
-    def theory_fd_sum(self, params: LorenzParams) -> float:
-        return -(params.sigma + 1.0 + params.b) + 3.0 * self.beta * self.w_T_over_T
 
 
 @dataclass(frozen=True)

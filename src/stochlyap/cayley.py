@@ -38,11 +38,11 @@ import numpy as np
 
 from . import smallmat
 from .integrator import (
-    _OVERFLOW,
     SPIN_UP_STATE,
     BlowUpError,
     IntegratorConfig,
     Scheme,
+    _bounded,
     heun_step,
     step,
 )
@@ -54,6 +54,7 @@ from .models import (
     jacobian_drift,
     jacobian_drift_batch,
     native_convention,
+    theoretical_sum,
 )
 from .smallmat import (
     LOWER_FLAT,
@@ -260,12 +261,11 @@ def run_nle(
             samples.append(((i + 1) * dt, rho[0], rho[1], rho[2]))
 
     w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))
-    return _nle_result(s, x0, q, rho, np.array(samples), n_steps, dt, w_terminal)
+    return _nle_result(s, q, rho, np.array(samples), n_steps, dt, w_terminal)
 
 
 def _nle_result(
     s: SystemDef,
-    x0: np.ndarray,
     q: np.ndarray,
     rho: np.ndarray,
     rho_series: np.ndarray,
@@ -276,13 +276,10 @@ def _nle_result(
     t_final = n_steps * dt
     lambdas = exponents_from_rho(rho, t_final)
     total = float(np.sum(lambdas))
-    tr0 = float(np.trace(jacobian_drift(s, x0)))
-    tr1 = float(np.trace(jacobian_diffusion(s)))
-    trace_residual = abs(total - (tr0 + tr1 * w_terminal / t_final))
     return NleResult(
         lambdas=lambdas,
         sum=total,
-        trace_residual=trace_residual,
+        trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
         rho_series=rho_series,
         restarts=n_steps,
         t_final=t_final,
@@ -354,19 +351,15 @@ def run_nle_batch(
     def base_step(x: np.ndarray, dw: np.ndarray, i: int, phase: str) -> np.ndarray:
         # integrator.step's Euler-Maruyama update, row by row
         out = x + drift_batch(p, x) * dt + (j1 @ x[:, :, None])[:, :, 0] * dw[:, None]
-        if np.abs(out).max() <= _OVERFLOW:  # False on NaN as well
+        if _bounded(out.ravel()):
             return out
-        k = int(np.argmin(np.abs(out).max(axis=1) <= _OVERFLOW))
-        s = systems[k]
-        raise BlowUpError(
-            i, out[k], f"the {phase} ({s.kind.value}, beta={s.beta}, seed={seeds[k]})"
-        )
+        k = int(np.argmin(_bounded(out)))  # the first row out of bounds
+        raise BlowUpError(i, out[k]).within(phase, systems[k], seeds[k])
 
     x = np.tile(SPIN_UP_STATE, (len(systems), 1))
     for i in range(spin_up_steps):
         x = base_step(x, next(dws), i, "spin-up")
 
-    x_start = x
     q = np.tile(np.eye(3), (len(systems), 1, 1))
     rho = np.zeros((len(systems), 3))
     w_terminal = np.zeros(len(systems))
@@ -391,7 +384,7 @@ def run_nle_batch(
     series = np.array(samples)
     return [
         _nle_result(
-            s, x_start[k], q[k], rho[k], np.hstack([t, series[:, k]]), n_steps, dt,
+            s, q[k], rho[k], np.hstack([t, series[:, k]]), n_steps, dt,
             float(w_terminal[k]),
         )
         for k, s in enumerate(systems)

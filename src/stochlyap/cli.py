@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +35,12 @@ from .integrator import (
 from .models import (
     Convention,
     LorenzParams,
-    NoiseKind,
     SystemDef,
     convert_convention,
+    deterministic_lorenz,
+    fd_lorenz,
+    salt_lorenz,
+    theoretical_sum,
 )
 from .smallmat import CayleyDomainError, SingularMatrixError
 from .wiener import GENERATOR_ID, generate_path
@@ -100,16 +104,11 @@ class RunConfig:
         return LorenzParams(self.sigma, self.r, self.b)
 
     def system_def(self) -> SystemDef:
-        beta = 0.0 if self.system == "deterministic" else self.beta
-        kind = {
-            "deterministic": NoiseKind.NONE,
-            "salt": NoiseKind.SALT,
-            "fd": NoiseKind.FD,
-        }[self.system]
-        native = (
-            Convention.STRATONOVICH if kind is NoiseKind.SALT else Convention.ITO
-        )
-        s = SystemDef(self.params(), kind, beta, native)
+        if self.system == "deterministic":
+            s = deterministic_lorenz(self.params())
+        else:
+            factory = salt_lorenz if self.system == "salt" else fd_lorenz
+            s = factory(self.params(), self.beta)
         if self.convention_mode == "stratonovich-strict":
             s = convert_convention(s, Convention.STRATONOVICH)
         return s
@@ -192,6 +191,15 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     return out / name
 
 
+@contextmanager
+def _phase(cfg: RunConfig, s: SystemDef, phase: str):
+    """Name the phase, system, beta and seed in a blow-up inside the block."""
+    try:
+        yield
+    except BlowUpError as err:
+        raise err.within(phase, s, cfg.seed) from None
+
+
 def _spin_and_path(cfg: RunConfig):
     s = cfg.system_def()
     # Paper mode applies Euler-Maruyama to the native coefficients.  Heun
@@ -214,14 +222,16 @@ def _spin_and_path(cfg: RunConfig):
             f"{err}; on the command line, pass --convention-mode {other}"
         ) from None
     path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-    x0 = spin_up(s, path, icfg)
+    with _phase(cfg, s, "spin-up"):
+        x0 = spin_up(s, path, icfg)
     return s, path, x0, icfg
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     s, path, x0, icfg = _spin_and_path(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
-    traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
+    with _phase(cfg, s, "trajectory"):
+        traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
     out = _out_path(cfg, "trajectory.csv", args.output)
     with open(out, "w", newline="\n") as fh:
         for line in _metadata_lines(cfg):
@@ -242,20 +252,13 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     s, path, x0, icfg = _spin_and_path(cfg)
-    res = run_nle(
-        s,
-        x0,
-        path,
-        cfg.dt,
-        cfg.nle_steps,
-        cfg.eta,
-        scheme=cfg.scheme_enum(),
-        sample_every=cfg.sample_every,
-        path_offset=cfg.spin_up_steps,
-        allow_convention_mismatch=icfg.allow_convention_mismatch,
-    )
+    with _phase(cfg, s, "exponent phase"):
+        res = run_nle(s, x0, path, cfg.dt, cfg.nle_steps, cfg.eta,
+                      scheme=cfg.scheme_enum(), sample_every=cfg.sample_every,
+                      path_offset=cfg.spin_up_steps,
+                      allow_convention_mismatch=icfg.allow_convention_mismatch)
     w_over_t = res.w_terminal / res.t_final
-    theory = analysis.theoretical_sum(s, res.w_terminal, res.t_final)
+    theory = theoretical_sum(s, res.w_terminal, res.t_final)
 
     conv = analysis.convergence_series(res)
     conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
@@ -329,7 +332,9 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             fh.write(line + "\n")
         fh.write("beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum\n")
         for row in rows:
-            theory = row.theory_fd_sum(cfg.params())
+            # the identity reads the path through W_T/T only
+            fd = fd_lorenz(cfg.params(), row.beta)
+            theory = theoretical_sum(fd, row.w_T_over_T, 1.0)
             fh.write(
                 f"{row.beta!r},{row.seed},{row.sum_salt!r},{row.sum_fd!r},"
                 f"{row.w_T_over_T!r},{theory!r}\n"

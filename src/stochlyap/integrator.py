@@ -34,7 +34,7 @@ DEFAULT_DT = 0.001
 DEFAULT_SPIN_UP_STEPS = 50_000
 SPIN_UP_STATE = np.array([0.0, 1.0, 0.0])
 
-_OVERFLOW = 1e100
+_STATE_BOUND = 1e100
 
 
 class Scheme(Enum):
@@ -43,18 +43,22 @@ class Scheme(Enum):
 
 
 class BlowUpError(RuntimeError):
-    """A state component left the finite range during integration.
+    """A state failed the bound max|x| <= 1e100 (NaN fails it too).
 
-    ``context`` names the phase and trajectory when the step alone does not,
-    as in an ensemble run.
+    ``context`` names the phase and trajectory, as set by ``within``.
     """
 
     def __init__(self, step_index: int, state: np.ndarray, context: str = ""):
         where = f"step {step_index} of {context}" if context else f"step {step_index}"
-        super().__init__(f"non-finite state at {where}: {state}")
+        super().__init__(f"state fails max|x| <= {_STATE_BOUND:g} at {where}: {state}")
         self.step_index = step_index
         self.state = state
         self.context = context
+
+    def within(self, phase: str, s: SystemDef, seed: int) -> "BlowUpError":
+        """This error, naming the phase and the trajectory's system, beta and seed."""
+        where = f"the {phase} ({s.kind.value}, beta={s.beta}, seed={seed})"
+        return BlowUpError(self.step_index, self.state, where)
 
     def __reduce__(self):
         # pickled by its fields, so the error survives a worker process
@@ -95,10 +99,15 @@ class IntegratorConfig:
             )
 
 
+def _bounded(x: np.ndarray) -> np.ndarray:
+    """max|x| <= 1e100 over the last axis, per state; False for NaN as well."""
+    return np.abs(x).max(axis=-1) <= _STATE_BOUND
+
+
 def _checked(out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > _OVERFLOW):
-        raise BlowUpError(-1, out)
-    return out
+    if _bounded(out):
+        return out
+    raise BlowUpError(-1, out)
 
 
 def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.ndarray:

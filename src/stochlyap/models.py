@@ -7,10 +7,16 @@ and acts as a stochastic angular velocity on the (Y, Z) pair; FD noise is
 Ito and multiplies every variable, so its noise Jacobian has trace 3*beta.
 Conversion between conventions shifts the drift by +-(1/2) (Df1) f1; both
 noises are linear, which makes that correction exact.
+
+The Lorenz field and its Jacobian are each one component formula, evaluated
+at one state (``drift``, ``jacobian_drift``) or over a stack of states
+(``drift_batch``, ``jacobian_drift_batch``).  ``theoretical_sum`` is the
+paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the Jacobians.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,6 +37,8 @@ __all__ = [
     "jacobian_diffusion",
     "drift_batch",
     "jacobian_drift_batch",
+    "jacobian_correction",
+    "theoretical_sum",
     "convert_convention",
 ]
 
@@ -80,16 +88,30 @@ class SystemDef:
             raise ValueError("noise kind 'none' requires beta = 0")
 
 
+def _native_system(params: LorenzParams | None, kind: NoiseKind, beta: float):
+    return SystemDef(params or LorenzParams(), kind, beta, native_convention(kind))
+
+
 def deterministic_lorenz(params: LorenzParams | None = None) -> SystemDef:
-    return SystemDef(params or LorenzParams(), NoiseKind.NONE, 0.0, Convention.ITO)
+    return _native_system(params, NoiseKind.NONE, 0.0)
 
 
 def salt_lorenz(params: LorenzParams | None = None, beta: float = 0.5) -> SystemDef:
-    return SystemDef(params or LorenzParams(), NoiseKind.SALT, beta, Convention.STRATONOVICH)
+    return _native_system(params, NoiseKind.SALT, beta)
 
 
 def fd_lorenz(params: LorenzParams | None = None, beta: float = 0.5) -> SystemDef:
-    return SystemDef(params or LorenzParams(), NoiseKind.FD, beta, Convention.ITO)
+    return _native_system(params, NoiseKind.FD, beta)
+
+
+def _lorenz(p: LorenzParams, x0, x1, x2):
+    """The Lorenz field at (x0, x1, x2): Python floats, or (B,) columns."""
+    return (p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2)
+
+
+def _lorenz_jacobian(p: LorenzParams, x0, x1, x2):
+    """Rows of the Lorenz field's Jacobian at (x0, x1, x2), as ``_lorenz``."""
+    return ((-p.sigma, p.sigma, 0.0), (p.r - x2, -1.0, -x0), (x1, x0, -p.b))
 
 
 def diffusion(s: SystemDef, x: np.ndarray) -> np.ndarray:
@@ -102,7 +124,7 @@ def diffusion(s: SystemDef, x: np.ndarray) -> np.ndarray:
     return np.zeros(3)
 
 
-def jacobian_diffusion(s: SystemDef, x: np.ndarray | None = None) -> np.ndarray:
+def jacobian_diffusion(s: SystemDef) -> np.ndarray:
     """Jacobian of the noise coefficient; state-independent for both kinds."""
     b = s.beta
     if s.kind is NoiseKind.SALT:
@@ -118,74 +140,66 @@ def _correction_sign(s: SystemDef) -> float:
     Ito drift = Stratonovich drift + (1/2)(Df1) f1.  Returns 0 when the
     system is carried in its native convention.
     """
-    native = native_convention(s.kind)
-    if s.convention is native or s.beta == 0.0:
+    if s.convention is native_convention(s.kind) or s.beta == 0.0:
         return 0.0
     return 1.0 if s.convention is Convention.ITO else -1.0
 
 
+def jacobian_correction(s: SystemDef) -> np.ndarray:
+    """Jacobian of the drift's convention correction, sign * (1/2)(Df1)^2:
+    constant, since both noises are linear, and zero in the native convention."""
+    j1 = jacobian_diffusion(s)
+    return _correction_sign(s) * 0.5 * (j1 @ j1)
+
+
 def drift(s: SystemDef, x: np.ndarray) -> np.ndarray:
     """Drift f0 at state x, in the system's declared convention."""
-    p = s.params
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    base = np.array(
-        [
-            p.sigma * (x1 - x0),
-            p.r * x0 - x0 * x2 - x1,
-            x0 * x1 - p.b * x2,
-        ]
-    )
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    base = np.array(_lorenz(s.params, x0, x1, x2))
     sign = _correction_sign(s)
     if sign != 0.0:
-        j1 = jacobian_diffusion(s)
-        base = base + sign * 0.5 * j1 @ diffusion(s, x)
+        base = base + sign * 0.5 * jacobian_diffusion(s) @ diffusion(s, x)
     return base
 
 
 def jacobian_drift(s: SystemDef, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of drift; its trace -sigma - 1 - b is state-independent
-    in the native convention."""
-    p = s.params
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    jac = np.array(
-        [
-            [-p.sigma, p.sigma, 0.0],
-            [p.r - x2, -1.0, -x0],
-            [x1, x0, -p.b],
-        ]
-    )
-    sign = _correction_sign(s)
-    if sign != 0.0:
-        j1 = jacobian_diffusion(s)
-        jac = jac + sign * 0.5 * (j1 @ j1)
+    """Exact Jacobian of drift, in the system's declared convention."""
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    jac = np.array(_lorenz_jacobian(s.params, x0, x1, x2))
+    if _correction_sign(s) != 0.0:
+        jac = jac + jacobian_correction(s)
     return jac
 
 
 def drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
-    """``drift`` at each row of x, shape (B, 3), for systems with parameters p
-    stated in their native convention (no drift correction).
-
-    The expressions are those of ``drift``, so row k equals ``drift(s, x[k])``
-    bit for bit; a chaotic flow would amplify any rounding difference.
-    """
-    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-    return np.stack(
-        [p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2], axis=1
-    )
+    """The Lorenz field at each row of x, shape (B, 3): ``drift`` of a system
+    with parameters p in its native convention, row for row bit for bit."""
+    return np.stack(_lorenz(p, x[:, 0], x[:, 1], x[:, 2]), axis=1)
 
 
 def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
-    """``jacobian_drift`` at each row of x, shape (B, 3, 3), for systems with
-    parameters p stated in their native convention."""
-    jac = np.empty((x.shape[0], 3, 3))
-    jac[:, 0] = (-p.sigma, p.sigma, 0.0)
-    jac[:, 1, 0] = p.r - x[:, 2]
-    jac[:, 1, 1] = -1.0
-    jac[:, 1, 2] = -x[:, 0]
-    jac[:, 2, 0] = x[:, 1]
-    jac[:, 2, 1] = x[:, 0]
-    jac[:, 2, 2] = -p.b
-    return jac
+    """The Lorenz Jacobian at each row of x, shape (B, 3, 3), as ``drift_batch``."""
+    jac = np.empty((x.shape[0], 9))
+    rows = _lorenz_jacobian(p, x[:, 0], x[:, 1], x[:, 2])
+    for k, entry in enumerate(itertools.chain(*rows)):
+        jac[:, k] = entry
+    return jac.reshape(-1, 3, 3)
+
+
+def theoretical_sum(s: SystemDef, w_t: float, t: float) -> float:
+    """The exponent sum over a horizon t along a path with W_t = w_t: the
+    trace identity tr Df0 + tr Df1 * w_t / t of the declared coefficients.
+
+    The Lorenz trace -(sigma + 1 + b) is state-independent, so SALT (traceless
+    Df1) keeps it and FD adds 3 beta W_T/T.  A system converted out of its
+    native convention adds its correction's trace: -3 beta^2 / 2 for FD in
+    Stratonovich form, -beta^2 for SALT in Ito form.
+    """
+    if t <= 0:
+        raise ValueError(f"time horizon must be positive, got {t}")
+    tr0 = float(np.trace(jacobian_drift(s, np.zeros(3))))
+    tr1 = float(np.trace(jacobian_diffusion(s)))
+    return tr0 + tr1 * w_t / t
 
 
 def convert_convention(s: SystemDef, target: Convention) -> SystemDef:

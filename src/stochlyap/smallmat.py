@@ -1,7 +1,9 @@
 """Small dense matrix kernels: QR, inversion and the Cayley transform.
 
 Everything here operates on plain numpy arrays with value semantics.  The
-inverse and the Cayley transform are closed-form 3x3 formulas.
+inverse and the Cayley transform are closed-form 3x3 formulas; the Cayley
+entries are written once and serve one matrix (``cayley``) and a stack of
+them (``cayley_batch``).
 """
 
 from __future__ import annotations
@@ -116,40 +118,38 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return np.array([[ca, cb, cc], [cd, ce, cf], [cg, ch, ci]]) / det
 
 
+def _cayley_entries(a, b, c):
+    """Numerator rows and denominator of the Cayley transform of the skew
+    matrix with lower triangle (a, b, c): Python floats, or (B,) columns.
+
+    With the Gibbs vector w = (c, -b, a) of K (K v = w x v) the transform is
+    the rotation ((1 - |w|^2) I + 2 w w^T - 2 K) / (1 + |w|^2).
+    """
+    w2 = a * a + b * b + c * c
+    d = 1.0 - w2
+    return (
+        (d + 2.0 * c * c, 2.0 * (a - b * c), 2.0 * (b + a * c)),
+        (-2.0 * (a + b * c), d + 2.0 * b * b, 2.0 * (c - a * b)),
+        (2.0 * (a * c - b), -2.0 * (c + a * b), d + 2.0 * a * a),
+    ), 1.0 + w2
+
+
 def cayley(k: SkewMat3) -> np.ndarray:
     """Cayley transform (I - K)(I + K)^-1 of a skew-symmetric 3x3 matrix.
 
-    With the Gibbs vector w of K (K v = w x v) the transform is the rotation
-    ((1 - |w|^2) I + 2 w w^T - 2 K) / (1 + |w|^2).  The denominator is
-    det(I + K) >= 1, so the map is total and its image orthogonal with
-    determinant +1 for every real skew K.
+    The denominator 1 + |w|^2 is det(I + K) >= 1, so the map is total and
+    its image orthogonal with determinant +1 for every real skew K.
     """
     a, b, c = k.lower.tolist()
-    w2 = a * a + b * b + c * c  # w = (c, -b, a)
-    d = 1.0 - w2
-    return np.array([
-        [d + 2.0 * c * c, 2.0 * (a - b * c), 2.0 * (b + a * c)],
-        [-2.0 * (a + b * c), d + 2.0 * b * b, 2.0 * (c - a * b)],
-        [2.0 * (a * c - b), -2.0 * (c + a * b), d + 2.0 * a * a],
-    ]) / (1.0 + w2)
+    num, den = _cayley_entries(a, b, c)
+    out = np.array(num)
+    out /= den
+    return out
 
 
 def cayley_batch(lower: np.ndarray) -> np.ndarray:
     """``cayley`` of a stack of skew matrices given by their (B, 3) lower
-    triangles; entry for entry the same arithmetic, so each (3, 3) slice of
-    the (B, 3, 3) result equals ``cayley(SkewMat3(lower[k]))`` exactly."""
-    a, b, c = lower[:, 0], lower[:, 1], lower[:, 2]
-    w2 = a * a + b * b + c * c
-    d = 1.0 - w2
-    out = np.empty((lower.shape[0], 3, 3))
-    out[:, 0, 0] = d + 2.0 * c * c
-    out[:, 0, 1] = 2.0 * (a - b * c)
-    out[:, 0, 2] = 2.0 * (b + a * c)
-    out[:, 1, 0] = -2.0 * (a + b * c)
-    out[:, 1, 1] = d + 2.0 * b * b
-    out[:, 1, 2] = 2.0 * (c - a * b)
-    out[:, 2, 0] = 2.0 * (a * c - b)
-    out[:, 2, 1] = -2.0 * (c + a * b)
-    out[:, 2, 2] = d + 2.0 * a * a
-    out /= (1.0 + w2)[:, None, None]
-    return out
+    triangles; each (3, 3) slice of the C-ordered (B, 3, 3) result equals
+    ``cayley(SkewMat3(lower[k]))`` exactly."""
+    num, den = _cayley_entries(lower[:, 0], lower[:, 1], lower[:, 2])
+    return (np.array(num) / den).transpose(2, 0, 1).copy()

@@ -8,7 +8,7 @@ increments, so comparisons across systems see the identical realisation.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,8 @@ _BLOCK_STEPS = 1024
 
 @dataclass(frozen=True)
 class WienerPath:
-    """A fixed-step Brownian path held as its increments.
-
-    ``increments`` has shape (n_steps,) for the usual scalar channel or
-    (n_steps, m) for m channels; each entry is distributed N(0, dt).
-    """
+    """A fixed-step Brownian path held as its (n_steps,) increments, each
+    distributed N(0, dt)."""
 
     seed: int
     dt: float
@@ -44,6 +41,8 @@ class WienerPath:
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
+        if inc.ndim != 1:
+            raise ValueError(f"increments must be one-dimensional, got shape {inc.shape}")
         object.__setattr__(self, "increments", inc)
         inc.flags.writeable = False
 
@@ -51,27 +50,24 @@ class WienerPath:
         return self.increments.shape[0]
 
     def scalar(self) -> np.ndarray:
-        """The single-channel increment sequence."""
-        if self.increments.ndim == 1:
-            return self.increments
-        return self.increments[:, 0]
+        """The increment sequence."""
+        return self.increments
 
     def dump(self, filename: str | Path) -> None:
         """Write the path as CSV with a metadata header; round-trips bit-exactly."""
-        inc = np.atleast_2d(self.increments.T).T
         with open(filename, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"# seed = {self.seed}\n")
             fh.write(f"# dt = {self.dt!r}\n")
             fh.write(f"# n = {len(self)}\n")
-            fh.write(f"# channels = {inc.shape[1]}\n")
+            fh.write("# channels = 1\n")  # part of the file format
             fh.write(f"# generator-id = {self.generator_id}\n")
-            for row in inc.tolist():
-                fh.write(",".join(repr(v) for v in row) + "\n")
+            for v in self.increments.tolist():
+                fh.write(f"{v!r}\n")
 
     @classmethod
     def load(cls, filename: str | Path) -> "WienerPath":
         meta: dict[str, str] = {}
-        rows: list[list[float]] = []
+        rows: list[float] = []
         with open(filename, "r", encoding="ascii") as fh:
             for line in fh:
                 line = line.strip()
@@ -81,29 +77,22 @@ class WienerPath:
                     key, _, value = line.lstrip("# ").partition("=")
                     meta[key.strip()] = value.strip()
                 else:
-                    rows.append([float(tok) for tok in line.split(",")])
-        inc = np.array(rows)
-        if int(meta["channels"]) == 1:
-            inc = inc[:, 0]
+                    rows.append(float(line))
         return cls(
             seed=int(meta["seed"]),
             dt=float(meta["dt"]),
-            increments=inc,
+            increments=np.array(rows),
             generator_id=meta.get("generator-id", GENERATOR_ID),
         )
 
 
-def generate_path(seed: int, n_steps: int, dt: float, channels: int = 1) -> WienerPath:
+def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
     """Draw a seeded Brownian increment path of ``n_steps`` steps of size ``dt``."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    rng = _generator(seed)
-    shape = (n_steps,) if channels == 1 else (n_steps, channels)
-    increments = np.sqrt(dt) * rng.standard_normal(shape)
+    increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)
     return WienerPath(seed=seed, dt=dt, increments=increments)
 
 

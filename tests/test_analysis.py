@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlyap.analysis import (
     RegressionSummary,
@@ -17,11 +19,15 @@ from stochlyap.analysis import (
     theoretical_sum,
 )
 from stochlyap.cayley import run_nle
-from stochlyap.integrator import BlowUpError, IntegratorConfig, simulate, spin_up
+from stochlyap.integrator import BlowUpError, IntegratorConfig, Scheme, simulate, spin_up
 from stochlyap.models import (
+    Convention,
     LorenzParams,
+    convert_convention,
     deterministic_lorenz,
     fd_lorenz,
+    jacobian_diffusion,
+    jacobian_drift,
     salt_lorenz,
 )
 from stochlyap.wiener import generate_path
@@ -54,8 +60,47 @@ class TestTheoreticalSum:
         with pytest.raises(ValueError):
             theoretical_sum(deterministic_lorenz(), 0.0, 0.0)
 
+    def test_converted_fd(self):
+        # the Stratonovich drift carries -(1/2) beta^2 x, trace -3 beta^2 / 2
+        s = convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH)
+        got = theoretical_sum(s, 10.0, 100.0)
+        assert got == pytest.approx(TRACE + 0.15 - 3 * 0.25 / 2, abs=1e-14)
+
+    def test_converted_salt(self):
+        # the Ito drift carries (1/2)(Df1)^2 x, trace -beta^2
+        s = convert_convention(salt_lorenz(beta=0.9), Convention.ITO)
+        assert theoretical_sum(s, 12.3, 100.0) == pytest.approx(TRACE - 0.81, abs=1e-14)
+
+
+def loop_oracle(s, traj, path, offset):
+    """The oracle as a per-step loop over the pre-step states."""
+    n, dt = len(traj) - 1, path.dt
+    acc = 0.0
+    for k in range(n):
+        acc += float(np.trace(jacobian_drift(s, traj[k]))) * dt
+    acc += float(np.trace(jacobian_diffusion(s))) * float(
+        np.sum(path.scalar()[offset:offset + n]))
+    return acc / (n * dt)
+
+
+STRICT_FD = convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH)
+
 
 class TestLiouvilleOracle:
+    @pytest.mark.parametrize("s, scheme", [
+        (salt_lorenz(beta=0.5), Scheme.EULER_MARUYAMA),
+        (fd_lorenz(beta=0.5), Scheme.EULER_MARUYAMA),
+        (deterministic_lorenz(), Scheme.EULER_MARUYAMA),
+        (STRICT_FD, Scheme.HEUN),
+    ], ids=["salt", "fd", "deterministic", "strict-fd-heun"])
+    def test_matches_per_step_loop(self, s, scheme, short_path):
+        cfg = IntegratorConfig(scheme=scheme, n_steps=3_000,
+                               allow_convention_mismatch=True)
+        traj = simulate(s, np.array([1.0, 1.0, 1.0]), short_path, cfg, offset=500)
+        want = loop_oracle(s, traj, short_path, 500)
+        got = liouville_oracle(s, traj, short_path, 500)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_deterministic_equals_trace(self, short_path):
         s = deterministic_lorenz()
         traj = simulate(s, np.array([1.0, 1.0, 1.0]), short_path,
@@ -99,6 +144,32 @@ class TestLiouvilleOracle:
                         offset=5_000)
         oracle = liouville_oracle(s, traj, short_path, 5_000)
         assert res.sum == pytest.approx(oracle, abs=1e-10)
+
+
+class TestSumIdentityProperties:
+    @given(
+        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
+        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_engine_oracle_and_identity_agree(self, sigma, r, b, beta, seed):
+        p = LorenzParams(sigma, r, b)
+        path = generate_path(seed, 250, 0.001)
+        strict_fd = convert_convention(fd_lorenz(p, beta), Convention.STRATONOVICH)
+        for s, scheme in ((salt_lorenz(p, beta), Scheme.EULER_MARUYAMA),
+                          (fd_lorenz(p, beta), Scheme.EULER_MARUYAMA),
+                          (strict_fd, Scheme.HEUN)):
+            cfg = IntegratorConfig(scheme=scheme, dt=0.001, n_steps=50,
+                                   allow_convention_mismatch=True)
+            x0 = spin_up(s, path, cfg)
+            res = run_nle(s, x0, path, 0.001, 200, scheme=scheme, path_offset=50,
+                          allow_convention_mismatch=True)
+            traj = simulate(s, x0, path, dataclasses.replace(cfg, n_steps=200), offset=50)
+            oracle = liouville_oracle(s, traj, path, 50)
+            assert abs(res.sum - oracle) <= 1e-10 * max(1.0, abs(oracle))
+            gap = abs(res.sum - theoretical_sum(s, res.w_terminal, res.t_final))
+            assert gap == res.trace_residual and gap <= 1e-10
+            assert res.ortho_drift <= 1e-12
 
 
 class TestBoundednessDiagnostics:
@@ -175,9 +246,9 @@ class TestSweep:
 
     def test_fd_sum_matches_theory(self, fixed_rows, small_cfg):
         for row in fixed_rows:
-            assert row.sum_fd == pytest.approx(
-                row.theory_fd_sum(small_cfg.params), abs=1e-9
-            )
+            want = theoretical_sum(fd_lorenz(small_cfg.params, row.beta),
+                                   row.w_T_over_T, 1.0)
+            assert row.sum_fd == pytest.approx(want, abs=1e-9)
 
     def test_beta_zero_sums_coincide(self, fixed_rows):
         row = fixed_rows[0]

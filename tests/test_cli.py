@@ -155,6 +155,21 @@ class TestNumericalFailure:
         assert "numerical failure" in err and "Traceback" not in err
         assert "of the spin-up (" in err and "beta=" in err and "seed=8" in err
 
+    @pytest.mark.parametrize("command, spin_up, phase", [
+        ("nle", "100", "spin-up"), ("nle", "0", "exponent phase"),
+        ("simulate", "0", "trajectory"),
+    ])
+    def test_single_run_blow_up_names_phase_and_trajectory(self, command, spin_up,
+                                                            phase, tmp_path, capsys):
+        # dt = 0.5 overflows the FD state within a few steps
+        code, _, err = run([command, "--system", "fd", "--dt", "0.5", "--seed", "3",
+                            "--spin-up-steps", spin_up, "--nle-steps", "200",
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "Traceback" not in err
+        assert "state fails max|x| <= 1e+100" in err
+        assert f"of the {phase} (fd, beta=0.5, seed=3)" in err
+
 
 class TestConventionGuard:
     def test_heun_refuses_ito_system_in_paper_mode(self, tmp_path, capsys):
@@ -173,6 +188,9 @@ class TestConventionGuard:
         code, _, err = run(["nle", "--scheme", "heun", "--outdir", str(tmp_path)]
                            + argv + SMALL, capsys)
         assert code == EXIT_OK, err
+        # strict FD: "theoretical" includes the drift correction's -3 beta^2 / 2
+        data = json.loads((tmp_path / "nle_summary.json").read_text())
+        assert abs(data["theoretical_sum"] - data["sum"]) <= 1e-10
 
 
 class TestSimulate:

@@ -163,10 +163,11 @@ class TestWeakOrder:
         s = fd_lorenz(beta=0.5)
         a = jacobian_drift(deterministic_lorenz(), np.zeros(3))
         dt, n, npaths = 0.001, 100, 10_000
-        path = generate_path(99, n, dt, channels=npaths)
+        increments = np.sqrt(dt) * np.random.Generator(np.random.Philox(99)).standard_normal(
+            (n, npaths))
         x = np.tile(np.array([1.0, 1.0, 1.0])[:, None], (1, npaths))
         for k in range(n):
-            dW = path.increments[k]
+            dW = increments[k]
             x = x + dt * (a @ x) + s.beta * x * dW
         exact = np.linalg.matrix_power(np.eye(3) + dt * a, n) @ np.ones(3)
         mean = x.mean(axis=1)

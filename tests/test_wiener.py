@@ -37,7 +37,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         generate_path(1, 0, 0.001)
     with pytest.raises(ValueError):
-        generate_path(1, 10, 0.001, channels=0)
+        WienerPath(seed=0, dt=0.1, increments=np.zeros((5, 2)))
 
 
 def test_terminal_value():
@@ -49,12 +49,6 @@ def test_terminal_value():
         terminal_value(path, 4)
 
 
-def test_multichannel_shape():
-    path = generate_path(5, 100, 0.01, channels=3)
-    assert path.increments.shape == (100, 3)
-    assert path.scalar().shape == (100,)
-
-
 def test_dump_load_roundtrip_bit_exact(tmp_path):
     path = generate_path(11, 5000, 0.002)
     fname = tmp_path / "path.csv"
@@ -64,6 +58,18 @@ def test_dump_load_roundtrip_bit_exact(tmp_path):
     assert loaded.dt == path.dt
     assert loaded.generator_id == path.generator_id
     np.testing.assert_array_equal(loaded.increments, path.increments)
+
+
+def test_load_reads_the_header_format(tmp_path):
+    fname = tmp_path / "path.csv"
+    fname.write_text("# seed = 3\n# dt = 0.01\n# n = 2\n# channels = 1\n"
+                     "# generator-id = np-philox4x64-standard-normal-v1\n"
+                     "0.1\n-0.025\n")
+    loaded = WienerPath.load(fname)
+    assert (loaded.seed, loaded.dt) == (3, 0.01)
+    np.testing.assert_array_equal(loaded.increments, [0.1, -0.025])
+    loaded.dump(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == fname.read_text()
 
 
 def test_increments_are_immutable():
