@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,6 +202,8 @@ def _phase(cfg: RunConfig, s: SystemDef, phase: str):
 
 
 def _spin_and_path(cfg: RunConfig):
+    """The system, path, spin-up end state and integrator config of a run,
+    with the wall seconds of its ``path`` and ``spin_up`` phases."""
     s = cfg.system_def()
     # Paper mode applies Euler-Maruyama to the native coefficients.  Heun
     # consistently integrates Stratonovich systems only, so an Ito system
@@ -221,14 +224,17 @@ def _spin_and_path(cfg: RunConfig):
         raise ConfigError(
             f"{err}; on the command line, pass --convention-mode {other}"
         ) from None
+    t0 = time.perf_counter()
     path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+    t1 = time.perf_counter()
     with _phase(cfg, s, "spin-up"):
         x0 = spin_up(s, path, icfg)
-    return s, path, x0, icfg
+    seconds = {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
+    return s, path, x0, icfg, seconds
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    s, path, x0, icfg = _spin_and_path(cfg)
+    s, path, x0, icfg, _ = _spin_and_path(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
     with _phase(cfg, s, "trajectory"):
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
@@ -251,12 +257,14 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
-    s, path, x0, icfg = _spin_and_path(cfg)
+    s, path, x0, icfg, seconds = _spin_and_path(cfg)
+    t0 = time.perf_counter()
     with _phase(cfg, s, "exponent phase"):
         res = run_nle(s, x0, path, cfg.dt, cfg.nle_steps, cfg.eta,
                       scheme=cfg.scheme_enum(), sample_every=cfg.sample_every,
                       path_offset=cfg.spin_up_steps,
                       allow_convention_mismatch=icfg.allow_convention_mismatch)
+    seconds["engine"] = time.perf_counter() - t0
     w_over_t = res.w_terminal / res.t_final
     theory = theoretical_sum(s, res.w_terminal, res.t_final)
 
@@ -278,6 +286,8 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
         "w_T_over_T": w_over_t,
         "theoretical_sum": theory,
         "t_final": res.t_final,
+        "seconds": seconds,
+        "engine_steps_per_s": cfg.nle_steps / seconds["engine"],
         "generator_id": GENERATOR_ID,
         "config_hash": cfg.config_hash(),
     }

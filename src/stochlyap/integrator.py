@@ -4,16 +4,29 @@ Euler-Maruyama consumes Ito-convention systems, Heun (predictor-corrector)
 consumes Stratonovich ones.  The reference experiments apply Euler-Maruyama
 directly to the transport-noise system in its Stratonovich form; that
 mismatch must be requested explicitly via ``allow_convention_mismatch``.
+
+Both schemes run on Python floats (``_float_steps``), bit for bit the
+ndarray expressions of ``models.drift`` and ``models.diffusion``; ``step``
+and ``heun_step`` wrap them for one ndarray state, and ``simulate`` writes
+the states into one preallocated float64 array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .models import Convention, NoiseKind, SystemDef, diffusion, drift
+from .models import (
+    Convention,
+    NoiseKind,
+    SystemDef,
+    _correction_sign,
+    _lorenz,
+    jacobian_diffusion,
+)
 from .wiener import WienerPath
 
 __all__ = [
@@ -104,28 +117,76 @@ def _bounded(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=-1) <= _STATE_BOUND
 
 
-def _checked(out: np.ndarray) -> np.ndarray:
-    if _bounded(out):
-        return out
-    raise BlowUpError(-1, out)
+@functools.lru_cache(maxsize=32)
+def _float_steps(s: SystemDef, dt: float):
+    """The base step of s on Python floats: (euler, heun), each a map
+    (x0, x1, x2, dW) -> next state; heun returns (predictor, next state).
+
+    The diffusion is Df1 x and the convention correction sign * (1/2) Df1
+    f1, both read off the rows of ``jacobian_diffusion(s)``; with the Lorenz
+    field of ``models`` this is ``drift`` and ``diffusion`` per component, so
+    the states equal the ndarray expressions bit for bit.  A next state that
+    fails the bound max|x| <= 1e100 (``_bounded``) raises ``BlowUpError``
+    with step index -1.
+    """
+    p = s.params
+    j1 = jacobian_diffusion(s)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = j1.tolist()
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        _correction_sign(s) * 0.5 * j1).tolist()
+
+    def coefficients(x0, x1, x2):
+        f0, f1, f2 = _lorenz(p, x0, x1, x2)
+        g0 = a00 * x0 + a01 * x1 + a02 * x2
+        g1 = a10 * x0 + a11 * x1 + a12 * x2
+        g2 = a20 * x0 + a21 * x1 + a22 * x2
+        return (f0 + (c00 * g0 + c01 * g1 + c02 * g2),
+                f1 + (c10 * g0 + c11 * g1 + c12 * g2),
+                f2 + (c20 * g0 + c21 * g1 + c22 * g2), g0, g1, g2)
+
+    def checked(y0, y1, y2):
+        bound = _STATE_BOUND
+        if abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound:
+            return y0, y1, y2
+        raise BlowUpError(-1, np.array([y0, y1, y2]))
+
+    def euler(x0, x1, x2, dw):
+        f0, f1, f2, g0, g1, g2 = coefficients(x0, x1, x2)
+        return checked(x0 + f0 * dt + g0 * dw, x1 + f1 * dt + g1 * dw,
+                       x2 + f2 * dt + g2 * dw)
+
+    def heun(x0, x1, x2, dw):
+        f0, f1, f2, g0, g1, g2 = coefficients(x0, x1, x2)
+        p0 = x0 + f0 * dt + g0 * dw
+        p1 = x1 + f1 * dt + g1 * dw
+        p2 = x2 + f2 * dt + g2 * dw
+        h0, h1, h2, k0, k1, k2 = coefficients(p0, p1, p2)
+        return (p0, p1, p2), checked(
+            x0 + 0.5 * (f0 + h0) * dt + 0.5 * (g0 + k0) * dw,
+            x1 + 0.5 * (f1 + h1) * dt + 0.5 * (g1 + k1) * dw,
+            x2 + 0.5 * (f2 + h2) * dt + 0.5 * (g2 + k2) * dw)
+
+    return euler, heun
 
 
 def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.ndarray:
     """One integration step of size cfg.dt consuming the increment dW."""
-    dt = cfg.dt
+    euler, heun = _float_steps(s, cfg.dt)
     if cfg.scheme is Scheme.EULER_MARUYAMA:
-        return _checked(x + drift(s, x) * dt + diffusion(s, x) * dW)
-    return heun_step(s, x, dW, dt)[1]
+        return np.array(euler(*_floats(x), float(dW)))
+    return np.array(heun(*_floats(x), float(dW))[1])
 
 
 def heun_step(
     s: SystemDef, x: np.ndarray, dW: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Heun step: (Euler-Maruyama predictor, corrected state)."""
-    f0, f1 = drift(s, x), diffusion(s, x)
-    pred = x + f0 * dt + f1 * dW
-    out = x + 0.5 * (f0 + drift(s, pred)) * dt + 0.5 * (f1 + diffusion(s, pred)) * dW
-    return pred, _checked(out)
+    pred, out = _float_steps(s, dt)[1](*_floats(x), float(dW))
+    return np.array(pred), np.array(out)
+
+
+def _floats(x: np.ndarray) -> list[float]:
+    return np.asarray(x, dtype=float).tolist()
 
 
 def simulate(
@@ -141,16 +202,21 @@ def simulate(
         raise ValueError(
             f"path has {len(path)} steps, need {offset + cfg.n_steps}"
         )
-    inc = path.scalar()
+    euler, heun = _float_steps(s, cfg.dt)
+    advance = euler
+    if cfg.scheme is Scheme.HEUN:
+        advance = lambda x0, x1, x2, dw: heun(x0, x1, x2, dw)[1]  # noqa: E731
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for i in range(cfg.n_steps):
+    flat = memoryview(out.reshape(-1))
+    x0, x1, x2 = flat[:3].tolist()
+    for i, dw in enumerate(path.floats(offset, cfg.n_steps)):
         try:
-            x = step(s, x, inc[offset + i], cfg)
+            x0, x1, x2 = advance(x0, x1, x2, dw)
         except BlowUpError as err:
             raise BlowUpError(i, err.state) from None
-        out[i + 1] = x
+        k = 3 * i + 3
+        flat[k], flat[k + 1], flat[k + 2] = x0, x1, x2
     return out
 
 

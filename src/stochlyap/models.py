@@ -74,14 +74,19 @@ class LorenzParams:
 
 @dataclass(frozen=True)
 class SystemDef:
-    """One Lorenz variant: parameters, noise channel and calculus convention."""
+    """One Lorenz variant: parameters, noise channel and calculus convention.
+
+    The convention defaults to the kind's native one (``native_convention``).
+    """
 
     params: LorenzParams
     kind: NoiseKind = NoiseKind.NONE
     beta: float = 0.0
-    convention: Convention = Convention.ITO
+    convention: Convention | None = None
 
     def __post_init__(self) -> None:
+        if self.convention is None:
+            object.__setattr__(self, "convention", native_convention(self.kind))
         if not self.beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.kind is NoiseKind.NONE and self.beta != 0.0:
@@ -89,7 +94,7 @@ class SystemDef:
 
 
 def _native_system(params: LorenzParams | None, kind: NoiseKind, beta: float):
-    return SystemDef(params or LorenzParams(), kind, beta, native_convention(kind))
+    return SystemDef(params or LorenzParams(), kind, beta)
 
 
 def deterministic_lorenz(params: LorenzParams | None = None) -> SystemDef:

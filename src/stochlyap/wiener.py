@@ -53,6 +53,12 @@ class WienerPath:
         """The increment sequence."""
         return self.increments
 
+    def floats(self, start: int, n: int) -> Iterator[float]:
+        """Increments start, ..., start + n - 1 as Python floats, converted
+        ``_BLOCK_STEPS`` at a time."""
+        for lo in range(start, start + n, _BLOCK_STEPS):
+            yield from self.increments[lo:min(lo + _BLOCK_STEPS, start + n)].tolist()
+
     def dump(self, filename: str | Path) -> None:
         """Write the path as CSV with a metadata header; round-trips bit-exactly."""
         with open(filename, "w", encoding="ascii", newline="\n") as fh:

@@ -22,6 +22,7 @@ from stochlyap.integrator import (
     BlowUpError,
     IntegratorConfig,
     Scheme,
+    simulate,
     spin_up,
     step,
 )
@@ -198,7 +199,7 @@ class TestRunNle:
         want, _ = reference_nle(system, x0, short_path, 0.001, 10_000, 0.8, 5_000)
         res = run_nle(system, x0, short_path, 0.001, 10_000, path_offset=5_000,
                       allow_convention_mismatch=True)
-        np.testing.assert_allclose(res.lambdas, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.lambdas, want, rtol=0, atol=1e-12)
         assert res.restarts == 10_000
 
     def test_heun_matches_pinned_values(self, short_path):
@@ -223,6 +224,24 @@ class TestRunNle:
         s = deterministic_lorenz()
         with pytest.raises(BlowUpError) as exc:
             run_nle(s, np.array([1e60, 1e60, 1e60]), short_path, 0.001, 100)
+        assert exc.value.step_index == 0
+
+    @pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.HEUN],
+                             ids=["em", "heun"])
+    def test_blow_up_step_matches_base_trajectory(self, scheme, short_path):
+        # dt = 0.5 overflows the FD state; the engine's base step fails where
+        # simulate does, and a NaN start fails at step 0
+        s, x0 = fd_lorenz(beta=0.5), np.array([1.0, 2.0, 3.0])
+        path = generate_path(3, 200, 0.5)
+        cfg = IntegratorConfig(scheme, 0.5, 200, allow_convention_mismatch=True)
+        with pytest.raises(BlowUpError) as base:
+            simulate(s, x0, path, cfg)
+        with pytest.raises(BlowUpError) as engine:
+            run_nle(s, x0, path, 0.5, 200, scheme=scheme, allow_convention_mismatch=True)
+        assert engine.value.step_index == base.value.step_index > 0
+        with pytest.raises(BlowUpError) as exc:
+            run_nle(s, np.array([1.0, float("nan"), 3.0]), short_path, 0.001, 10,
+                    scheme=scheme, allow_convention_mismatch=True)
         assert exc.value.step_index == 0
 
     def test_salt_sum_matches_deterministic(self, short_path):

@@ -232,9 +232,13 @@ class TestNle:
         data = json.loads(summ.read_text())
         for key in ("lambdas", "sum", "trace_residual", "restarts",
                     "ortho_drift", "w_T_over_T", "theoretical_sum", "t_final",
-                    "generator_id", "config_hash"):
+                    "seconds", "engine_steps_per_s", "generator_id", "config_hash"):
             assert key in data
         assert 0.0 <= data["ortho_drift"] <= 1e-10
+        assert set(data["seconds"]) == {"path", "spin_up", "engine"}
+        assert all(v > 0.0 for v in data["seconds"].values())
+        assert data["engine_steps_per_s"] == pytest.approx(
+            500 / data["seconds"]["engine"])
         assert len(data["lambdas"]) == 3
         assert data["sum"] == pytest.approx(-(10 + 1 + 8 / 3), abs=1e-9)
         assert "sum = " in stdout

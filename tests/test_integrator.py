@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlyap.integrator import (
     BlowUpError,
@@ -7,14 +9,18 @@ from stochlyap.integrator import (
     IntegratorConfig,
     SPIN_UP_STATE,
     Scheme,
+    heun_step,
     simulate,
     spin_up,
     step,
 )
 from stochlyap.models import (
     Convention,
+    LorenzParams,
     convert_convention,
     deterministic_lorenz,
+    diffusion,
+    drift,
     fd_lorenz,
     jacobian_drift,
     salt_lorenz,
@@ -22,6 +28,7 @@ from stochlyap.models import (
 from stochlyap.wiener import generate_path
 
 EM = Scheme.EULER_MARUYAMA
+HEUN = Scheme.HEUN
 
 
 def cfg(scheme=EM, dt=0.001, n_steps=1, mismatch=False):
@@ -66,6 +73,104 @@ class TestStep:
         s = deterministic_lorenz()
         with pytest.raises(BlowUpError):
             step(s, np.array([1e80, 1e80, 1e80]), 0.0, cfg())
+
+
+def numpy_em(s, x, dw, dt):
+    """The Euler-Maruyama step as an ndarray expression of drift and diffusion."""
+    return x + drift(s, x) * dt + diffusion(s, x) * dw
+
+
+def numpy_heun(s, x, dw, dt):
+    """The Heun step as ndarray expressions: (predictor, corrected state)."""
+    f0, f1 = drift(s, x), diffusion(s, x)
+    pred = x + f0 * dt + f1 * dw
+    return pred, x + 0.5 * (f0 + drift(s, pred)) * dt + 0.5 * (f1 + diffusion(s, pred)) * dw
+
+
+def numpy_trajectory(s, x0, path, scheme, dt, n, offset=0):
+    """(states, index of the first step whose state fails max|x| <= 1e100)."""
+    xs = [np.asarray(x0, dtype=float)]
+    for i, dw in enumerate(path.scalar()[offset:offset + n]):
+        x = xs[-1]
+        nxt = numpy_em(s, x, dw, dt) if scheme is EM else numpy_heun(s, x, dw, dt)[1]
+        if not np.abs(nxt).max() <= 1e100:
+            return np.array(xs), i
+        xs.append(nxt)
+    return np.array(xs), None
+
+
+FORMS = [
+    deterministic_lorenz(),
+    salt_lorenz(beta=0.5),
+    fd_lorenz(beta=0.5),
+    convert_convention(salt_lorenz(beta=0.5), Convention.ITO),
+    convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH),
+]
+FORM_IDS = ["deterministic", "salt", "fd", "salt-ito", "fd-strict"]
+
+
+class TestFloatStepMatchesNumpy:
+    """The float base step against the ndarray expressions it replaced."""
+
+    @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["em", "heun"])
+    @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
+    def test_simulate_and_spin_up_bit_for_bit(self, s, scheme, short_path):
+        n = 20_000
+        want, failed = numpy_trajectory(s, SPIN_UP_STATE, short_path, scheme, 0.001, n)
+        assert failed is None
+        c = cfg(scheme, n_steps=n, mismatch=True)
+        assert np.array_equal(simulate(s, SPIN_UP_STATE, short_path, c), want)
+        assert np.array_equal(spin_up(s, short_path, c), want[-1])
+
+    @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
+    def test_step_and_heun_step_bit_for_bit(self, s, short_path, rng):
+        for dw in short_path.scalar()[:200]:
+            x = rng.uniform(-30.0, 30.0, 3)
+            assert np.array_equal(step(s, x, dw, cfg()), numpy_em(s, x, dw, 0.001))
+            pred, out = heun_step(s, x, dw, 0.001)
+            want_pred, want_out = numpy_heun(s, x, dw, 0.001)
+            assert np.array_equal(pred, want_pred) and np.array_equal(out, want_out)
+            assert np.array_equal(step(s, x, dw, cfg(HEUN)), want_out)
+
+    @given(
+        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
+        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_bit_for_bit(self, sigma, r, b, beta, seed):
+        p = LorenzParams(sigma, r, b)
+        path = generate_path(seed, 300, 0.001)
+        for s in (salt_lorenz(p, beta), fd_lorenz(p, beta),
+                  convert_convention(salt_lorenz(p, beta), Convention.ITO),
+                  convert_convention(fd_lorenz(p, beta), Convention.STRATONOVICH)):
+            for scheme in (EM, HEUN):
+                want, _ = numpy_trajectory(s, SPIN_UP_STATE, path, scheme, 0.001, 300)
+                c = cfg(scheme, n_steps=300, mismatch=True)
+                got = simulate(s, SPIN_UP_STATE, path, c)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["em", "heun"])
+    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [1e99, -1e99, 1e99]], ids=["finite", "1e99"])
+    def test_blow_up_at_the_same_step(self, scheme, x0):
+        # dt = 0.5 overflows the FD state past 1e100, then to inf and NaN
+        s = fd_lorenz(beta=0.5)
+        path = generate_path(3, 200, 0.5)
+        _, failed = numpy_trajectory(s, x0, path, scheme, 0.5, 200)
+        assert failed is not None
+        with pytest.raises(BlowUpError) as exc:
+            simulate(s, x0, path, cfg(scheme, dt=0.5, n_steps=200, mismatch=True))
+        assert exc.value.step_index == failed
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_state_fails_at_step_zero(self, bad, short_path):
+        s = salt_lorenz(beta=0.5)
+        x0 = np.array([1.0, bad, 3.0])
+        for scheme in (EM, HEUN):
+            with pytest.raises(BlowUpError) as exc:
+                simulate(s, x0, short_path, cfg(scheme, n_steps=10, mismatch=True))
+            assert exc.value.step_index == 0
+            with pytest.raises(BlowUpError):
+                step(s, x0, 0.01, cfg(scheme))
 
 
 class TestIntegratorConfig:

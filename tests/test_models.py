@@ -47,6 +47,26 @@ class TestParams:
             SystemDef(STD, NoiseKind.NONE, beta=0.5)
 
 
+class TestSystemDefConvention:
+    def test_default_is_native(self):
+        x = np.array([1.0, 2.0, 3.0])
+        salt = SystemDef(STD, NoiseKind.SALT, 0.5)
+        assert salt == salt_lorenz(beta=0.5)
+        np.testing.assert_array_equal(drift(salt, x), [10.0, 23.0, -6.0])
+        fd = SystemDef(STD, NoiseKind.FD, 0.5)
+        assert fd == fd_lorenz(beta=0.5)
+        np.testing.assert_array_equal(drift(fd, x), drift(fd_lorenz(beta=0.5), x))
+        assert SystemDef(STD).convention is Convention.ITO
+
+    def test_explicit_convention_is_honoured(self):
+        x = np.array([1.0, 2.0, 3.0])
+        salt_ito = SystemDef(STD, NoiseKind.SALT, 0.5, Convention.ITO)
+        assert salt_ito.convention is Convention.ITO
+        np.testing.assert_allclose(drift(salt_ito, x), [10.0, 22.75, -6.375], atol=1e-14)
+        fd_strat = SystemDef(STD, NoiseKind.FD, 0.5, Convention.STRATONOVICH)
+        assert fd_strat == convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH)
+
+
 class TestDrift:
     def test_origin_is_equilibrium(self):
         s = deterministic_lorenz()

@@ -84,3 +84,11 @@ def test_increment_blocks_continue_each_stream():
     stacked = np.vstack(blocks)
     for u, seed in enumerate([5, 9, 5]):
         np.testing.assert_array_equal(stacked[:, u], generate_path(seed, 2500, 0.01).increments)
+
+
+@pytest.mark.parametrize("start, n", [(0, 2500), (1000, 1100), (7, 0), (2499, 1)])
+def test_floats_cross_blocks(start, n):
+    path = generate_path(5, 2500, 0.01)
+    got = list(path.floats(start, n))
+    assert got == path.increments[start:start + n].tolist()
+    assert all(type(v) is float for v in got)
