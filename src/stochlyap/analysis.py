@@ -3,9 +3,12 @@
 The closed-form exponent sum (``theoretical_sum``, stated in ``models``
 next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
-A sweep runs its rows' SALT and FD trajectories as one lockstep batch
+A sweep runs its rows' SALT and FD trajectories as one batch
 (``cayley.run_nle_batch``), split into contiguous shards across worker
-processes when ``SweepConfig.jobs`` > 1.
+processes when ``SweepConfig.jobs`` > 1.  A shard of B = 2 x rows
+trajectories runs row by row on the float kernel below B = 16 (~5 us per
+trajectory-step) and in lockstep from B = 16 on (4.7 us at B = 16, 2.4 at
+B = 32, 0.9 at the B = 100 of a 100-row sweep on 2 jobs; 2-vCPU VM).
 """
 
 from __future__ import annotations

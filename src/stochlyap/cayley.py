@@ -28,11 +28,14 @@ triangle of Q^T M Q and rotates the nine entries of Q by the closed-form
 Cayley entries of ``smallmat``, with no per-step ndarray.  ``_increment_at``
 and the K/eta stepper keep the ndarray form as its reference.
 
-``run_nle_batch`` advances B trajectories in lockstep, a spin-up and then
-the same kernel on states of shape (B, 3), (B, 3, 3) and (B, 3); it serves
-ensembles such as amplitude sweeps.  A single run stays on ``run_nle``:
-measured on a 2-vCPU VM (SALT, 20k steps), ``run_nle`` takes ~6 us per
-Euler step and ~13 us per Heun step, the batch ~95 us per step at B = 1.
+``run_nle_batch`` runs B trajectories, a spin-up and then the kernel; it
+serves ensembles such as amplitude sweeps.  Below B = 16 it runs them one by
+one on ``spin_up`` and ``run_nle`` (~5 us per trajectory-step; ``run_nle``
+alone takes ~6 us per Euler step and ~13 us per Heun step).  From B = 16 on
+it advances them in lockstep, the same kernel on states of shape (B, 3),
+(B, 3, 3) and (B, 3), whose ~80 us of numpy calls per step the B
+trajectories share: 4.7 us per trajectory-step at B = 16, 2.4 at B = 32 and
+1.3 at B = 64 (2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .integrator import (
     Scheme,
     _bounded,
     _float_steps,
+    spin_up,
 )
 from .models import (
     LorenzParams,
@@ -74,7 +78,7 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import WienerPath, increment_blocks
+from .wiener import WienerPath, generate_path, increment_blocks
 
 __all__ = [
     "CayleyState",
@@ -93,6 +97,12 @@ DEFAULT_ETA = 0.8
 DEFAULT_NLE_STEPS = 100_000
 REORTH_EVERY = 10_000
 _ORTHO_DRIFT_TOL = 1e-10
+# Batch size from which run_nle_batch runs the lockstep kernel; smaller
+# batches run row by row on run_nle's float kernel.  Measured in us per
+# trajectory-step, rows / lockstep (2-vCPU VM, 500 spin-up + 1500 exponent
+# steps, SALT and FD): 5/8.0 at B = 8, 5/5.7 at B = 12, 5/4.7 at B = 16,
+# 5/2.4 at B = 32.
+_LOCKSTEP_FROM = 16
 
 
 @dataclass(frozen=True)
@@ -382,6 +392,42 @@ def _batch_params(systems: Sequence[SystemDef]) -> LorenzParams:
     return params
 
 
+def _run_rows(
+    systems: Sequence[SystemDef],
+    seeds: Sequence[int],
+    dt: float,
+    spin_up_steps: int,
+    n_steps: int,
+    sample_every: int,
+) -> list[NleResult]:
+    """``run_nle_batch`` one trajectory at a time: ``spin_up``, then ``run_nle``.
+
+    Each seed's path is drawn once per run of equal seeds and only one is
+    held.  A blow-up is raised as the lockstep kernel raises it: the earliest
+    phase and step of any trajectory, and of those the first trajectory.
+    """
+    cfg = IntegratorConfig(dt=dt, n_steps=spin_up_steps, allow_convention_mismatch=True)
+    results: list[NleResult] = []
+    failures: list[tuple[bool, int, int, BlowUpError]] = []
+    path = None
+    for k, (s, seed) in enumerate(zip(systems, seeds)):
+        if path is None or path.seed != seed:
+            path = generate_path(seed, spin_up_steps + n_steps, dt)
+        phase = "spin-up"
+        try:
+            x0 = spin_up(s, path, cfg)
+            phase = "exponent phase"
+            results.append(run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
+                                   path_offset=spin_up_steps,
+                                   allow_convention_mismatch=True))
+        except BlowUpError as err:
+            failures.append((phase != "spin-up", err.step_index, k,
+                             err.within(phase, s, seed)))
+    if failures:
+        raise min(failures)[-1]
+    return results
+
+
 def run_nle_batch(
     systems: Sequence[SystemDef],
     seeds: Sequence[int],
@@ -391,23 +437,28 @@ def run_nle_batch(
     *,
     sample_every: int = 100,
 ) -> list[NleResult]:
-    """Spin up and run B trajectories in lockstep under Euler-Maruyama.
+    """Spin up and run B trajectories under Euler-Maruyama.
 
     Trajectory k integrates ``systems[k]`` in its native coefficient form
     along ``generate_path(seeds[k], spin_up_steps + n_steps, dt)``:
     ``spin_up_steps`` base steps from ``SPIN_UP_STATE``, then ``n_steps``
-    steps of the frame kernel on the remaining increments.  Trajectories
-    with equal seeds share one increment column, and the increments are
-    drawn in blocks, so memory does not grow with the path length.  The
-    per-step arithmetic is that of ``spin_up`` followed by ``run_nle`` with
-    ``allow_convention_mismatch=True``, so ``results[k]`` agrees with that
-    run's result (``w_terminal`` is summed step by step, so it agrees to
-    rounding).  Both noises are linear, so the diffusion is Df1 x exactly.
-    The systems must share their parameters.  A blow-up raises
-    ``BlowUpError`` naming the phase, the step, and the trajectory's
-    system, beta and seed.  Its per-step cost is numpy call overhead that
-    B trajectories share, so at B = 1 it is ~15 times as slow as ``run_nle``
-    (~95 against ~6 us per step on a 2-vCPU VM).
+    steps of the frame kernel on the remaining increments.  Results are
+    those of ``spin_up`` followed by ``run_nle`` with
+    ``allow_convention_mismatch=True``.  The systems must share their
+    parameters.  A blow-up raises ``BlowUpError`` naming the phase, the
+    step, and the trajectory's system, beta and seed: the earliest phase
+    and step of any trajectory, and of those the first trajectory.
+
+    Below B = 16 (``_LOCKSTEP_FROM``) the trajectories run one by one on
+    exactly those calls, at ~5 us per trajectory-step.  From B = 16 on they
+    advance in lockstep on (B, 3) and (B, 3, 3) states, with the same
+    per-step arithmetic but (B, 3, 3) matmuls, so results agree to rounding
+    (``w_terminal`` is summed step by step).  Both noises are linear, so the
+    diffusion is Df1 x exactly.  Trajectories with equal seeds share one
+    increment column, drawn in blocks, so memory does not grow with the path
+    length.  The lockstep step costs ~80 us of numpy calls that the B
+    trajectories share: 4.7 us per trajectory-step at B = 16, 2.4 at B = 32
+    (2-vCPU VM).
     """
     if len(systems) != len(seeds):
         raise ValueError(f"{len(systems)} systems but {len(seeds)} seeds")
@@ -420,6 +471,8 @@ def run_nle_batch(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     p = _batch_params(systems)
+    if len(systems) < _LOCKSTEP_FROM:
+        return _run_rows(systems, seeds, dt, spin_up_steps, n_steps, sample_every)
 
     unique, column = np.unique(np.asarray(seeds, dtype=np.int64), return_inverse=True)
     blocks = increment_blocks(unique.tolist(), spin_up_steps + n_steps, dt)

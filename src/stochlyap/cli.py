@@ -243,11 +243,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         for line in _metadata_lines(cfg):
             fh.write(line + "\n")
         fh.write("t,x,y,z\n")
-        for i, row in enumerate(traj):
-            t = i * cfg.dt
-            fh.write(
-                f"{t!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n"
-            )
+        dt = cfg.dt
+        for lo in range(0, traj.shape[0], 1024):  # in blocks: memory stays flat
+            fh.write("".join(f"{i * dt!r},{x!r},{y!r},{z!r}\n" for i, (x, y, z)
+                             in enumerate(traj[lo:lo + 1024].tolist(), lo)))
     print(f"wrote {out} ({traj.shape[0]} states)")
     print(
         "terminal state: "
@@ -306,6 +305,13 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     fixed = args.mode == "fixed"
     # the fixed-path regression needs two distinct amplitudes
@@ -317,7 +323,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if fixed and args.beta_min == args.beta_max:
         raise ConfigError("--beta-min and --beta-max must differ in fixed mode")
     if args.jobs < 0:
-        raise ConfigError(f"--jobs must be >= 0 (0: all cores), got {args.jobs}")
+        raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
     if cfg.scheme != "euler-maruyama" or cfg.convention_mode != "paper":
         raise ConfigError(
             "sweep runs Euler-Maruyama in paper mode only; drop --scheme "
@@ -325,7 +331,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     betas = np.linspace(args.beta_min, args.beta_max, args.count)
     mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or _usable_cores()
     sweep_cfg = SweepConfig(
         params=cfg.params(),
         dt=cfg.dt,
@@ -410,7 +416,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir")
 
 
-_JOBS_HELP = "worker processes the sweep's rows are split across (default 0: all cores)"
+_JOBS_HELP = ("worker processes the sweep's rows are split across "
+              "(default 0: all usable cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,6 @@
-import sys
-
+import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -307,10 +307,35 @@ def scalar_run(s, seed, dt, n_spin, n_steps, sample_every=100):
 
 def assert_matches_scalar(batch, scalar, tol=1e-10):
     np.testing.assert_allclose(batch.lambdas, scalar.lambdas, rtol=0, atol=tol)
-    for name in ("sum", "trace_residual", "w_terminal", "t_final"):
+    for name in ("sum", "trace_residual", "w_terminal", "t_final", "ortho_drift"):
         assert abs(getattr(batch, name) - getattr(scalar, name)) <= tol, name
     assert batch.rho_series.shape == scalar.rho_series.shape
+    np.testing.assert_allclose(batch.rho_series, scalar.rho_series, rtol=0, atol=tol)
     assert batch.restarts == scalar.restarts
+
+
+# run_nle_batch runs batches below its crossover row by row on run_nle and
+# larger ones on the lockstep kernel; each engine path is taken by moving it
+ENGINES = ("rows", "lockstep")
+
+
+def batch_on(engine, *args, **kwargs):
+    """``run_nle_batch`` on the given engine path, whatever the batch size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochlyap.cayley, "_LOCKSTEP_FROM", math.inf if engine == "rows" else 1)
+        return run_nle_batch(*args, **kwargs)
+
+
+def blow_up_on(engine, *args):
+    with pytest.raises(BlowUpError) as exc:
+        batch_on(engine, *args)
+    return exc.value
+
+
+def assert_same_blow_up(rows, lockstep):
+    assert str(rows) == str(lockstep)
+    assert rows.step_index == lockstep.step_index
+    assert rows.context == lockstep.context
 
 
 class TestRunNleBatch:
@@ -322,47 +347,78 @@ class TestRunNleBatch:
     @pytest.mark.parametrize("seeds", [[3] * 6, [3, 4, 5, 3, 6, 7]],
                              ids=["fixed", "fresh"])
     def test_rows_match_scalar_runs(self, seeds):
-        res = run_nle_batch(self.MIXED, seeds, 0.001, 2_000, 3_000, sample_every=70)
-        assert len(res) == len(self.MIXED)
-        for s, seed, got in zip(self.MIXED, seeds, res):
-            assert_matches_scalar(got, scalar_run(s, seed, 0.001, 2_000, 3_000, 70))
+        want = [scalar_run(s, seed, 0.001, 2_000, 3_000, 70)
+                for s, seed in zip(self.MIXED, seeds)]
+        for engine in ENGINES:
+            res = batch_on(engine, self.MIXED, seeds, 0.001, 2_000, 3_000, sample_every=70)
+            assert len(res) == len(self.MIXED)
+            for got, scalar in zip(res, want):
+                assert_matches_scalar(got, scalar)
 
     def test_zero_spin_up_and_single_trajectory(self):
         s = fd_lorenz(beta=0.7)
-        (got,) = run_nle_batch([s], [9], 0.001, 0, 500, sample_every=1)
-        assert_matches_scalar(got, scalar_run(s, 9, 0.001, 0, 500, 1))
+        want = scalar_run(s, 9, 0.001, 0, 500, 1)
+        for engine in ENGINES:
+            (got,) = batch_on(engine, [s], [9], 0.001, 0, 500, sample_every=1)
+            assert_matches_scalar(got, want)
+
+    def test_crossover_picks_the_engine(self, monkeypatch):
+        engine, calls = stochlyap.cayley, []
+        rows, blocks = engine._run_rows, engine.increment_blocks
+        monkeypatch.setattr(engine, "_run_rows",
+                            lambda *a: calls.append("rows") or rows(*a))
+        monkeypatch.setattr(engine, "increment_blocks",
+                            lambda *a: calls.append("lockstep") or blocks(*a))
+        n = engine._LOCKSTEP_FROM
+        for b in (n - 1, n):
+            assert len(run_nle_batch([salt_lorenz()] * b, [1] * b, 0.001, 10, 20)) == b
+        assert calls == ["rows", "lockstep"]
 
     def test_rejects_mixed_params_and_foreign_convention(self):
         other = salt_lorenz(LorenzParams(16.0, 45.92, 4.0), 0.5)
-        with pytest.raises(ValueError, match="parameters"):
-            run_nle_batch([salt_lorenz(), other], [1, 1], 0.001, 10, 10)
         strat_fd = convert_convention(fd_lorenz(), Convention.STRATONOVICH)
-        with pytest.raises(ValueError, match="native convention"):
-            run_nle_batch([strat_fd], [1], 0.001, 10, 10)
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="parameters"):
+                batch_on(engine, [salt_lorenz(), other], [1, 1], 0.001, 10, 10)
+            with pytest.raises(ValueError, match="native convention"):
+                batch_on(engine, [strat_fd], [1], 0.001, 10, 10)
 
     def test_rejects_bad_sizes(self):
         s = [salt_lorenz()]
-        for kwargs in (dict(seeds=[1, 2]), dict(n_steps=0), dict(spin_up_steps=-1),
-                       dict(dt=float("nan")), dict(sample_every=0)):
-            args = dict(systems=s, seeds=[1], dt=0.001, spin_up_steps=10, n_steps=10)
+        for engine in ENGINES:
+            for kwargs in (dict(seeds=[1, 2]), dict(n_steps=0), dict(spin_up_steps=-1),
+                           dict(dt=float("nan")), dict(sample_every=0)):
+                args = dict(systems=s, seeds=[1], dt=0.001, spin_up_steps=10, n_steps=10)
+                with pytest.raises(ValueError):
+                    batch_on(engine, **{**args, **kwargs})
             with pytest.raises(ValueError):
-                run_nle_batch(**{**args, **kwargs})
-        with pytest.raises(ValueError):
-            run_nle_batch([], [], 0.001, 10, 10)
+                batch_on(engine, [], [], 0.001, 10, 10)
 
     @pytest.mark.parametrize("n_spin, phase", [(100, "spin-up"), (0, "exponent phase")])
     def test_blow_up_names_phase_step_and_trajectory(self, n_spin, phase):
         systems = [salt_lorenz(beta=0.1), fd_lorenz(beta=0.3)]
-        with pytest.raises(BlowUpError) as exc:
-            run_nle_batch(systems, [4, 11], 0.5, n_spin, 100)
-        err = exc.value
-        assert err.context.startswith(f"the {phase} (")
-        assert "beta=" in err.context and "seed=" in err.context
-        msg = str(err)
-        assert f"step {err.step_index} of the {phase}" in msg
-        # the error survives a worker process
-        again = pickle.loads(pickle.dumps(err))
-        assert str(again) == msg and again.step_index == err.step_index
+        errs = [blow_up_on(engine, systems, [4, 11], 0.5, n_spin, 100)
+                for engine in ENGINES]
+        for err in errs:
+            assert err.context.startswith(f"the {phase} (")
+            assert "beta=" in err.context and "seed=" in err.context
+            msg = str(err)
+            assert f"step {err.step_index} of the {phase}" in msg
+            # the error survives a worker process
+            again = pickle.loads(pickle.dumps(err))
+            assert str(again) == msg and again.step_index == err.step_index
+        assert_same_blow_up(*errs)
+
+    @pytest.mark.parametrize("n_spin, phase", [(0, "exponent phase"), (14, "spin-up")])
+    def test_blow_up_names_the_earliest_failure(self, n_spin, phase):
+        # at dt = 0.2 the FD row overflows at step 14 and the SALT row at step
+        # 13; with 14 spin-up steps the SALT row fails in the earlier phase
+        systems = [fd_lorenz(beta=2.0), salt_lorenz(beta=0.1)]
+        errs = [blow_up_on(engine, systems, [4, 4], 0.2, n_spin, 100)
+                for engine in ENGINES]
+        assert errs[0].step_index == 13
+        assert errs[0].context == f"the {phase} (salt, beta=0.1, seed=4)"
+        assert_same_blow_up(*errs)
 
     @given(
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
@@ -372,12 +428,15 @@ class TestRunNleBatch:
     def test_property_batch_equals_scalar_and_sum_identities(self, sigma, r, b, beta, seed):
         p = LorenzParams(sigma, r, b)
         systems = [salt_lorenz(p, beta), fd_lorenz(p, beta)]
-        salt, fd = run_nle_batch(systems, [seed, seed], 0.001, 50, 150, sample_every=50)
-        for s, got in zip(systems, (salt, fd)):
-            assert_matches_scalar(got, scalar_run(s, seed, 0.001, 50, 150, 50))
+        want = [scalar_run(s, seed, 0.001, 50, 150, 50) for s in systems]
         trace = -(sigma + 1.0 + b)
-        assert abs(salt.sum - trace) <= 1e-10
-        assert abs(fd.sum - (trace + 3.0 * beta * fd.w_terminal / fd.t_final)) <= 1e-10
+        for engine in ENGINES:
+            salt, fd = batch_on(engine, systems, [seed, seed], 0.001, 50, 150,
+                                sample_every=50)
+            for got, scalar in zip((salt, fd), want):
+                assert_matches_scalar(got, scalar)
+            assert abs(salt.sum - trace) <= 1e-10
+            assert abs(fd.sum - (trace + 3.0 * beta * fd.w_terminal / fd.t_final)) <= 1e-10
 
 
 def test_package_attribute_is_engine_module():

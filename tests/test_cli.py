@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from stochlyap import cli
+from stochlyap.analysis import SweepRow
 from stochlyap.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -206,6 +208,22 @@ class TestSimulate:
         assert lines[2] == "t,x,y,z"
         assert len(lines) == 3 + 500 + 1  # header + initial state + steps
 
+    def test_rows_parse_back_to_the_trajectory_exactly(self, tmp_path, capsys,
+                                                         monkeypatch):
+        states, real = [], cli.simulate
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **k: states.append(real(*a, **k)) or states[-1])
+        out = tmp_path / "traj.csv"
+        # 2501 states: the rows are written in blocks of 1024
+        code, _, _ = run(["simulate", "--system", "salt", "--output", str(out)] + SMALL
+                         + ["--nle-steps", "2500"], capsys)
+        assert code == EXIT_OK
+        (traj,) = states
+        lines = out.read_text().splitlines()
+        assert [line[0] for line in lines[:2]] == ["#", "#"] and lines[2] == "t,x,y,z"
+        rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
+        assert rows == [[i * 0.001, *state] for i, state in enumerate(traj.tolist())]
+
     def test_bit_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["simulate", "--system", "salt", "--output", str(a)] + SMALL, capsys)
@@ -265,6 +283,28 @@ class TestSweep:
         assert lines[2] == "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum"
         assert len(lines) == 3 + 5
         assert "fd-sum regression" in stdout
+
+    @pytest.mark.parametrize("affinity, want", [({0}, 1), (None, 4)],
+                             ids=["one-usable-cpu", "no-affinity"])
+    def test_jobs_zero_counts_usable_cores(self, affinity, want, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        jobs = []
+
+        def sweep_beta(betas, mode, seed, cfg):
+            jobs.append(cfg.jobs)
+            return [SweepRow(float(b), seed, -13.0, -13.0 + b, 0.0) for b in betas]
+
+        monkeypatch.setattr(cli, "sweep_beta", sweep_beta)
+        code, _, err = run(["sweep", "--count", "2", "--mode", "fixed", "--jobs", "0",
+                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert jobs == [want]
 
 
 class TestReproduce:
