@@ -7,8 +7,8 @@ A sweep runs its rows' SALT and FD trajectories as one batch
 (``cayley.run_nle_batch``), split into contiguous shards across worker
 processes when ``SweepConfig.jobs`` > 1.  A shard of B = 2 x rows
 trajectories runs row by row on the float kernel below B = 16 (~5 us per
-trajectory-step) and in lockstep from B = 16 on (4.7 us at B = 16, 2.4 at
-B = 32, 0.9 at the B = 100 of a 100-row sweep on 2 jobs; 2-vCPU VM).
+trajectory-step) and in lockstep from B = 16 on (~5.6 us at B = 16, ~3 at
+B = 32, ~1.2 at the B = 100 of a 100-row sweep on 2 jobs; 2-vCPU VM).
 """
 
 from __future__ import annotations

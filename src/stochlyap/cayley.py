@@ -34,8 +34,8 @@ one on ``spin_up`` and ``run_nle`` (~5 us per trajectory-step; ``run_nle``
 alone takes ~6 us per Euler step and ~13 us per Heun step).  From B = 16 on
 it advances them in lockstep, the same kernel on states of shape (B, 3),
 (B, 3, 3) and (B, 3), whose ~80 us of numpy calls per step the B
-trajectories share: 4.7 us per trajectory-step at B = 16, 2.4 at B = 32 and
-1.3 at B = 64 (2-vCPU VM).
+trajectories share: ~5.6 us per trajectory-step at B = 16, ~3 at B = 32 and
+~1.2 at B = 100 (2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -98,10 +98,14 @@ DEFAULT_NLE_STEPS = 100_000
 REORTH_EVERY = 10_000
 _ORTHO_DRIFT_TOL = 1e-10
 # Batch size from which run_nle_batch runs the lockstep kernel; smaller
-# batches run row by row on run_nle's float kernel.  Measured in us per
-# trajectory-step, rows / lockstep (2-vCPU VM, 500 spin-up + 1500 exponent
-# steps, SALT and FD): 5/8.0 at B = 8, 5/5.7 at B = 12, 5/4.7 at B = 16,
-# 5/2.4 at B = 32.
+# batches run row by row on run_nle's float kernel.  Medians of 5 runs in us
+# per trajectory-step, rows / lockstep, two readings (2-vCPU VM, 500 spin-up
+# + 1500 exponent steps, SALT and FD on one path): 5.4-5.8 / 9.6-12.2 at
+# B = 8, 4.6-5.1 / 6.1-10.3 at B = 14, 5.7-5.9 / 5.5-5.8 at B = 16, 4.9-6.1
+# / 2.8-3.1 at B = 32, 4.7-5.8 / 1.1-1.4 at B = 100.  From B = 14 to 18 the
+# two lie within each other's spread, so a machine whose crossover falls
+# elsewhere in that range loses little.  Row by row throughout, a 100-row
+# sweep of 2k + 8k steps on 2 jobs (B = 100 a shard) takes 3.6 times as long.
 _LOCKSTEP_FROM = 16
 
 
@@ -405,10 +409,14 @@ def _run_rows(
     Each seed's path is drawn once per run of equal seeds and only one is
     held.  A blow-up is raised as the lockstep kernel raises it: the earliest
     phase and step of any trajectory, and of those the first trajectory.
+    Once a trajectory has failed in spin-up, an exponent-phase failure can
+    no longer be the one raised, so later trajectories run their spin-up
+    only.
     """
     cfg = IntegratorConfig(dt=dt, n_steps=spin_up_steps, allow_convention_mismatch=True)
     results: list[NleResult] = []
     failures: list[tuple[bool, int, int, BlowUpError]] = []
+    spin_up_failed = False
     path = None
     for k, (s, seed) in enumerate(zip(systems, seeds)):
         if path is None or path.seed != seed:
@@ -416,11 +424,14 @@ def _run_rows(
         phase = "spin-up"
         try:
             x0 = spin_up(s, path, cfg)
+            if spin_up_failed:
+                continue
             phase = "exponent phase"
             results.append(run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
                                    path_offset=spin_up_steps,
                                    allow_convention_mismatch=True))
         except BlowUpError as err:
+            spin_up_failed = spin_up_failed or phase == "spin-up"
             failures.append((phase != "spin-up", err.step_index, k,
                              err.within(phase, s, seed)))
     if failures:
@@ -450,15 +461,16 @@ def run_nle_batch(
     and step of any trajectory, and of those the first trajectory.
 
     Below B = 16 (``_LOCKSTEP_FROM``) the trajectories run one by one on
-    exactly those calls, at ~5 us per trajectory-step.  From B = 16 on they
-    advance in lockstep on (B, 3) and (B, 3, 3) states, with the same
-    per-step arithmetic but (B, 3, 3) matmuls, so results agree to rounding
-    (``w_terminal`` is summed step by step).  Both noises are linear, so the
-    diffusion is Df1 x exactly.  Trajectories with equal seeds share one
-    increment column, drawn in blocks, so memory does not grow with the path
-    length.  The lockstep step costs ~80 us of numpy calls that the B
-    trajectories share: 4.7 us per trajectory-step at B = 16, 2.4 at B = 32
-    (2-vCPU VM).
+    exactly those calls, at ~5 us per trajectory-step, holding one seed's
+    whole path (8 bytes a step) at a time as a single ``run_nle`` does.
+    From B = 16 on they advance in lockstep on (B, 3) and (B, 3, 3) states,
+    with the same per-step arithmetic but (B, 3, 3) matmuls, so results
+    agree to rounding (``w_terminal`` is summed step by step).  Both noises
+    are linear, so the diffusion is Df1 x exactly.  Trajectories with equal
+    seeds share one increment column, drawn in blocks, so lockstep memory
+    does not grow with the path length.  The lockstep step costs ~80 us of
+    numpy calls that the B trajectories share: ~5.6 us per trajectory-step
+    at B = 16, ~3 at B = 32 and ~1.2 at B = 100 (2-vCPU VM).
     """
     if len(systems) != len(seeds):
         raise ValueError(f"{len(systems)} systems but {len(seeds)} seeds")

@@ -7,8 +7,9 @@ mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
 Both schemes run on Python floats (``_float_steps``), bit for bit the
 ndarray expressions of ``models.drift`` and ``models.diffusion``; ``step``
-and ``heun_step`` wrap them for one ndarray state, and ``simulate`` writes
-the states into one preallocated float64 array.
+and ``heun_step`` wrap them for one ndarray state, ``simulate`` writes
+the states into one preallocated float64 array, and ``spin_up`` keeps only
+the end state.
 """
 
 from __future__ import annotations
@@ -189,6 +190,20 @@ def _floats(x: np.ndarray) -> list[float]:
     return np.asarray(x, dtype=float).tolist()
 
 
+def _advance(s: SystemDef, path: WienerPath, cfg: IntegratorConfig, offset: int):
+    """cfg's step of s on Python floats, (x0, x1, x2, dW) -> next state, once
+    the system and the path are checked for cfg.n_steps steps from offset."""
+    cfg.check(s)
+    if offset + cfg.n_steps > len(path):
+        raise ValueError(
+            f"path has {len(path)} steps, need {offset + cfg.n_steps}"
+        )
+    euler, heun = _float_steps(s, cfg.dt)
+    if cfg.scheme is Scheme.HEUN:
+        return lambda x0, x1, x2, dw: heun(x0, x1, x2, dw)[1]
+    return euler
+
+
 def simulate(
     s: SystemDef,
     x0: np.ndarray,
@@ -197,15 +212,7 @@ def simulate(
     offset: int = 0,
 ) -> np.ndarray:
     """Integrate n_steps steps; returns the (n_steps + 1, 3) state sequence."""
-    cfg.check(s)
-    if offset + cfg.n_steps > len(path):
-        raise ValueError(
-            f"path has {len(path)} steps, need {offset + cfg.n_steps}"
-        )
-    euler, heun = _float_steps(s, cfg.dt)
-    advance = euler
-    if cfg.scheme is Scheme.HEUN:
-        advance = lambda x0, x1, x2, dw: heun(x0, x1, x2, dw)[1]  # noqa: E731
+    advance = _advance(s, path, cfg, offset)
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = x0
     flat = memoryview(out.reshape(-1))
@@ -228,8 +235,17 @@ def spin_up(
     """Discard the transient: integrate from (0, 1, 0) and return the end state.
 
     The spin-up consumes the head of the path (noise on); the exponent
-    computation then continues with the subsequent increments.
+    computation then continues with the subsequent increments.  It is
+    ``simulate(s, SPIN_UP_STATE, path, cfg)[-1]`` without keeping the
+    states on the way.
     """
     if cfg is None:
         cfg = IntegratorConfig(n_steps=DEFAULT_SPIN_UP_STEPS)
-    return simulate(s, SPIN_UP_STATE, path, cfg)[-1]
+    advance = _advance(s, path, cfg, 0)
+    x0, x1, x2 = SPIN_UP_STATE.tolist()
+    for i, dw in enumerate(path.floats(0, cfg.n_steps)):
+        try:
+            x0, x1, x2 = advance(x0, x1, x2, dw)
+        except BlowUpError as err:
+            raise BlowUpError(i, err.state) from None
+    return np.array([x0, x1, x2])

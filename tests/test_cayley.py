@@ -409,16 +409,26 @@ class TestRunNleBatch:
             assert str(again) == msg and again.step_index == err.step_index
         assert_same_blow_up(*errs)
 
-    @pytest.mark.parametrize("n_spin, phase", [(0, "exponent phase"), (14, "spin-up")])
-    def test_blow_up_names_the_earliest_failure(self, n_spin, phase):
+    @pytest.mark.parametrize("n_spin, phase, salt_first", [
+        (0, "exponent phase", False), (14, "spin-up", False), (14, "spin-up", True)],
+        ids=["0-exponent phase", "14-spin-up", "14-spin-up-salt-first"])
+    def test_blow_up_names_the_earliest_failure(self, n_spin, phase, salt_first,
+                                                monkeypatch):
         # at dt = 0.2 the FD row overflows at step 14 and the SALT row at step
         # 13; with 14 spin-up steps the SALT row fails in the earlier phase
-        systems = [fd_lorenz(beta=2.0), salt_lorenz(beta=0.1)]
+        fd, salt = fd_lorenz(beta=2.0), salt_lorenz(beta=0.1)
+        systems = [salt, fd] if salt_first else [fd, salt]
+        exponent_phases, run = [], stochlyap.cayley.run_nle
+        monkeypatch.setattr(stochlyap.cayley, "run_nle", lambda s, *a, **kw:
+                            exponent_phases.append(s) or run(s, *a, **kw))
         errs = [blow_up_on(engine, systems, [4, 4], 0.2, n_spin, 100)
                 for engine in ENGINES]
         assert errs[0].step_index == 13
         assert errs[0].context == f"the {phase} (salt, beta=0.1, seed=4)"
         assert_same_blow_up(*errs)
+        # after a spin-up failure the row path runs no further exponent phase
+        ran = systems if phase == "exponent phase" else systems[:systems.index(salt)]
+        assert exponent_phases == ran
 
     @given(
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,32 @@ class TestSimulate:
 
 
 class TestSpinUp:
+    def test_keeps_no_trajectory(self):
+        # simulate's 50k states alone take 1.2 MB
+        s = salt_lorenz(beta=0.5)
+        path = generate_path(5, 50_000, 0.001)
+        c = cfg(n_steps=50_000, mismatch=True)
+        tracemalloc.start()
+        try:
+            x = spin_up(s, path, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+        assert np.array_equal(x, simulate(s, SPIN_UP_STATE, path, c)[-1])
+
+    @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["em", "heun"])
+    def test_blow_up_at_simulates_step(self, scheme):
+        s = fd_lorenz(beta=0.5)
+        path = generate_path(3, 200, 0.5)
+        c = cfg(scheme, dt=0.5, n_steps=200, mismatch=True)
+        with pytest.raises(BlowUpError) as want:
+            simulate(s, SPIN_UP_STATE, path, c)
+        with pytest.raises(BlowUpError) as got:
+            spin_up(s, path, c)
+        assert got.value.step_index == want.value.step_index
+        assert np.array_equal(got.value.state, want.value.state, equal_nan=True)
+
     def test_determinism(self, short_path):
         s = salt_lorenz(beta=0.5)
         c = cfg(n_steps=10_000, mismatch=True)
