@@ -25,17 +25,19 @@ with a restart after every step and eta does not change the exponents.
 ``run_nle`` runs on Python floats: the base step is the integrator's
 float step, and the frame step forms the diagonal and strict lower
 triangle of Q^T M Q and rotates the nine entries of Q by the closed-form
-Cayley entries of ``smallmat``, with no per-step ndarray.  ``_increment_at``
-and the K/eta stepper keep the ndarray form as its reference.
+Cayley entries of ``smallmat``, with no per-step ndarray.  An Euler step is
+one straight-line loop body on local floats (~4-5 us); a Heun step calls
+the same formulas as closures, ``_frame_increment`` and ``_rotate``, which
+the Euler body equals bit for bit (~12-13 us).  ``_increment_at`` and the
+K/eta stepper keep the ndarray form as its reference.
 
 ``run_nle_batch`` runs B trajectories, a spin-up and then the kernel; it
-serves ensembles such as amplitude sweeps.  Below B = 16 it runs them one by
-one on ``spin_up`` and ``run_nle`` (~5 us per trajectory-step; ``run_nle``
-alone takes ~6 us per Euler step and ~13 us per Heun step).  From B = 16 on
-it advances them in lockstep, the same kernel on states of shape (B, 3),
-(B, 3, 3) and (B, 3), whose ~80 us of numpy calls per step the B
-trajectories share: ~5.6 us per trajectory-step at B = 16, ~3 at B = 32 and
-~1.2 at B = 100 (2-vCPU VM).
+serves ensembles such as amplitude sweeps.  Below B = 24 it runs them one by
+one on ``spin_up`` and ``run_nle`` (~4.3 us per trajectory-step).  From
+B = 24 on it advances them in lockstep, the same kernel on states of shape
+(B, 3), (B, 3, 3) and (B, 3), whose ~80 us of numpy calls per step the B
+trajectories share: ~4.2 us per trajectory-step at B = 24, ~3.4 at B = 32
+and ~1.3 at B = 100 (2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import numpy as np
 
 from . import smallmat
 from .integrator import (
+    _STATE_BOUND,
     SPIN_UP_STATE,
     BlowUpError,
     IntegratorConfig,
@@ -59,7 +62,7 @@ from .integrator import (
 from .models import (
     LorenzParams,
     SystemDef,
-    _lorenz_jacobian,
+    _correction_sign,
     drift_batch,
     jacobian_correction,
     jacobian_diffusion,
@@ -72,7 +75,6 @@ from .smallmat import (
     LOWER_FLAT,
     CayleyDomainError,
     SkewMat3,
-    _cayley_entries,
     cayley,
     cayley_batch,
     inverse,
@@ -98,15 +100,15 @@ DEFAULT_NLE_STEPS = 100_000
 REORTH_EVERY = 10_000
 _ORTHO_DRIFT_TOL = 1e-10
 # Batch size from which run_nle_batch runs the lockstep kernel; smaller
-# batches run row by row on run_nle's float kernel.  Medians of 5 runs in us
-# per trajectory-step, rows / lockstep, two readings (2-vCPU VM, 500 spin-up
-# + 1500 exponent steps, SALT and FD on one path): 5.4-5.8 / 9.6-12.2 at
-# B = 8, 4.6-5.1 / 6.1-10.3 at B = 14, 5.7-5.9 / 5.5-5.8 at B = 16, 4.9-6.1
-# / 2.8-3.1 at B = 32, 4.7-5.8 / 1.1-1.4 at B = 100.  From B = 14 to 18 the
-# two lie within each other's spread, so a machine whose crossover falls
-# elsewhere in that range loses little.  Row by row throughout, a 100-row
-# sweep of 2k + 8k steps on 2 jobs (B = 100 a shard) takes 3.6 times as long.
-_LOCKSTEP_FROM = 16
+# batches run row by row on run_nle's float kernel.  In us per
+# trajectory-step, rows / lockstep, the middle of 2-4 readings of a median of
+# 5 runs (2-vCPU VM, 500 spin-up + 1500 exponent steps, SALT and FD on one
+# path): 4.3 / 11.1 at B = 8, 4.2 / 6.1 at B = 16, 4.4 / 4.8 at B = 20,
+# 4.4 / 4.2 at B = 24, 4.4 / 3.4 at B = 32, 4.5 / 1.3 at B = 100.  A 2k +
+# 8k-step `sweep --mode fixed --jobs 2` agrees: rows faster in 7/7 runs at
+# B = 20 a shard, 5/7 at B = 24, 0/7 at B = 26.  From B = 22 to 26 the two
+# lie within each other's spread.
+_LOCKSTEP_FROM = 24
 
 
 @dataclass(frozen=True)
@@ -214,28 +216,38 @@ def _reorthogonalize(q: np.ndarray) -> np.ndarray:
     return qr_decompose(q)[0]
 
 
+def _folded_m(s: SystemDef, dt: float):
+    """The constants of M = Df0(x) dt + Df1 dW, flat row-major.  Df0 is the
+    Lorenz Jacobian l plus the convention correction k: its five entries that
+    do not depend on x are folded once into (l + k) dt, the other four keep k
+    alone.  The second item is Df1."""
+    p = s.params
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = jacobian_correction(s).ravel().tolist()
+    return ((-p.sigma + k00) * dt, (p.sigma + k01) * dt, (0.0 + k02) * dt, k10,
+            (-1.0 + k11) * dt, k12, k20, k21, (-p.b + k22) * dt,
+            ), jacobian_diffusion(s).ravel().tolist()
+
+
 def _frame_increment(s: SystemDef, dt: float):
     """The frame kernel's increment on Python floats: a map
     (q, x0, x1, x2, dW) -> (drho0, drho1, drho2, s0, s1, s2) of the flat
     row-major frame q and the base state, as ``_increment_at`` with
     M = Df0(x) dt + Df1 dW: the diagonal of A = Q^T M Q, then -(1/2) times
     its strict lower triangle (1,0), (2,0), (2,1)."""
-    p = s.params
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = jacobian_correction(s).tolist()
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = jacobian_diffusion(s).tolist()
+    r = s.params.r
+    (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
+        a00, a01, a02, a10, a11, a12, a20, a21, a22) = _folded_m(s, dt)
 
     def increment(q, x0, x1, x2, dw):
-        (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = _lorenz_jacobian(
-            p, x0, x1, x2)
-        m00 = (l00 + k00) * dt + b00 * dw
-        m01 = (l01 + k01) * dt + b01 * dw
-        m02 = (l02 + k02) * dt + b02 * dw
-        m10 = (l10 + k10) * dt + b10 * dw
-        m11 = (l11 + k11) * dt + b11 * dw
-        m12 = (l12 + k12) * dt + b12 * dw
-        m20 = (l20 + k20) * dt + b20 * dw
-        m21 = (l21 + k21) * dt + b21 * dw
-        m22 = (l22 + k22) * dt + b22 * dw
+        m00 = e00 + a00 * dw
+        m01 = e01 + a01 * dw
+        m02 = e02 + a02 * dw
+        m10 = (r - x2 + k10) * dt + a10 * dw
+        m11 = e11 + a11 * dw
+        m12 = (-x0 + k12) * dt + a12 * dw
+        m20 = (x1 + k20) * dt + a20 * dw
+        m21 = (x0 + k21) * dt + a21 * dw
+        m22 = e22 + a22 * dw
         q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
         n00 = m00 * q00 + m01 * q10 + m02 * q20  # N = M Q
         n01 = m00 * q01 + m01 * q11 + m02 * q21
@@ -259,12 +271,16 @@ def _frame_increment(s: SystemDef, dt: float):
 
 
 def _rotate(q, s0: float, s1: float, s2: float):
-    """The flat frame q times cayley(SkewMat3((s0, s1, s2))), on Python floats."""
-    ((c00, c01, c02), (c10, c11, c12), (c20, c21, c22)), den = _cayley_entries(
-        s0, s1, s2)
-    c00, c01, c02 = c00 / den, c01 / den, c02 / den
-    c10, c11, c12 = c10 / den, c11 / den, c12 / den
-    c20, c21, c22 = c20 / den, c21 / den, c22 / den
+    """The flat frame q times cayley(SkewMat3((s0, s1, s2))), on Python
+    floats, with the entries of ``smallmat._cayley_entries``."""
+    w2 = s0 * s0 + s1 * s1 + s2 * s2
+    d, den = 1.0 - w2, 1.0 + w2
+    c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                     2.0 * (s1 + s0 * s2) / den)
+    c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                     2.0 * (s2 - s0 * s1) / den)
+    c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                     (d + 2.0 * s0 * s0) / den)
     q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
     return (
         q00 * c00 + q01 * c10 + q02 * c20,
@@ -301,7 +317,12 @@ def run_nle(
     mode both are corrected at the predictor point for Stratonovich
     consistency.  The kernel is the K/eta reference stepper with a restart
     after every step, so ``eta`` is validated but does not change the output.
-    Both the base step and the frame step run on Python floats.
+
+    Both the base step and the frame step run on Python floats.  An Euler
+    step is one straight-line loop body, bit for bit the integrator's
+    ``_float_steps`` Euler step, ``_frame_increment`` and ``_rotate``
+    (~4-5 us a step on a 2-vCPU VM); a Heun step calls those closures,
+    since it takes the increment at two frames (~12 us).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -318,35 +339,98 @@ def run_nle(
         n_steps=1,
         allow_convention_mismatch=allow_convention_mismatch,
     ).check(s)
-    heun = scheme is Scheme.HEUN
-    euler_step, heun_step = _float_steps(s, dt)
-    increment = _frame_increment(s, dt)
     x0, x1, x2 = np.asarray(x0, dtype=float).tolist()  # the state, by component
     q = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     r0 = r1 = r2 = 0.0
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
     row = 0
-    for i, dw in enumerate(path.floats(path_offset, n_steps)):
-        try:
-            if heun:
+    dws = enumerate(path.floats(path_offset, n_steps))
+    if scheme is Scheme.HEUN:
+        heun_step = _float_steps(s, dt)[1]
+        increment = _frame_increment(s, dt)
+        for i, dw in dws:
+            try:
                 (p0, p1, p2), x_next = heun_step(x0, x1, x2, dw)
-            else:
-                x_next = euler_step(x0, x1, x2, dw)
-        except BlowUpError as err:
-            raise BlowUpError(i, err.state) from None
-        d0, d1, d2, s0, s1, s2 = increment(q, x0, x1, x2, dw)
-        if heun:
+            except BlowUpError as err:
+                raise BlowUpError(i, err.state) from None
+            d0, d1, d2, s0, s1, s2 = increment(q, x0, x1, x2, dw)
             e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), p0, p1, p2, dw)
-            d0, d1, d2 = 0.5 * (d0 + e0), 0.5 * (d1 + e1), 0.5 * (d2 + e2)
-            s0, s1, s2 = 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2)
-        r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
-        q = _rotate(q, s0, s1, s2)
-        if (i + 1) % REORTH_EVERY == 0:
-            q = tuple(_reorthogonalize(np.array(q).reshape(3, 3)).ravel().tolist())
-        x0, x1, x2 = x_next
-        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            series[row] = (i + 1) * dt, r0, r1, r2
-            row += 1
+            r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
+            q = _rotate(q, 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2))
+            if (i + 1) % REORTH_EVERY == 0:
+                q = tuple(_reorthogonalize(np.array(q).reshape(3, 3)).ravel().tolist())
+            x0, x1, x2 = x_next
+            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+                series[row] = (i + 1) * dt, r0, r1, r2
+                row += 1
+    else:
+        # One Euler step, written out: the base step of _float_steps with its
+        # bound check, _frame_increment on the folded M, then _rotate.
+        sigma, r, b = s.params.sigma, s.params.r, s.params.b
+        (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
+            a00, a01, a02, a10, a11, a12, a20, a21, a22) = _folded_m(s, dt)
+        h00, h01, h02, h10, h11, h12, h20, h21, h22 = (  # the correction's factor
+            _correction_sign(s) * 0.5 * jacobian_diffusion(s)).ravel().tolist()
+        q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+        bound = _STATE_BOUND
+        for i, dw in dws:
+            g0 = a00 * x0 + a01 * x1 + a02 * x2  # the diffusion Df1 x
+            g1 = a10 * x0 + a11 * x1 + a12 * x2
+            g2 = a20 * x0 + a21 * x1 + a22 * x2
+            y0 = x0 + (sigma * (x1 - x0) + (h00 * g0 + h01 * g1 + h02 * g2)) * dt + g0 * dw
+            y1 = x1 + (r * x0 - x0 * x2 - x1 + (h10 * g0 + h11 * g1 + h12 * g2)) * dt + g1 * dw
+            y2 = x2 + (x0 * x1 - b * x2 + (h20 * g0 + h21 * g1 + h22 * g2)) * dt + g2 * dw
+            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
+                raise BlowUpError(i, np.array([y0, y1, y2]))
+            m00 = e00 + a00 * dw
+            m01 = e01 + a01 * dw
+            m02 = e02 + a02 * dw
+            m10 = (r - x2 + k10) * dt + a10 * dw
+            m11 = e11 + a11 * dw
+            m12 = (-x0 + k12) * dt + a12 * dw
+            m20 = (x1 + k20) * dt + a20 * dw
+            m21 = (x0 + k21) * dt + a21 * dw
+            m22 = e22 + a22 * dw
+            n00 = m00 * q00 + m01 * q10 + m02 * q20  # N = M Q
+            n01 = m00 * q01 + m01 * q11 + m02 * q21
+            n02 = m00 * q02 + m01 * q12 + m02 * q22
+            n10 = m10 * q00 + m11 * q10 + m12 * q20
+            n11 = m10 * q01 + m11 * q11 + m12 * q21
+            n12 = m10 * q02 + m11 * q12 + m12 * q22
+            n20 = m20 * q00 + m21 * q10 + m22 * q20
+            n21 = m20 * q01 + m21 * q11 + m22 * q21
+            n22 = m20 * q02 + m21 * q12 + m22 * q22
+            r0 += q00 * n00 + q10 * n10 + q20 * n20  # the diagonal of A = Q^T N
+            r1 += q01 * n01 + q11 * n11 + q21 * n21
+            r2 += q02 * n02 + q12 * n12 + q22 * n22
+            s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
+            s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
+            s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
+            w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley(S)
+            d, den = 1.0 - w2, 1.0 + w2
+            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                             2.0 * (s1 + s0 * s2) / den)
+            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                             2.0 * (s2 - s0 * s1) / den)
+            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                             (d + 2.0 * s0 * s0) / den)
+            q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
+                             q00 * c01 + q01 * c11 + q02 * c21,
+                             q00 * c02 + q01 * c12 + q02 * c22)
+            q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
+                             q10 * c01 + q11 * c11 + q12 * c21,
+                             q10 * c02 + q11 * c12 + q12 * c22)
+            q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
+                             q20 * c01 + q21 * c11 + q22 * c21,
+                             q20 * c02 + q21 * c12 + q22 * c22)
+            if (i + 1) % REORTH_EVERY == 0:
+                q00, q01, q02, q10, q11, q12, q20, q21, q22 = _reorthogonalize(np.array(
+                    [[q00, q01, q02], [q10, q11, q12], [q20, q21, q22]])).ravel().tolist()
+            x0, x1, x2 = y0, y1, y2
+            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+                series[row] = (i + 1) * dt, r0, r1, r2
+                row += 1
+        q = (q00, q01, q02, q10, q11, q12, q20, q21, q22)
 
     inc = path.scalar()
     w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))
@@ -460,17 +544,17 @@ def run_nle_batch(
     step, and the trajectory's system, beta and seed: the earliest phase
     and step of any trajectory, and of those the first trajectory.
 
-    Below B = 16 (``_LOCKSTEP_FROM``) the trajectories run one by one on
-    exactly those calls, at ~5 us per trajectory-step, holding one seed's
+    Below B = 24 (``_LOCKSTEP_FROM``) the trajectories run one by one on
+    exactly those calls, at ~4.3 us per trajectory-step, holding one seed's
     whole path (8 bytes a step) at a time as a single ``run_nle`` does.
-    From B = 16 on they advance in lockstep on (B, 3) and (B, 3, 3) states,
+    From B = 24 on they advance in lockstep on (B, 3) and (B, 3, 3) states,
     with the same per-step arithmetic but (B, 3, 3) matmuls, so results
     agree to rounding (``w_terminal`` is summed step by step).  Both noises
     are linear, so the diffusion is Df1 x exactly.  Trajectories with equal
     seeds share one increment column, drawn in blocks, so lockstep memory
     does not grow with the path length.  The lockstep step costs ~80 us of
-    numpy calls that the B trajectories share: ~5.6 us per trajectory-step
-    at B = 16, ~3 at B = 32 and ~1.2 at B = 100 (2-vCPU VM).
+    numpy calls that the B trajectories share: ~4.2 us per trajectory-step
+    at B = 24, ~3.4 at B = 32 and ~1.3 at B = 100 (2-vCPU VM).
     """
     if len(systems) != len(seeds):
         raise ValueError(f"{len(systems)} systems but {len(seeds)} seeds")

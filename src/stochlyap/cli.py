@@ -100,6 +100,11 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        if self.spin_up_steps < 0:
+            raise ConfigError(
+                f"--spin-up-steps must be >= 0, got {self.spin_up_steps}")
+        if self.nle_steps < 1:
+            raise ConfigError(f"--nle-steps must be >= 1, got {self.nle_steps}")
 
     def params(self) -> LorenzParams:
         return LorenzParams(self.sigma, self.r, self.b)
@@ -124,8 +129,10 @@ class RunConfig:
         ]
 
     def config_hash(self) -> str:
-        digest = hashlib.sha256("\n".join(self.lines()).encode()).hexdigest()
-        return digest[:12]
+        """Identifies the computation: every field but ``outdir``, since
+        where a run writes does not change what it computes."""
+        lines = [line for line in self.lines() if not line.startswith("outdir = ")]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def _parse_config_file(filename: str) -> dict[str, str]:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import stochlyap
 from stochlyap.cayley import (
+    REORTH_EVERY,
     CayleyState,
+    _frame_increment,
+    _increment_at,
+    _reorthogonalize,
+    _rotate,
     conjugated_jacobians,
     exponents_from_rho,
     inverse_cayley,
@@ -19,9 +24,11 @@ from stochlyap.cayley import (
     step_k_rho,
 )
 from stochlyap.integrator import (
+    SPIN_UP_STATE,
     BlowUpError,
     IntegratorConfig,
     Scheme,
+    _float_steps,
     simulate,
     spin_up,
     step,
@@ -32,10 +39,11 @@ from stochlyap.models import (
     convert_convention,
     deterministic_lorenz,
     fd_lorenz,
+    jacobian_diffusion,
     jacobian_drift,
     salt_lorenz,
 )
-from stochlyap.smallmat import SkewMat3, cayley, frobenius, qr_decompose
+from stochlyap.smallmat import SkewMat3, _cayley_entries, cayley, frobenius, qr_decompose
 from stochlyap.wiener import generate_path
 
 
@@ -294,6 +302,95 @@ class TestRunNle:
             scheme=Scheme.HEUN, path_offset=5_000,
         )
         assert np.all(np.isfinite(res.lambdas))
+
+
+def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100):
+    """``run_nle``'s Euler step as the closures its loop body writes out:
+    the base step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.
+    Returns (rho_series, final frame)."""
+    euler, increment = _float_steps(s, dt)[0], _frame_increment(s, dt)
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    q = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    r0 = r1 = r2 = 0.0
+    rows = []
+    for i, dw in enumerate(path.scalar()[path_offset:path_offset + n_steps].tolist()):
+        x_next = euler(*x, dw)
+        d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
+        r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
+        q = _rotate(q, s0, s1, s2)
+        if (i + 1) % REORTH_EVERY == 0:
+            q = tuple(_reorthogonalize(np.array(q).reshape(3, 3)).ravel().tolist())
+        x = x_next
+        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
+            rows.append(((i + 1) * dt, r0, r1, r2))
+    return np.array(rows), np.array(q).reshape(3, 3)
+
+
+def assert_euler_body_matches_closures(s, x0, path, dt, n_steps, path_offset=0,
+                                       sample_every=100):
+    res = run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
+                  path_offset=path_offset, allow_convention_mismatch=True)
+    series, q = closure_nle(s, x0, path, dt, n_steps, path_offset, sample_every)
+    assert np.array_equal(res.rho_series, series)
+    assert np.array_equal(res.lambdas, exponents_from_rho(series[-1, 1:], n_steps * dt))
+    assert res.ortho_drift == frobenius(q.T @ q - np.eye(3))
+
+
+FORMS = [
+    deterministic_lorenz(),
+    deterministic_lorenz(LorenzParams(16.0, 45.92, 4.0)),
+    salt_lorenz(beta=0.5),
+    fd_lorenz(beta=0.5),
+    convert_convention(salt_lorenz(beta=0.5), Convention.ITO),
+    convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH),
+]
+FORM_IDS = ["deterministic", "table2", "salt", "fd", "salt-ito", "fd-strict"]
+
+
+class TestEulerBodyMatchesClosures:
+    """run_nle's straight-line Euler step against the closures Heun calls."""
+
+    @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
+    def test_bit_for_bit_past_reorthogonalization(self, s, short_path):
+        n = REORTH_EVERY + 500
+        cfg = IntegratorConfig(n_steps=2_000, allow_convention_mismatch=True)
+        x0 = spin_up(s, short_path, cfg)
+        assert_euler_body_matches_closures(s, x0, short_path, 0.001, n, 2_000, 37)
+
+    @given(
+        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
+        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_bit_for_bit(self, sigma, r, b, beta, seed):
+        p = LorenzParams(sigma, r, b)
+        path = generate_path(seed, 300, 0.001)
+        for s in (deterministic_lorenz(p), salt_lorenz(p, beta), fd_lorenz(p, beta),
+                  convert_convention(salt_lorenz(p, beta), Convention.ITO),
+                  convert_convention(fd_lorenz(p, beta), Convention.STRATONOVICH)):
+            assert_euler_body_matches_closures(s, SPIN_UP_STATE, path, 0.001, 300,
+                                               sample_every=7)
+
+    @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
+    def test_frame_increment_folds_m_as_the_ndarray_form(self, s, rng):
+        # the folded constants of M against A = Q^T (Df0 dt + Df1 dW) Q
+        for _ in range(50):
+            q, x = random_orthogonal(rng), rng.uniform(-30.0, 30.0, 3)
+            dw = float(rng.normal(0.0, 0.03))
+            got = _frame_increment(s, 0.001)(tuple(q.ravel().tolist()), *x.tolist(), dw)
+            s_lower, drho = _increment_at(q, jacobian_drift(s, x), jacobian_diffusion(s),
+                                          0.001, dw)
+            np.testing.assert_allclose(got, [*drho, *s_lower], rtol=0, atol=1e-15)
+
+    def test_rotate_uses_the_cayley_entries(self, rng):
+        for _ in range(50):
+            q = random_orthogonal(rng).ravel().tolist()
+            s0, s1, s2 = rng.uniform(-0.3, 0.3, 3).tolist()
+            num, den = _cayley_entries(s0, s1, s2)
+            c = [[v / den for v in row] for row in num]
+            want = [q[3 * i] * c[0][j] + q[3 * i + 1] * c[1][j] + q[3 * i + 2] * c[2][j]
+                    for i in range(3) for j in range(3)]
+            assert _rotate(q, s0, s1, s2) == tuple(want)
 
 
 def scalar_run(s, seed, dt, n_spin, n_steps, sample_every=100):

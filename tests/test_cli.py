@@ -67,6 +67,13 @@ class TestRunConfig:
         assert RunConfig().config_hash() != RunConfig(seed=2).config_hash()
         assert len(RunConfig().config_hash()) == 12
 
+    def test_hash_ignores_outdir(self, capsys):
+        assert RunConfig(outdir="a").config_hash() == RunConfig(outdir="b").config_hash()
+        code, out, _ = run(["nle", "--print-config", "--outdir", "a"], capsys)
+        assert code == EXIT_OK
+        assert "outdir = a" in out
+        assert f"config_hash = {RunConfig(outdir='b').config_hash()}" in out
+
 
 class TestConfigResolution:
     def test_print_config(self, capsys):
@@ -120,6 +127,21 @@ class TestConfigResolution:
             assert "configuration error" in err and flag in err, (argv, err)
             assert "Traceback" not in err
             assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "nle", "sweep"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["--spin-up-steps", "-1"], "--spin-up-steps"),
+        (["--nle-steps", "0"], "--nle-steps"),
+        (["--nle-steps", "-3", "--spin-up-steps", "10"], "--nle-steps"),
+    ], ids=["negative-spin-up", "zero-nle", "negative-nle"])
+    def test_step_counts_name_the_flag(self, command, argv, flag, tmp_path, capsys):
+        extra = ["--count", "3"] if command == "sweep" else []
+        code, _, err = run([command, "--outdir", str(tmp_path)] + extra + SMALL + argv,
+                           capsys)
+        assert code == EXIT_CONFIG, err
+        assert "configuration error" in err and flag in err, err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_outdir_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))
