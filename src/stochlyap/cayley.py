@@ -25,11 +25,11 @@ with a restart after every step and eta does not change the exponents.
 ``run_nle`` runs on Python floats: the base step is the integrator's
 float step, and the frame step forms the diagonal and strict lower
 triangle of Q^T M Q and rotates the nine entries of Q by the closed-form
-Cayley entries of ``smallmat``, with no per-step ndarray.  An Euler step is
-one straight-line loop body on local floats (~4-5 us); a Heun step calls
-the same formulas as closures, ``_frame_increment`` and ``_rotate``, which
-the Euler body equals bit for bit (~12-13 us).  ``_increment_at`` and the
-K/eta stepper keep the ndarray form as its reference.
+Cayley entries of ``smallmat``, with no per-step ndarray.  Each step is one
+straight-line loop body on local floats, bit for bit the closures
+``_frame_increment`` and ``_rotate``: ~4-5 us an Euler step, ~8-10 us a
+Heun step, which takes the increment at two frames.  ``_increment_at`` and
+the K/eta stepper keep the ndarray form as its reference.
 
 ``run_nle_batch`` runs B trajectories, a spin-up and then the kernel; it
 serves ensembles such as amplitude sweeps.  Below B = 24 it runs them one by
@@ -56,13 +56,12 @@ from .integrator import (
     IntegratorConfig,
     Scheme,
     _bounded,
-    _float_steps,
+    _diffusion_rows,
     spin_up,
 )
 from .models import (
     LorenzParams,
     SystemDef,
-    _correction_sign,
     drift_batch,
     jacobian_correction,
     jacobian_diffusion,
@@ -220,12 +219,13 @@ def _folded_m(s: SystemDef, dt: float):
     """The constants of M = Df0(x) dt + Df1 dW, flat row-major.  Df0 is the
     Lorenz Jacobian l plus the convention correction k: its five entries that
     do not depend on x are folded once into (l + k) dt, the other four keep k
-    alone.  The second item is Df1."""
+    alone.  The second and third items are ``_diffusion_rows(s)``: Df1 and the
+    drift correction's factor."""
     p = s.params
     k00, k01, k02, k10, k11, k12, k20, k21, k22 = jacobian_correction(s).ravel().tolist()
     return ((-p.sigma + k00) * dt, (p.sigma + k01) * dt, (0.0 + k02) * dt, k10,
             (-1.0 + k11) * dt, k12, k20, k21, (-p.b + k22) * dt,
-            ), jacobian_diffusion(s).ravel().tolist()
+            ), *_diffusion_rows(s)
 
 
 def _frame_increment(s: SystemDef, dt: float):
@@ -236,7 +236,7 @@ def _frame_increment(s: SystemDef, dt: float):
     its strict lower triangle (1,0), (2,0), (2,1)."""
     r = s.params.r
     (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
-        a00, a01, a02, a10, a11, a12, a20, a21, a22) = _folded_m(s, dt)
+        a00, a01, a02, a10, a11, a12, a20, a21, a22), _ = _folded_m(s, dt)
 
     def increment(q, x0, x1, x2, dw):
         m00 = e00 + a00 * dw
@@ -318,11 +318,11 @@ def run_nle(
     consistency.  The kernel is the K/eta reference stepper with a restart
     after every step, so ``eta`` is validated but does not change the output.
 
-    Both the base step and the frame step run on Python floats.  An Euler
-    step is one straight-line loop body, bit for bit the integrator's
-    ``_float_steps`` Euler step, ``_frame_increment`` and ``_rotate``
-    (~4-5 us a step on a 2-vCPU VM); a Heun step calls those closures,
-    since it takes the increment at two frames (~12 us).
+    Both the base step and the frame step run on Python floats.  Each step
+    is one straight-line loop body, bit for bit the integrator's
+    ``_float_steps`` step, ``_frame_increment`` and ``_rotate``: ~4-5 us an
+    Euler step and ~8-10 us a Heun step, which takes the increment at two
+    frames (2-vCPU VM).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -340,39 +340,125 @@ def run_nle(
         allow_convention_mismatch=allow_convention_mismatch,
     ).check(s)
     x0, x1, x2 = np.asarray(x0, dtype=float).tolist()  # the state, by component
-    q = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     r0 = r1 = r2 = 0.0
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
     row = 0
     dws = enumerate(path.floats(path_offset, n_steps))
+    # Each step is written out on local floats: the base step of _float_steps
+    # with its bound check, _frame_increment on the folded M, then _rotate.
+    sigma, r, b = s.params.sigma, s.params.r, s.params.b
+    (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
+        a00, a01, a02, a10, a11, a12, a20, a21, a22), (
+        h00, h01, h02, h10, h11, h12, h20, h21, h22) = _folded_m(s, dt)
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    bound = _STATE_BOUND
     if scheme is Scheme.HEUN:
-        heun_step = _float_steps(s, dt)[1]
-        increment = _frame_increment(s, dt)
         for i, dw in dws:
-            try:
-                (p0, p1, p2), x_next = heun_step(x0, x1, x2, dw)
-            except BlowUpError as err:
-                raise BlowUpError(i, err.state) from None
-            d0, d1, d2, s0, s1, s2 = increment(q, x0, x1, x2, dw)
-            e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), p0, p1, p2, dw)
-            r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
-            q = _rotate(q, 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2))
+            g0 = a00 * x0 + a01 * x1 + a02 * x2  # the diffusion Df1 x
+            g1 = a10 * x0 + a11 * x1 + a12 * x2
+            g2 = a20 * x0 + a21 * x1 + a22 * x2
+            f0 = sigma * (x1 - x0) + (h00 * g0 + h01 * g1 + h02 * g2)  # the drift
+            f1 = r * x0 - x0 * x2 - x1 + (h10 * g0 + h11 * g1 + h12 * g2)
+            f2 = x0 * x1 - b * x2 + (h20 * g0 + h21 * g1 + h22 * g2)
+            p0 = x0 + f0 * dt + g0 * dw  # the predictor p
+            p1 = x1 + f1 * dt + g1 * dw
+            p2 = x2 + f2 * dt + g2 * dw
+            u0 = a00 * p0 + a01 * p1 + a02 * p2  # the diffusion and the drift at p
+            u1 = a10 * p0 + a11 * p1 + a12 * p2
+            u2 = a20 * p0 + a21 * p1 + a22 * p2
+            v0 = sigma * (p1 - p0) + (h00 * u0 + h01 * u1 + h02 * u2)
+            v1 = r * p0 - p0 * p2 - p1 + (h10 * u0 + h11 * u1 + h12 * u2)
+            v2 = p0 * p1 - b * p2 + (h20 * u0 + h21 * u1 + h22 * u2)
+            y0 = x0 + 0.5 * (f0 + v0) * dt + 0.5 * (g0 + u0) * dw
+            y1 = x1 + 0.5 * (f1 + v1) * dt + 0.5 * (g1 + u1) * dw
+            y2 = x2 + 0.5 * (f2 + v2) * dt + 0.5 * (g2 + u2) * dw
+            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
+                raise BlowUpError(i, np.array([y0, y1, y2]))
+            m00 = e00 + a00 * dw  # the increment at (x, Q)
+            m01 = e01 + a01 * dw
+            m02 = e02 + a02 * dw
+            m10 = (r - x2 + k10) * dt + a10 * dw
+            m11 = e11 + a11 * dw
+            m12 = (-x0 + k12) * dt + a12 * dw
+            m20 = (x1 + k20) * dt + a20 * dw
+            m21 = (x0 + k21) * dt + a21 * dw
+            m22 = e22 + a22 * dw
+            n00 = m00 * q00 + m01 * q10 + m02 * q20
+            n01 = m00 * q01 + m01 * q11 + m02 * q21
+            n02 = m00 * q02 + m01 * q12 + m02 * q22
+            n10 = m10 * q00 + m11 * q10 + m12 * q20
+            n11 = m10 * q01 + m11 * q11 + m12 * q21
+            n12 = m10 * q02 + m11 * q12 + m12 * q22
+            n20 = m20 * q00 + m21 * q10 + m22 * q20
+            n21 = m20 * q01 + m21 * q11 + m22 * q21
+            n22 = m20 * q02 + m21 * q12 + m22 * q22
+            d0 = q00 * n00 + q10 * n10 + q20 * n20
+            d1 = q01 * n01 + q11 * n11 + q21 * n21
+            d2 = q02 * n02 + q12 * n12 + q22 * n22
+            s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
+            s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
+            s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
+            w2 = s0 * s0 + s1 * s1 + s2 * s2  # U = Q cayley(S)
+            d, den = 1.0 - w2, 1.0 + w2
+            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                             2.0 * (s1 + s0 * s2) / den)
+            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                             2.0 * (s2 - s0 * s1) / den)
+            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                             (d + 2.0 * s0 * s0) / den)
+            u00 = q00 * c00 + q01 * c10 + q02 * c20
+            u01 = q00 * c01 + q01 * c11 + q02 * c21
+            u02 = q00 * c02 + q01 * c12 + q02 * c22
+            u10 = q10 * c00 + q11 * c10 + q12 * c20
+            u11 = q10 * c01 + q11 * c11 + q12 * c21
+            u12 = q10 * c02 + q11 * c12 + q12 * c22
+            u20 = q20 * c00 + q21 * c10 + q22 * c20
+            u21 = q20 * c01 + q21 * c11 + q22 * c21
+            u22 = q20 * c02 + q21 * c12 + q22 * c22
+            m10 = (r - p2 + k10) * dt + a10 * dw  # the increment at (p, U); the
+            m12 = (-p0 + k12) * dt + a12 * dw  # other entries of M do not depend on x
+            m20 = (p1 + k20) * dt + a20 * dw
+            m21 = (p0 + k21) * dt + a21 * dw
+            n00 = m00 * u00 + m01 * u10 + m02 * u20
+            n01 = m00 * u01 + m01 * u11 + m02 * u21
+            n02 = m00 * u02 + m01 * u12 + m02 * u22
+            n10 = m10 * u00 + m11 * u10 + m12 * u20
+            n11 = m10 * u01 + m11 * u11 + m12 * u21
+            n12 = m10 * u02 + m11 * u12 + m12 * u22
+            n20 = m20 * u00 + m21 * u10 + m22 * u20
+            n21 = m20 * u01 + m21 * u11 + m22 * u21
+            n22 = m20 * u02 + m21 * u12 + m22 * u22
+            r0 += 0.5 * (d0 + (u00 * n00 + u10 * n10 + u20 * n20))  # rho += (d + e) / 2
+            r1 += 0.5 * (d1 + (u01 * n01 + u11 * n11 + u21 * n21))
+            r2 += 0.5 * (d2 + (u02 * n02 + u12 * n12 + u22 * n22))
+            s0 = 0.5 * (s0 + -0.5 * (u01 * n00 + u11 * n10 + u21 * n20))  # (S + T) / 2
+            s1 = 0.5 * (s1 + -0.5 * (u02 * n00 + u12 * n10 + u22 * n20))
+            s2 = 0.5 * (s2 + -0.5 * (u02 * n01 + u12 * n11 + u22 * n21))
+            w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley((S + T) / 2)
+            d, den = 1.0 - w2, 1.0 + w2
+            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                             2.0 * (s1 + s0 * s2) / den)
+            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                             2.0 * (s2 - s0 * s1) / den)
+            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                             (d + 2.0 * s0 * s0) / den)
+            q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
+                             q00 * c01 + q01 * c11 + q02 * c21,
+                             q00 * c02 + q01 * c12 + q02 * c22)
+            q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
+                             q10 * c01 + q11 * c11 + q12 * c21,
+                             q10 * c02 + q11 * c12 + q12 * c22)
+            q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
+                             q20 * c01 + q21 * c11 + q22 * c21,
+                             q20 * c02 + q21 * c12 + q22 * c22)
             if (i + 1) % REORTH_EVERY == 0:
-                q = tuple(_reorthogonalize(np.array(q).reshape(3, 3)).ravel().tolist())
-            x0, x1, x2 = x_next
+                q00, q01, q02, q10, q11, q12, q20, q21, q22 = _reorthogonalize(np.array(
+                    [[q00, q01, q02], [q10, q11, q12], [q20, q21, q22]])).ravel().tolist()
+            x0, x1, x2 = y0, y1, y2
             if (i + 1) % sample_every == 0 or i + 1 == n_steps:
                 series[row] = (i + 1) * dt, r0, r1, r2
                 row += 1
     else:
-        # One Euler step, written out: the base step of _float_steps with its
-        # bound check, _frame_increment on the folded M, then _rotate.
-        sigma, r, b = s.params.sigma, s.params.r, s.params.b
-        (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
-            a00, a01, a02, a10, a11, a12, a20, a21, a22) = _folded_m(s, dt)
-        h00, h01, h02, h10, h11, h12, h20, h21, h22 = (  # the correction's factor
-            _correction_sign(s) * 0.5 * jacobian_diffusion(s)).ravel().tolist()
-        q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
-        bound = _STATE_BOUND
         for i, dw in dws:
             g0 = a00 * x0 + a01 * x1 + a02 * x2  # the diffusion Df1 x
             g1 = a10 * x0 + a11 * x1 + a12 * x2
@@ -430,7 +516,7 @@ def run_nle(
             if (i + 1) % sample_every == 0 or i + 1 == n_steps:
                 series[row] = (i + 1) * dt, r0, r1, r2
                 row += 1
-        q = (q00, q01, q02, q10, q11, q12, q20, q21, q22)
+    q = (q00, q01, q02, q10, q11, q12, q20, q21, q22)
 
     inc = path.scalar()
     w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))

@@ -135,8 +135,9 @@ class RunConfig:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _parse_config_file(filename: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(filename: str) -> dict[str, tuple[str, str]]:
+    """key -> (value, "file:line") for each ``key = value`` line."""
+    values: dict[str, tuple[str, str]] = {}
     try:
         text = Path(filename).read_text()
     except OSError as err:
@@ -148,34 +149,36 @@ def _parse_config_file(filename: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{filename}:{lineno}: expected 'key = value'")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = value.strip(), f"{filename}:{lineno}"
     return values
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(name: str, value: str):
+def _coerce(name: str, value: str, where: str):
     kind = _FIELD_TYPES.get(name)
     if kind is None:
-        raise ConfigError(f"unknown configuration key {name!r}")
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    return value
+        raise ConfigError(f"{where}: unknown configuration key {name!r}")
+    convert = {"int": int, "float": float}.get(kind)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except ValueError:
+        raise ConfigError(f"{where}: {name} = {value!r} is not a valid {kind}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
+        for key, (raw, where) in _parse_config_file(args.config).items():
+            values[key] = _coerce(key, raw, where)
     for field in dataclasses.fields(RunConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             values[field.name] = flag
-    if values.get("outdir") is None or "outdir" not in values:
+    if values.get("outdir") is None:
         env = os.environ.get(OUTDIR_ENV)
         if env:
             values["outdir"] = env

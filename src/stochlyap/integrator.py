@@ -7,9 +7,12 @@ mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
 Both schemes run on Python floats (``_float_steps``), bit for bit the
 ndarray expressions of ``models.drift`` and ``models.diffusion``; ``step``
-and ``heun_step`` wrap them for one ndarray state, ``simulate`` writes
-the states into one preallocated float64 array, and ``spin_up`` keeps only
-the end state.
+and ``heun_step`` wrap them for one ndarray state.  ``simulate`` and
+``spin_up`` share one loop, ``_base_loop``, whose Euler step is written out
+on local floats with no call per step (~1.0-1.6 us a step, 2-vCPU VM; a
+Heun step calls the closure, ~3-4.5 us).  ``simulate`` writes the states
+into one preallocated float64 array, and ``spin_up`` keeps only the end
+state.
 """
 
 from __future__ import annotations
@@ -118,23 +121,28 @@ def _bounded(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=-1) <= _STATE_BOUND
 
 
+def _diffusion_rows(s: SystemDef):
+    """Df1 and the convention correction's factor sign * (1/2) Df1, each as
+    its nine entries, flat row-major."""
+    j1 = jacobian_diffusion(s)
+    return j1.ravel().tolist(), (_correction_sign(s) * 0.5 * j1).ravel().tolist()
+
+
 @functools.lru_cache(maxsize=32)
 def _float_steps(s: SystemDef, dt: float):
     """The base step of s on Python floats: (euler, heun), each a map
     (x0, x1, x2, dW) -> next state; heun returns (predictor, next state).
 
     The diffusion is Df1 x and the convention correction sign * (1/2) Df1
-    f1, both read off the rows of ``jacobian_diffusion(s)``; with the Lorenz
-    field of ``models`` this is ``drift`` and ``diffusion`` per component, so
-    the states equal the ndarray expressions bit for bit.  A next state that
+    f1, both read off ``_diffusion_rows(s)``; with the Lorenz field of
+    ``models`` this is ``drift`` and ``diffusion`` per component, so the
+    states equal the ndarray expressions bit for bit.  A next state that
     fails the bound max|x| <= 1e100 (``_bounded``) raises ``BlowUpError``
     with step index -1.
     """
     p = s.params
-    j1 = jacobian_diffusion(s)
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = j1.tolist()
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-        _correction_sign(s) * 0.5 * j1).tolist()
+    (a00, a01, a02, a10, a11, a12, a20, a21, a22), (
+        c00, c01, c02, c10, c11, c12, c20, c21, c22) = _diffusion_rows(s)
 
     def coefficients(x0, x1, x2):
         f0, f1, f2 = _lorenz(p, x0, x1, x2)
@@ -190,18 +198,52 @@ def _floats(x: np.ndarray) -> list[float]:
     return np.asarray(x, dtype=float).tolist()
 
 
-def _advance(s: SystemDef, path: WienerPath, cfg: IntegratorConfig, offset: int):
-    """cfg's step of s on Python floats, (x0, x1, x2, dW) -> next state, once
-    the system and the path are checked for cfg.n_steps steps from offset."""
+def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset: int,
+               out=None) -> tuple[float, float, float]:
+    """cfg's step of s, cfg.n_steps times from the state x = (x0, x1, x2) on
+    the path increments from offset; returns the end state.  The flat float
+    view out, when given, receives the state after step i at 3i, 3i + 1,
+    3i + 2.  A state failing the bound raises ``BlowUpError`` naming step i.
+
+    The Euler step is written out on local floats, bit for bit the
+    ``_float_steps`` Euler step; the Heun step calls that closure.
+    """
     cfg.check(s)
     if offset + cfg.n_steps > len(path):
         raise ValueError(
             f"path has {len(path)} steps, need {offset + cfg.n_steps}"
         )
-    euler, heun = _float_steps(s, cfg.dt)
-    if cfg.scheme is Scheme.HEUN:
-        return lambda x0, x1, x2, dw: heun(x0, x1, x2, dw)[1]
-    return euler
+    x0, x1, x2 = x
+    dws = enumerate(path.floats(offset, cfg.n_steps))
+    if cfg.scheme is Scheme.EULER_MARUYAMA:
+        dt, sigma, r, b = cfg.dt, s.params.sigma, s.params.r, s.params.b
+        (a00, a01, a02, a10, a11, a12, a20, a21, a22), (
+            h00, h01, h02, h10, h11, h12, h20, h21, h22) = _diffusion_rows(s)
+        bound = _STATE_BOUND
+        for i, dw in dws:
+            g0 = a00 * x0 + a01 * x1 + a02 * x2  # the diffusion Df1 x
+            g1 = a10 * x0 + a11 * x1 + a12 * x2
+            g2 = a20 * x0 + a21 * x1 + a22 * x2
+            y0 = x0 + (sigma * (x1 - x0) + (h00 * g0 + h01 * g1 + h02 * g2)) * dt + g0 * dw
+            y1 = x1 + (r * x0 - x0 * x2 - x1 + (h10 * g0 + h11 * g1 + h12 * g2)) * dt + g1 * dw
+            y2 = x2 + (x0 * x1 - b * x2 + (h20 * g0 + h21 * g1 + h22 * g2)) * dt + g2 * dw
+            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
+                raise BlowUpError(i, np.array([y0, y1, y2]))
+            x0, x1, x2 = y0, y1, y2
+            if out is not None:
+                k = 3 * i
+                out[k], out[k + 1], out[k + 2] = x0, x1, x2
+        return x0, x1, x2
+    heun = _float_steps(s, cfg.dt)[1]
+    for i, dw in dws:
+        try:
+            x0, x1, x2 = heun(x0, x1, x2, dw)[1]
+        except BlowUpError as err:
+            raise BlowUpError(i, err.state) from None
+        if out is not None:
+            k = 3 * i
+            out[k], out[k + 1], out[k + 2] = x0, x1, x2
+    return x0, x1, x2
 
 
 def simulate(
@@ -212,18 +254,10 @@ def simulate(
     offset: int = 0,
 ) -> np.ndarray:
     """Integrate n_steps steps; returns the (n_steps + 1, 3) state sequence."""
-    advance = _advance(s, path, cfg, offset)
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = x0
     flat = memoryview(out.reshape(-1))
-    x0, x1, x2 = flat[:3].tolist()
-    for i, dw in enumerate(path.floats(offset, cfg.n_steps)):
-        try:
-            x0, x1, x2 = advance(x0, x1, x2, dw)
-        except BlowUpError as err:
-            raise BlowUpError(i, err.state) from None
-        k = 3 * i + 3
-        flat[k], flat[k + 1], flat[k + 2] = x0, x1, x2
+    _base_loop(s, cfg, flat[:3].tolist(), path, offset, flat[3:])
     return out
 
 
@@ -241,11 +275,4 @@ def spin_up(
     """
     if cfg is None:
         cfg = IntegratorConfig(n_steps=DEFAULT_SPIN_UP_STEPS)
-    advance = _advance(s, path, cfg, 0)
-    x0, x1, x2 = SPIN_UP_STATE.tolist()
-    for i, dw in enumerate(path.floats(0, cfg.n_steps)):
-        try:
-            x0, x1, x2 = advance(x0, x1, x2, dw)
-        except BlowUpError as err:
-            raise BlowUpError(i, err.state) from None
-    return np.array([x0, x1, x2])
+    return np.array(_base_loop(s, cfg, SPIN_UP_STATE.tolist(), path, 0))

@@ -1,6 +1,8 @@
 import math
 import pickle
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochlyap
+from stochlyap import analysis
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
@@ -304,20 +307,30 @@ class TestRunNle:
         assert np.all(np.isfinite(res.lambdas))
 
 
-def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100):
-    """``run_nle``'s Euler step as the closures its loop body writes out:
-    the base step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.
+def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100,
+                scheme=Scheme.EULER_MARUYAMA):
+    """``run_nle``'s step as the closures its loop bodies write out: the base
+    step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun
+    step takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
+    predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2).
     Returns (rho_series, final frame)."""
-    euler, increment = _float_steps(s, dt)[0], _frame_increment(s, dt)
+    (euler, heun), increment = _float_steps(s, dt), _frame_increment(s, dt)
     x = tuple(np.asarray(x0, dtype=float).tolist())
     q = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     r0 = r1 = r2 = 0.0
     rows = []
     for i, dw in enumerate(path.scalar()[path_offset:path_offset + n_steps].tolist()):
-        x_next = euler(*x, dw)
-        d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
-        r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
-        q = _rotate(q, s0, s1, s2)
+        if scheme is Scheme.HEUN:
+            p, x_next = heun(*x, dw)
+            d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
+            e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), *p, dw)
+            r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
+            q = _rotate(q, 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2))
+        else:
+            x_next = euler(*x, dw)
+            d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
+            r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
+            q = _rotate(q, s0, s1, s2)
         if (i + 1) % REORTH_EVERY == 0:
             q = tuple(_reorthogonalize(np.array(q).reshape(3, 3)).ravel().tolist())
         x = x_next
@@ -326,11 +339,11 @@ def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100):
     return np.array(rows), np.array(q).reshape(3, 3)
 
 
-def assert_euler_body_matches_closures(s, x0, path, dt, n_steps, path_offset=0,
-                                       sample_every=100):
-    res = run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
+def assert_body_matches_closures(s, x0, path, dt, n_steps, path_offset=0,
+                                 sample_every=100, scheme=Scheme.EULER_MARUYAMA):
+    res = run_nle(s, x0, path, dt, n_steps, sample_every=sample_every, scheme=scheme,
                   path_offset=path_offset, allow_convention_mismatch=True)
-    series, q = closure_nle(s, x0, path, dt, n_steps, path_offset, sample_every)
+    series, q = closure_nle(s, x0, path, dt, n_steps, path_offset, sample_every, scheme)
     assert np.array_equal(res.rho_series, series)
     assert np.array_equal(res.lambdas, exponents_from_rho(series[-1, 1:], n_steps * dt))
     assert res.ortho_drift == frobenius(q.T @ q - np.eye(3))
@@ -345,17 +358,23 @@ FORMS = [
     convert_convention(fd_lorenz(beta=0.5), Convention.STRATONOVICH),
 ]
 FORM_IDS = ["deterministic", "table2", "salt", "fd", "salt-ito", "fd-strict"]
+# every form under each scheme; Euler cases keep the bare form ids
+SCHEME_FORMS = [
+    pytest.param(s, scheme, id=prefix + i)
+    for scheme, prefix in ((Scheme.EULER_MARUYAMA, ""), (Scheme.HEUN, "heun-"))
+    for s, i in zip(FORMS, FORM_IDS)
+]
 
 
 class TestEulerBodyMatchesClosures:
-    """run_nle's straight-line Euler step against the closures Heun calls."""
+    """run_nle's straight-line Euler and Heun steps against the closures."""
 
-    @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
-    def test_bit_for_bit_past_reorthogonalization(self, s, short_path):
+    @pytest.mark.parametrize("s, scheme", SCHEME_FORMS)
+    def test_bit_for_bit_past_reorthogonalization(self, s, scheme, short_path):
         n = REORTH_EVERY + 500
         cfg = IntegratorConfig(n_steps=2_000, allow_convention_mismatch=True)
         x0 = spin_up(s, short_path, cfg)
-        assert_euler_body_matches_closures(s, x0, short_path, 0.001, n, 2_000, 37)
+        assert_body_matches_closures(s, x0, short_path, 0.001, n, 2_000, 37, scheme)
 
     @given(
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
@@ -368,8 +387,9 @@ class TestEulerBodyMatchesClosures:
         for s in (deterministic_lorenz(p), salt_lorenz(p, beta), fd_lorenz(p, beta),
                   convert_convention(salt_lorenz(p, beta), Convention.ITO),
                   convert_convention(fd_lorenz(p, beta), Convention.STRATONOVICH)):
-            assert_euler_body_matches_closures(s, SPIN_UP_STATE, path, 0.001, 300,
-                                               sample_every=7)
+            for scheme in Scheme:
+                assert_body_matches_closures(s, SPIN_UP_STATE, path, 0.001, 300,
+                                             sample_every=7, scheme=scheme)
 
     @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
     def test_frame_increment_folds_m_as_the_ndarray_form(self, s, rng):
@@ -470,6 +490,18 @@ class TestRunNleBatch:
         for b in (n - 1, n):
             assert len(run_nle_batch([salt_lorenz()] * b, [1] * b, 0.001, 10, 20)) == b
         assert calls == ["rows", "lockstep"]
+
+    def test_quoted_crossover_is_the_dispatch_threshold(self):
+        # README's analysis and cayley rows and the docstrings quote it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line for line in readme.splitlines()
+                if line.startswith(("| `stochlyap.analysis`", "| `stochlyap.cayley`"))]
+        assert len(rows) == 2
+        for text in [*rows, analysis.__doc__, stochlyap.cayley.__doc__, run_nle_batch.__doc__]:
+            below = re.findall(r"below\s+(?:B\s*=\s*)?(\d+)", text, re.IGNORECASE)
+            above = re.findall(r"from\s+(?:B\s*=\s*)?(\d+)\s+on", text, re.IGNORECASE)
+            assert below and above, text
+            assert {int(n) for n in below + above} == {stochlyap.cayley._LOCKSTEP_FROM}, text
 
     def test_rejects_mixed_params_and_foreign_convention(self):
         other = salt_lorenz(LorenzParams(16.0, 45.92, 4.0), 0.5)

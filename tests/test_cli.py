@@ -106,6 +106,16 @@ class TestConfigResolution:
         code, _, _ = run(["nle", "--config", str(cfgfile)], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line, key", [("nle_steps = 1e4", "nle_steps"),
+                                           ("sigma = ten", "sigma")])
+    def test_uncoercible_file_value_names_key_and_line(self, line, key, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"seed = 3\n{line}\n")
+        code, _, err = run(["nle", "--config", str(cfgfile)], capsys)
+        assert code == EXIT_CONFIG
+        assert key in err and repr(line.split(" = ")[1]) in err and "bad.cfg:2" in err
+        assert "Traceback" not in err
+
     def test_invalid_value_exit_code(self, tmp_path, capsys):
         for flag, value in (("--eta", "1.5"), ("--sample-every", "0"),
                             ("--dt", "nan"), ("--sigma", "nan"), ("--beta", "nan")):
