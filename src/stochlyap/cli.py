@@ -243,20 +243,26 @@ def _spin_and_path(cfg: RunConfig):
     return s, path, x0, icfg, seconds
 
 
+def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
+    """Write the metadata lines, the header and n data rows to out, 1024 rows
+    at a time: rows(lo, hi) gives rows lo to hi - 1 as one flat list, and each
+    value is written as its repr, for a float the shortest that round-trips."""
+    fmt = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
+    with open(out, "w", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in _metadata_lines(cfg)) + header + "\n")
+        for lo in range(0, n, 1024):  # in blocks: memory stays flat
+            hi = min(lo + 1024, n)
+            fh.write(fmt * (hi - lo) % tuple(rows(lo, hi)))
+
+
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     s, path, x0, icfg, _ = _spin_and_path(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
     with _phase(cfg, s, "trajectory"):
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
     out = _out_path(cfg, "trajectory.csv", args.output)
-    with open(out, "w", newline="\n") as fh:
-        for line in _metadata_lines(cfg):
-            fh.write(line + "\n")
-        fh.write("t,x,y,z\n")
-        dt = cfg.dt
-        for lo in range(0, traj.shape[0], 1024):  # in blocks: memory stays flat
-            fh.write("".join(f"{i * dt!r},{x!r},{y!r},{z!r}\n" for i, (x, y, z)
-                             in enumerate(traj[lo:lo + 1024].tolist(), lo)))
+    _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: np.column_stack(
+        (np.arange(lo, hi) * cfg.dt, traj[lo:hi])).ravel().tolist())
     print(f"wrote {out} ({traj.shape[0]} states)")
     print(
         "terminal state: "
@@ -279,12 +285,9 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     conv = analysis.convergence_series(res)
     conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
-    with open(conv_out, "w", newline="\n") as fh:
-        for line in _metadata_lines(cfg):
-            fh.write(line + "\n")
-        fh.write("t,lambda1,lambda2,lambda3,sum\n")
-        for t, l1, l2, l3 in conv.tolist():
-            fh.write(f"{t!r},{l1!r},{l2!r},{l3!r},{l1 + l2 + l3!r}\n")
+    table = np.column_stack((conv, conv[:, 1] + conv[:, 2] + conv[:, 3]))  # sum = l1 + l2 + l3
+    _write_csv(conv_out, cfg, "t,lambda1,lambda2,lambda3,sum", len(table),
+               lambda lo, hi: table[lo:hi].ravel().tolist())
 
     summary = {
         "lambdas": [float(v) for v in res.lambdas],
@@ -353,18 +356,11 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     rows = sweep_beta(betas, mode, cfg.seed, sweep_cfg)
     out = _out_path(cfg, "sweep.csv", args.output)
-    with open(out, "w", newline="\n") as fh:
-        for line in _metadata_lines(cfg):
-            fh.write(line + "\n")
-        fh.write("beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum\n")
-        for row in rows:
-            # the identity reads the path through W_T/T only
-            fd = fd_lorenz(cfg.params(), row.beta)
-            theory = theoretical_sum(fd, row.w_T_over_T, 1.0)
-            fh.write(
-                f"{row.beta!r},{row.seed},{row.sum_salt!r},{row.sum_fd!r},"
-                f"{row.w_T_over_T!r},{theory!r}\n"
-            )
+    # the identity reads the path through W_T/T only
+    _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum", len(rows),
+               lambda lo, hi: [v for row in rows[lo:hi] for v in (
+                   row.beta, row.seed, row.sum_salt, row.sum_fd, row.w_T_over_T,
+                   theoretical_sum(fd_lorenz(cfg.params(), row.beta), row.w_T_over_T, 1.0))])
     print(f"wrote {out} ({len(rows)} rows)")
     if fixed:
         fit = fit_fd_sum(rows)

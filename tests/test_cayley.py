@@ -14,6 +14,7 @@ from stochlyap import analysis
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
+    _folded_m,
     _frame_increment,
     _increment_at,
     _reorthogonalize,
@@ -39,9 +40,12 @@ from stochlyap.integrator import (
 from stochlyap.models import (
     Convention,
     LorenzParams,
+    NoiseKind,
+    SystemDef,
     convert_convention,
     deterministic_lorenz,
     fd_lorenz,
+    jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
     salt_lorenz,
@@ -411,6 +415,34 @@ class TestEulerBodyMatchesClosures:
             want = [q[3 * i] * c[0][j] + q[3 * i + 1] * c[1][j] + q[3 * i + 2] * c[2][j]
                     for i in range(3) for j in range(3)]
             assert _rotate(q, s0, s1, s2) == tuple(want)
+
+
+# every noise kind in each convention, at beta = 0 and beta > 0: the five
+# forms above and any kind added later
+EVERY_SYSTEM = [
+    pytest.param(SystemDef(LorenzParams(), kind, beta, convention),
+                 id=f"{kind.value}-{convention.value}-{beta}")
+    for kind in NoiseKind for convention in Convention
+    for beta in ((0.0,) if kind is NoiseKind.NONE else (0.0, 0.5))
+]
+
+
+class TestStructuralZeros:
+    """The entries run_nle's and the integrator's loop bodies skip as zero:
+    Df1 and the drift correction at (0, 1), (0, 2), (1, 0) and (2, 0), so the
+    folded M at (0, 2), (1, 0), (1, 2), (2, 0) and (2, 1)."""
+
+    @pytest.mark.parametrize("s", EVERY_SYSTEM)
+    def test_noise_jacobians_vanish_off_the_pattern(self, s):
+        for jac in (jacobian_diffusion(s), jacobian_correction(s)):
+            assert [jac[0, 1], jac[0, 2], jac[1, 0], jac[2, 0]] == [0.0] * 4
+
+    @pytest.mark.parametrize("s", EVERY_SYSTEM)
+    def test_folded_m_vanishes_where_the_bodies_skip_it(self, s):
+        (_, _, e02, k10, _, k12, k20, k21, _), j1, h = _folded_m(s, 0.001)
+        assert [e02, k10, k12, k20, k21] == [0.0] * 5
+        for rows in (j1, h):  # the diffusion rows, flat
+            assert [rows[1], rows[2], rows[3], rows[6]] == [0.0] * 4
 
 
 def scalar_run(s, seed, dt, n_spin, n_steps, sample_every=100):

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from stochlyap import cli
-from stochlyap.analysis import SweepRow
+from stochlyap.analysis import SweepRow, convergence_series
 from stochlyap.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -13,7 +13,7 @@ from stochlyap.cli import (
     RunConfig,
     main,
 )
-from stochlyap.models import Convention, NoiseKind
+from stochlyap.models import Convention, LorenzParams, NoiseKind, fd_lorenz, theoretical_sum
 from stochlyap.smallmat import SingularMatrixError
 
 SMALL = [
@@ -27,6 +27,18 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def returns_of(monkeypatch, name):
+    """The list every later call of cli.<name> appends its return value to."""
+    values, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: values.append(real(*a, **k)) or values[-1])
+    return values
+
+
+def csv_row(*values):
+    """A data row of an output CSV: each value's repr, comma-separated."""
+    return ",".join(map(repr, values))
 
 
 class TestRunConfig:
@@ -256,6 +268,23 @@ class TestSimulate:
         rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
         assert rows == [[i * 0.001, *state] for i, state in enumerate(traj.tolist())]
 
+    # the rows are written in blocks of 1024: states on either side of a block
+    # edge, and step sizes whose multiples have short and long reprs
+    @pytest.mark.parametrize("dt", [0.001, 0.003, 1e-4])
+    @pytest.mark.parametrize("n_states", [1023, 1024, 1025, 2049])
+    def test_rows_are_shortest_round_trip_reprs(self, n_states, dt, tmp_path, capsys,
+                                                monkeypatch):
+        # the text, not just the values: 0.1 is written 0.1, not 0.10000000000000001
+        states = returns_of(monkeypatch, "simulate")
+        out = tmp_path / "traj.csv"
+        code, _, err = run(["simulate", "--system", "salt", "--dt", repr(dt),
+                            "--spin-up-steps", "100", "--nle-steps", str(n_states - 1),
+                            "--output", str(out)], capsys)
+        assert code == EXIT_OK, err
+        (traj,) = states
+        assert out.read_text().splitlines()[3:] == [
+            csv_row(i * dt, *state) for i, state in enumerate(traj.tolist())]
+
     def test_bit_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["simulate", "--system", "salt", "--output", str(a)] + SMALL, capsys)
@@ -301,6 +330,20 @@ class TestNle:
         assert lines[2] == "t,lambda1,lambda2,lambda3,sum"
         assert len(lines) == 3 + 10  # 500 steps sampled every 50
 
+    def test_rows_are_shortest_round_trip_reprs(self, tmp_path, capsys, monkeypatch):
+        results = returns_of(monkeypatch, "run_nle")
+        conv = tmp_path / "conv.csv"
+        # 1050 rows: one block of 1024 and part of the next
+        code, _, err = run(["nle", "--system", "fd", "--spin-up-steps", "100",
+                            "--nle-steps", "2100", "--sample-every", "2",
+                            "--output", str(conv), "--json-output", str(tmp_path / "s.json")],
+                           capsys)
+        assert code == EXIT_OK, err
+        (res,) = results
+        assert conv.read_text().splitlines()[3:] == [
+            csv_row(t, l1, l2, l3, l1 + l2 + l3)
+            for t, l1, l2, l3 in convergence_series(res).tolist()]
+
 
 class TestSweep:
     def test_csv_format_and_regression_line(self, tmp_path, capsys):
@@ -315,6 +358,18 @@ class TestSweep:
         assert lines[2] == "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum"
         assert len(lines) == 3 + 5
         assert "fd-sum regression" in stdout
+
+    def test_rows_are_reprs(self, tmp_path, capsys, monkeypatch):
+        rows = [SweepRow(0.1, 7, -13.5 - 1 / 3, -13.25, 0.3), SweepRow(0.7, 7, -14.0, -13.0, 0.3)]
+        monkeypatch.setattr(cli, "sweep_beta", lambda betas, mode, seed, cfg: rows)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(["sweep", "--count", "2", "--mode", "fixed", "--jobs", "1",
+                            "--output", str(out)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert out.read_text().splitlines()[3:] == [
+            csv_row(r.beta, r.seed, r.sum_salt, r.sum_fd, r.w_T_over_T,
+                    theoretical_sum(fd_lorenz(LorenzParams(), r.beta), r.w_T_over_T, 1.0))
+            for r in rows]
 
     @pytest.mark.parametrize("affinity, want", [({0}, 1), (None, 4)],
                              ids=["one-usable-cpu", "no-affinity"])

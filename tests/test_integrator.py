@@ -247,10 +247,10 @@ class TestSimulate:
 
 class TestSpinUp:
     def test_keeps_no_trajectory(self):
-        # simulate's 50k states alone take 1.2 MB
+        # simulate's 20k states alone take 480 kB, over twice the bound
         s = salt_lorenz(beta=0.5)
-        path = generate_path(5, 50_000, 0.001)
-        c = cfg(n_steps=50_000, mismatch=True)
+        path = generate_path(5, 20_000, 0.001)
+        c = cfg(n_steps=20_000, mismatch=True)
         tracemalloc.start()
         try:
             x = spin_up(s, path, c)
