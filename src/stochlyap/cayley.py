@@ -28,9 +28,12 @@ triangle of Q^T M Q and rotates the nine entries of Q by the closed-form
 Cayley entries of ``smallmat``, with no per-step ndarray.  Each step is one
 straight-line loop body on local floats, bit for bit the closures
 ``_frame_increment`` and ``_rotate``, that skips the structural zeros of the
-noise: ~4-4.5 us an Euler step, ~8-8.5 us a Heun step, which takes the
-increment at two frames.  ``_increment_at`` and
-the K/eta stepper keep the ndarray form as its reference.
+noise: ~3.7-4 us an Euler step, ~7.3-7.5 us a Heun step, which takes the
+increment at two frames (2-vCPU VM, 20k SALT steps).  The loop walks the path
+in event-free segments, so the sampling of rho, the re-orthogonalisation of
+Q and the conversion of the increments to floats run once per segment
+instead of being tested at every step.  ``_increment_at`` and the K/eta
+stepper keep the ndarray form as its reference.
 
 ``run_nle_batch`` runs B trajectories, a spin-up and then the kernel; it
 serves ensembles such as amplitude sweeps.  Below B = 24 it runs them one by
@@ -58,6 +61,7 @@ from .integrator import (
     Scheme,
     _bounded,
     _diffusion_rows,
+    _segments,
     spin_up,
 )
 from .models import (
@@ -323,9 +327,11 @@ def run_nle(
     Both the base step and the frame step run on Python floats.  Each step
     is one straight-line loop body, bit for bit the integrator's
     ``_float_steps`` step, ``_frame_increment`` and ``_rotate``, less their
-    products with the noise's structural zeros: ~4-4.5 us an Euler step and
-    ~8-8.5 us a Heun step, which takes the increment at two frames (2-vCPU
-    VM, 20k steps).
+    products with the noise's structural zeros: ~3.7-4 us an Euler step and
+    ~7.3-7.5 us a Heun step, which takes the increment at two frames (2-vCPU
+    VM, 20k steps).  The steps run in segments that end where a sample of
+    rho, a re-orthogonalisation or a block of 1024 increments is due, or at
+    n_steps; those events run after the segment that ends on them.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -345,8 +351,7 @@ def run_nle(
     x0, x1, x2 = np.asarray(x0, dtype=float).tolist()  # the state, by component
     r0 = r1 = r2 = 0.0
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
-    row = 0
-    dws = enumerate(path.floats(path_offset, n_steps))
+    samples, k = memoryview(series.reshape(-1)), 0  # series, flat, and its next index
     # Each step is written out on local floats: the base step of _float_steps
     # with its bound check, _frame_increment on the folded M, then _rotate,
     # less the products with the structural zeros of Df1 and the correction:
@@ -355,171 +360,171 @@ def run_nle(
     (e00, e01, _, _, e11, _, _, _, e22), (a00, _, _, _, a11, a12, _, a21, a22), (
         h00, _, _, _, h11, h12, _, h21, h22) = _folded_m(s, dt)
     q00, q01, q02, q10, q11, q12, q20, q21, q22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    bound = _STATE_BOUND
-    if scheme is Scheme.HEUN:
-        for i, dw in dws:
-            g0 = a00 * x0  # the diffusion Df1 x
-            g1 = a11 * x1 + a12 * x2
-            g2 = a21 * x1 + a22 * x2
-            f0 = sigma * (x1 - x0) + h00 * g0  # the drift
-            f1 = r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)
-            f2 = x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)
-            p0 = x0 + f0 * dt + g0 * dw  # the predictor p
-            p1 = x1 + f1 * dt + g1 * dw
-            p2 = x2 + f2 * dt + g2 * dw
-            u0 = a00 * p0  # the diffusion and the drift at p
-            u1 = a11 * p1 + a12 * p2
-            u2 = a21 * p1 + a22 * p2
-            v0 = sigma * (p1 - p0) + h00 * u0
-            v1 = r * p0 - p0 * p2 - p1 + (h11 * u1 + h12 * u2)
-            v2 = p0 * p1 - b * p2 + (h21 * u1 + h22 * u2)
-            y0 = x0 + 0.5 * (f0 + v0) * dt + 0.5 * (g0 + u0) * dw
-            y1 = x1 + 0.5 * (f1 + v1) * dt + 0.5 * (g1 + u1) * dw
-            y2 = x2 + 0.5 * (f2 + v2) * dt + 0.5 * (g2 + u2) * dw
-            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
-                raise BlowUpError(i, np.array([y0, y1, y2]))
-            m00 = e00 + a00 * dw  # the increment at (x, Q)
-            m10 = (r - x2) * dt
-            m11 = e11 + a11 * dw
-            m12 = -x0 * dt + a12 * dw
-            m20 = x1 * dt
-            m21 = x0 * dt + a21 * dw
-            m22 = e22 + a22 * dw
-            n00 = m00 * q00 + e01 * q10
-            n01 = m00 * q01 + e01 * q11
-            n02 = m00 * q02 + e01 * q12
-            n10 = m10 * q00 + m11 * q10 + m12 * q20
-            n11 = m10 * q01 + m11 * q11 + m12 * q21
-            n12 = m10 * q02 + m11 * q12 + m12 * q22
-            n20 = m20 * q00 + m21 * q10 + m22 * q20
-            n21 = m20 * q01 + m21 * q11 + m22 * q21
-            n22 = m20 * q02 + m21 * q12 + m22 * q22
-            d0 = q00 * n00 + q10 * n10 + q20 * n20
-            d1 = q01 * n01 + q11 * n11 + q21 * n21
-            d2 = q02 * n02 + q12 * n12 + q22 * n22
-            s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
-            s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
-            s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
-            w2 = s0 * s0 + s1 * s1 + s2 * s2  # U = Q cayley(S)
-            d, den = 1.0 - w2, 1.0 + w2
-            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
-                             2.0 * (s1 + s0 * s2) / den)
-            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
-                             2.0 * (s2 - s0 * s1) / den)
-            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
-                             (d + 2.0 * s0 * s0) / den)
-            u00 = q00 * c00 + q01 * c10 + q02 * c20
-            u01 = q00 * c01 + q01 * c11 + q02 * c21
-            u02 = q00 * c02 + q01 * c12 + q02 * c22
-            u10 = q10 * c00 + q11 * c10 + q12 * c20
-            u11 = q10 * c01 + q11 * c11 + q12 * c21
-            u12 = q10 * c02 + q11 * c12 + q12 * c22
-            u20 = q20 * c00 + q21 * c10 + q22 * c20
-            u21 = q20 * c01 + q21 * c11 + q22 * c21
-            u22 = q20 * c02 + q21 * c12 + q22 * c22
-            m10 = (r - p2) * dt  # the increment at (p, U); the
-            m12 = -p0 * dt + a12 * dw  # other entries of M do not depend on x
-            m20 = p1 * dt
-            m21 = p0 * dt + a21 * dw
-            n00 = m00 * u00 + e01 * u10
-            n01 = m00 * u01 + e01 * u11
-            n02 = m00 * u02 + e01 * u12
-            n10 = m10 * u00 + m11 * u10 + m12 * u20
-            n11 = m10 * u01 + m11 * u11 + m12 * u21
-            n12 = m10 * u02 + m11 * u12 + m12 * u22
-            n20 = m20 * u00 + m21 * u10 + m22 * u20
-            n21 = m20 * u01 + m21 * u11 + m22 * u21
-            n22 = m20 * u02 + m21 * u12 + m22 * u22
-            r0 += 0.5 * (d0 + (u00 * n00 + u10 * n10 + u20 * n20))  # rho += (d + e) / 2
-            r1 += 0.5 * (d1 + (u01 * n01 + u11 * n11 + u21 * n21))
-            r2 += 0.5 * (d2 + (u02 * n02 + u12 * n12 + u22 * n22))
-            s0 = 0.5 * (s0 + -0.5 * (u01 * n00 + u11 * n10 + u21 * n20))  # (S + T) / 2
-            s1 = 0.5 * (s1 + -0.5 * (u02 * n00 + u12 * n10 + u22 * n20))
-            s2 = 0.5 * (s2 + -0.5 * (u02 * n01 + u12 * n11 + u22 * n21))
-            w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley((S + T) / 2)
-            d, den = 1.0 - w2, 1.0 + w2
-            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
-                             2.0 * (s1 + s0 * s2) / den)
-            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
-                             2.0 * (s2 - s0 * s1) / den)
-            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
-                             (d + 2.0 * s0 * s0) / den)
-            q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
-                             q00 * c01 + q01 * c11 + q02 * c21,
-                             q00 * c02 + q01 * c12 + q02 * c22)
-            q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
-                             q10 * c01 + q11 * c11 + q12 * c21,
-                             q10 * c02 + q11 * c12 + q12 * c22)
-            q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
-                             q20 * c01 + q21 * c11 + q22 * c21,
-                             q20 * c02 + q21 * c12 + q22 * c22)
-            if (i + 1) % REORTH_EVERY == 0:
-                q00, q01, q02, q10, q11, q12, q20, q21, q22 = _reorthogonalize(np.array(
-                    [[q00, q01, q02], [q10, q11, q12], [q20, q21, q22]])).ravel().tolist()
-            x0, x1, x2 = y0, y1, y2
-            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-                series[row] = (i + 1) * dt, r0, r1, r2
-                row += 1
-    else:
-        for i, dw in dws:
-            g0 = a00 * x0  # the diffusion Df1 x
-            g1 = a11 * x1 + a12 * x2
-            g2 = a21 * x1 + a22 * x2
-            y0 = x0 + (sigma * (x1 - x0) + h00 * g0) * dt + g0 * dw
-            y1 = x1 + (r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)) * dt + g1 * dw
-            y2 = x2 + (x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)) * dt + g2 * dw
-            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
-                raise BlowUpError(i, np.array([y0, y1, y2]))
-            m00 = e00 + a00 * dw
-            m10 = (r - x2) * dt
-            m11 = e11 + a11 * dw
-            m12 = -x0 * dt + a12 * dw
-            m20 = x1 * dt
-            m21 = x0 * dt + a21 * dw
-            m22 = e22 + a22 * dw
-            n00 = m00 * q00 + e01 * q10  # N = M Q
-            n01 = m00 * q01 + e01 * q11
-            n02 = m00 * q02 + e01 * q12
-            n10 = m10 * q00 + m11 * q10 + m12 * q20
-            n11 = m10 * q01 + m11 * q11 + m12 * q21
-            n12 = m10 * q02 + m11 * q12 + m12 * q22
-            n20 = m20 * q00 + m21 * q10 + m22 * q20
-            n21 = m20 * q01 + m21 * q11 + m22 * q21
-            n22 = m20 * q02 + m21 * q12 + m22 * q22
-            r0 += q00 * n00 + q10 * n10 + q20 * n20  # the diagonal of A = Q^T N
-            r1 += q01 * n01 + q11 * n11 + q21 * n21
-            r2 += q02 * n02 + q12 * n12 + q22 * n22
-            s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
-            s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
-            s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
-            w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley(S)
-            d, den = 1.0 - w2, 1.0 + w2
-            c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
-                             2.0 * (s1 + s0 * s2) / den)
-            c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
-                             2.0 * (s2 - s0 * s1) / den)
-            c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
-                             (d + 2.0 * s0 * s0) / den)
-            q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
-                             q00 * c01 + q01 * c11 + q02 * c21,
-                             q00 * c02 + q01 * c12 + q02 * c22)
-            q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
-                             q10 * c01 + q11 * c11 + q12 * c21,
-                             q10 * c02 + q11 * c12 + q12 * c22)
-            q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
-                             q20 * c01 + q21 * c11 + q22 * c21,
-                             q20 * c02 + q21 * c12 + q22 * c22)
-            if (i + 1) % REORTH_EVERY == 0:
-                q00, q01, q02, q10, q11, q12, q20, q21, q22 = _reorthogonalize(np.array(
-                    [[q00, q01, q02], [q10, q11, q12], [q20, q21, q22]])).ravel().tolist()
-            x0, x1, x2 = y0, y1, y2
-            if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-                series[row] = (i + 1) * dt, r0, r1, r2
-                row += 1
+    bound, nbound = _STATE_BOUND, -_STATE_BOUND
+    inc = path.scalar()[path_offset:path_offset + n_steps]
+    heun = scheme is Scheme.HEUN
+    for lo, hi, dws in _segments(inc, sample_every, REORTH_EVERY):
+        steps = enumerate(dws, lo)
+        if heun:
+            for i, dw in steps:
+                g0 = a00 * x0  # the diffusion Df1 x
+                g1 = a11 * x1 + a12 * x2
+                g2 = a21 * x1 + a22 * x2
+                f0 = sigma * (x1 - x0) + h00 * g0  # the drift
+                f1 = r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)
+                f2 = x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)
+                p0 = x0 + f0 * dt + g0 * dw  # the predictor p
+                p1 = x1 + f1 * dt + g1 * dw
+                p2 = x2 + f2 * dt + g2 * dw
+                u0 = a00 * p0  # the diffusion and the drift at p
+                u1 = a11 * p1 + a12 * p2
+                u2 = a21 * p1 + a22 * p2
+                v0 = sigma * (p1 - p0) + h00 * u0
+                v1 = r * p0 - p0 * p2 - p1 + (h11 * u1 + h12 * u2)
+                v2 = p0 * p1 - b * p2 + (h21 * u1 + h22 * u2)
+                y0 = x0 + 0.5 * (f0 + v0) * dt + 0.5 * (g0 + u0) * dw
+                y1 = x1 + 0.5 * (f1 + v1) * dt + 0.5 * (g1 + u1) * dw
+                y2 = x2 + 0.5 * (f2 + v2) * dt + 0.5 * (g2 + u2) * dw
+                if not (nbound <= y0 <= bound and nbound <= y1 <= bound
+                        and nbound <= y2 <= bound):
+                    raise BlowUpError(i, np.array([y0, y1, y2]))
+                m00 = e00 + a00 * dw  # the increment at (x, Q)
+                m10 = (r - x2) * dt
+                m11 = e11 + a11 * dw
+                m12 = -x0 * dt + a12 * dw
+                m20 = x1 * dt
+                m21 = x0 * dt + a21 * dw
+                m22 = e22 + a22 * dw
+                n00 = m00 * q00 + e01 * q10
+                n01 = m00 * q01 + e01 * q11
+                n02 = m00 * q02 + e01 * q12
+                n10 = m10 * q00 + m11 * q10 + m12 * q20
+                n11 = m10 * q01 + m11 * q11 + m12 * q21
+                n12 = m10 * q02 + m11 * q12 + m12 * q22
+                n20 = m20 * q00 + m21 * q10 + m22 * q20
+                n21 = m20 * q01 + m21 * q11 + m22 * q21
+                n22 = m20 * q02 + m21 * q12 + m22 * q22
+                d0 = q00 * n00 + q10 * n10 + q20 * n20
+                d1 = q01 * n01 + q11 * n11 + q21 * n21
+                d2 = q02 * n02 + q12 * n12 + q22 * n22
+                s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
+                s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
+                s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
+                w2 = s0 * s0 + s1 * s1 + s2 * s2  # U = Q cayley(S)
+                d, den = 1.0 - w2, 1.0 + w2
+                c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                                 2.0 * (s1 + s0 * s2) / den)
+                c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                                 2.0 * (s2 - s0 * s1) / den)
+                c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                                 (d + 2.0 * s0 * s0) / den)
+                u00 = q00 * c00 + q01 * c10 + q02 * c20
+                u01 = q00 * c01 + q01 * c11 + q02 * c21
+                u02 = q00 * c02 + q01 * c12 + q02 * c22
+                u10 = q10 * c00 + q11 * c10 + q12 * c20
+                u11 = q10 * c01 + q11 * c11 + q12 * c21
+                u12 = q10 * c02 + q11 * c12 + q12 * c22
+                u20 = q20 * c00 + q21 * c10 + q22 * c20
+                u21 = q20 * c01 + q21 * c11 + q22 * c21
+                u22 = q20 * c02 + q21 * c12 + q22 * c22
+                m10 = (r - p2) * dt  # the increment at (p, U); the
+                m12 = -p0 * dt + a12 * dw  # other entries of M do not depend on x
+                m20 = p1 * dt
+                m21 = p0 * dt + a21 * dw
+                n00 = m00 * u00 + e01 * u10
+                n01 = m00 * u01 + e01 * u11
+                n02 = m00 * u02 + e01 * u12
+                n10 = m10 * u00 + m11 * u10 + m12 * u20
+                n11 = m10 * u01 + m11 * u11 + m12 * u21
+                n12 = m10 * u02 + m11 * u12 + m12 * u22
+                n20 = m20 * u00 + m21 * u10 + m22 * u20
+                n21 = m20 * u01 + m21 * u11 + m22 * u21
+                n22 = m20 * u02 + m21 * u12 + m22 * u22
+                r0 += 0.5 * (d0 + (u00 * n00 + u10 * n10 + u20 * n20))  # rho += (d + e) / 2
+                r1 += 0.5 * (d1 + (u01 * n01 + u11 * n11 + u21 * n21))
+                r2 += 0.5 * (d2 + (u02 * n02 + u12 * n12 + u22 * n22))
+                s0 = 0.5 * (s0 + -0.5 * (u01 * n00 + u11 * n10 + u21 * n20))  # (S + T) / 2
+                s1 = 0.5 * (s1 + -0.5 * (u02 * n00 + u12 * n10 + u22 * n20))
+                s2 = 0.5 * (s2 + -0.5 * (u02 * n01 + u12 * n11 + u22 * n21))
+                w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley((S + T) / 2)
+                d, den = 1.0 - w2, 1.0 + w2
+                c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                                 2.0 * (s1 + s0 * s2) / den)
+                c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                                 2.0 * (s2 - s0 * s1) / den)
+                c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                                 (d + 2.0 * s0 * s0) / den)
+                q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
+                                 q00 * c01 + q01 * c11 + q02 * c21,
+                                 q00 * c02 + q01 * c12 + q02 * c22)
+                q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
+                                 q10 * c01 + q11 * c11 + q12 * c21,
+                                 q10 * c02 + q11 * c12 + q12 * c22)
+                q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
+                                 q20 * c01 + q21 * c11 + q22 * c21,
+                                 q20 * c02 + q21 * c12 + q22 * c22)
+                x0, x1, x2 = y0, y1, y2
+        else:
+            for i, dw in steps:
+                g0 = a00 * x0  # the diffusion Df1 x
+                g1 = a11 * x1 + a12 * x2
+                g2 = a21 * x1 + a22 * x2
+                y0 = x0 + (sigma * (x1 - x0) + h00 * g0) * dt + g0 * dw
+                y1 = x1 + (r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)) * dt + g1 * dw
+                y2 = x2 + (x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)) * dt + g2 * dw
+                if not (nbound <= y0 <= bound and nbound <= y1 <= bound
+                        and nbound <= y2 <= bound):
+                    raise BlowUpError(i, np.array([y0, y1, y2]))
+                m00 = e00 + a00 * dw
+                m10 = (r - x2) * dt
+                m11 = e11 + a11 * dw
+                m12 = -x0 * dt + a12 * dw
+                m20 = x1 * dt
+                m21 = x0 * dt + a21 * dw
+                m22 = e22 + a22 * dw
+                n00 = m00 * q00 + e01 * q10  # N = M Q
+                n01 = m00 * q01 + e01 * q11
+                n02 = m00 * q02 + e01 * q12
+                n10 = m10 * q00 + m11 * q10 + m12 * q20
+                n11 = m10 * q01 + m11 * q11 + m12 * q21
+                n12 = m10 * q02 + m11 * q12 + m12 * q22
+                n20 = m20 * q00 + m21 * q10 + m22 * q20
+                n21 = m20 * q01 + m21 * q11 + m22 * q21
+                n22 = m20 * q02 + m21 * q12 + m22 * q22
+                r0 += q00 * n00 + q10 * n10 + q20 * n20  # the diagonal of A = Q^T N
+                r1 += q01 * n01 + q11 * n11 + q21 * n21
+                r2 += q02 * n02 + q12 * n12 + q22 * n22
+                s0 = -0.5 * (q01 * n00 + q11 * n10 + q21 * n20)
+                s1 = -0.5 * (q02 * n00 + q12 * n10 + q22 * n20)
+                s2 = -0.5 * (q02 * n01 + q12 * n11 + q22 * n21)
+                w2 = s0 * s0 + s1 * s1 + s2 * s2  # Q <- Q cayley(S)
+                d, den = 1.0 - w2, 1.0 + w2
+                c00, c01, c02 = ((d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den,
+                                 2.0 * (s1 + s0 * s2) / den)
+                c10, c11, c12 = (-2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den,
+                                 2.0 * (s2 - s0 * s1) / den)
+                c20, c21, c22 = (2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den,
+                                 (d + 2.0 * s0 * s0) / den)
+                q00, q01, q02 = (q00 * c00 + q01 * c10 + q02 * c20,
+                                 q00 * c01 + q01 * c11 + q02 * c21,
+                                 q00 * c02 + q01 * c12 + q02 * c22)
+                q10, q11, q12 = (q10 * c00 + q11 * c10 + q12 * c20,
+                                 q10 * c01 + q11 * c11 + q12 * c21,
+                                 q10 * c02 + q11 * c12 + q12 * c22)
+                q20, q21, q22 = (q20 * c00 + q21 * c10 + q22 * c20,
+                                 q20 * c01 + q21 * c11 + q22 * c21,
+                                 q20 * c02 + q21 * c12 + q22 * c22)
+                x0, x1, x2 = y0, y1, y2
+        if hi % REORTH_EVERY == 0:
+            q00, q01, q02, q10, q11, q12, q20, q21, q22 = _reorthogonalize(np.array(
+                [[q00, q01, q02], [q10, q11, q12], [q20, q21, q22]])).ravel().tolist()
+        if hi % sample_every == 0 or hi == n_steps:
+            samples[k], samples[k + 1], samples[k + 2], samples[k + 3] = (
+                hi * dt, r0, r1, r2)
+            k += 4
     q = (q00, q01, q02, q10, q11, q12, q20, q21, q22)
 
-    inc = path.scalar()
-    w_terminal = float(np.sum(inc[path_offset:path_offset + n_steps]))
+    w_terminal = float(np.sum(inc))
     return _nle_result(s, np.array(q).reshape(3, 3), np.array([r0, r1, r2]), series,
                        n_steps, dt, w_terminal)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -398,7 +400,9 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     return cmd_sweep(cfg, sweep_args)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags(formatter) -> argparse.ArgumentParser:
+    """The flags every subcommand shares, on a parser they take as a parent."""
+    parser = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--print-config", action="store_true",
                         help="echo the resolved configuration and exit")
@@ -420,6 +424,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         dest="convention_mode")
     parser.add_argument("--sample-every", type=int, dest="sample_every")
     parser.add_argument("--outdir")
+    return parser
 
 
 _JOBS_HELP = ("worker processes the sweep's rows are split across "
@@ -427,25 +432,28 @@ _JOBS_HELP = ("worker processes the sweep's rows are split across "
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's default help width, asked of the terminal once rather than
+    # by a new formatter for every flag added
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="stochlyap",
         description="Stochastic Lorenz 63 trajectories and Lyapunov exponents",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = {"parents": [_config_flags(formatter)], "formatter_class": formatter}
 
-    p_sim = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_config_flags(p_sim)
+    p_sim = sub.add_parser("simulate", help="integrate one trajectory to CSV", **common)
     p_sim.add_argument("--output", help="trajectory CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_nle = sub.add_parser("nle", help="compute numerical Lyapunov exponents")
-    _add_config_flags(p_nle)
+    p_nle = sub.add_parser("nle", help="compute numerical Lyapunov exponents", **common)
     p_nle.add_argument("--output", help="convergence CSV path")
     p_nle.add_argument("--json-output", dest="json_output", help="JSON summary path")
     p_nle.set_defaults(func=cmd_nle)
 
-    p_sweep = sub.add_parser("sweep", help="sweep the noise amplitude")
-    _add_config_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="sweep the noise amplitude", **common)
     p_sweep.add_argument("--beta-min", type=float, default=0.0)
     p_sweep.add_argument("--beta-max", type=float, default=1.0)
     p_sweep.add_argument("--count", type=int, default=100)
@@ -454,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", help="sweep CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rep = sub.add_parser("reproduce", help="run a pinned reference experiment")
-    _add_config_flags(p_rep)
+    p_rep = sub.add_parser("reproduce", help="run a pinned reference experiment",
+                           **common)
     p_rep.add_argument("target", choices=sorted(_REPRODUCTIONS))
     p_rep.add_argument("--jobs", type=int, default=0, help=_JOBS_HELP)
     p_rep.add_argument("--output")

@@ -8,10 +8,12 @@ mismatch must be requested explicitly via ``allow_convention_mismatch``.
 Both schemes run on Python floats (``_float_steps``), bit for bit the
 ndarray expressions of ``models.drift`` and ``models.diffusion``; ``step``
 and ``heun_step`` wrap them for one ndarray state.  ``simulate`` and
-``spin_up`` share one loop, ``_base_loop``, whose Euler step is written out
-on local floats with no call per step and skips Df1's structural zeros
-(~0.7-1.2 us a step, 2-vCPU VM; a Heun step calls the closure, ~3.5-4 us).
-``simulate`` writes the states into one preallocated float64 array, and
+``spin_up`` share one loop, ``_base_loop``, whose Euler and Heun steps are
+written out on local floats with no call per step and skip Df1's structural
+zeros (2-vCPU VM, 20k SALT steps: ~0.7-1.2 us an Euler step, ~1.7-2 us a
+Heun step).  The loop reads the path 1024 increments at a time, converted to
+floats at once, with no per-step bookkeeping; ``simulate`` stores each
+block's states with one assignment into its preallocated float64 array, and
 ``spin_up`` keeps only the end state.
 """
 
@@ -31,7 +33,7 @@ from .models import (
     _lorenz,
     jacobian_diffusion,
 )
-from .wiener import WienerPath
+from .wiener import _BLOCK_STEPS, WienerPath
 
 __all__ = [
     "Scheme",
@@ -199,16 +201,38 @@ def _floats(x: np.ndarray) -> list[float]:
     return np.asarray(x, dtype=float).tolist()
 
 
+def _segments(inc: np.ndarray, *every: int):
+    """The pieces of a loop over the increments inc: (lo, hi, dws) for
+    consecutive [lo, hi) that cover range(len(inc)), each ending at the next
+    multiple of one of ``every`` or of ``_BLOCK_STEPS``, or at len(inc); dws
+    is inc[lo:hi] as Python floats, converted a block of ``_BLOCK_STEPS`` at
+    a time.  A loop whose events fall after those steps runs each piece
+    without testing for them."""
+    n, lo = len(inc), 0
+    while lo < n:
+        start = lo % _BLOCK_STEPS
+        if start == 0:
+            block = inc[lo:lo + _BLOCK_STEPS].tolist()
+        hi = min(n, lo - start + _BLOCK_STEPS)
+        for e in every:
+            end = lo - lo % e + e
+            if end < hi:
+                hi = end
+        yield lo, hi, block[start:start + hi - lo]
+        lo = hi
+
+
 def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset: int,
                out=None) -> tuple[float, float, float]:
     """cfg's step of s, cfg.n_steps times from the state x = (x0, x1, x2) on
-    the path increments from offset; returns the end state.  The flat float
-    view out, when given, receives the state after step i at 3i, 3i + 1,
-    3i + 2.  A state failing the bound raises ``BlowUpError`` naming step i.
+    the path increments from offset; returns the end state.  The (n, 3)
+    array out, when given, receives the state after step i in row i.  A
+    state failing the bound raises ``BlowUpError`` naming step i.
 
-    The Euler step is written out on local floats, bit for bit the
-    ``_float_steps`` Euler step less its products with Df1's structural
-    zeros; the Heun step calls that closure.
+    Both steps are written out on local floats, bit for bit the
+    ``_float_steps`` steps less their products with Df1's structural zeros.
+    The loop walks the path a block of ``_BLOCK_STEPS`` increments at a time
+    (``_segments``) and stores each block's states with one assignment.
     """
     cfg.check(s)
     if offset + cfg.n_steps > len(path):
@@ -216,35 +240,56 @@ def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset:
             f"path has {len(path)} steps, need {offset + cfg.n_steps}"
         )
     x0, x1, x2 = x
-    dws = enumerate(path.floats(offset, cfg.n_steps))
-    if cfg.scheme is Scheme.EULER_MARUYAMA:
-        dt, sigma, r, b = cfg.dt, s.params.sigma, s.params.r, s.params.b
-        (a00, _, _, _, a11, a12, _, a21, a22), (
-            h00, _, _, _, h11, h12, _, h21, h22) = _diffusion_rows(s)
-        bound = _STATE_BOUND
-        for i, dw in dws:
-            g0 = a00 * x0  # the diffusion Df1 x
-            g1 = a11 * x1 + a12 * x2
-            g2 = a21 * x1 + a22 * x2
-            y0 = x0 + (sigma * (x1 - x0) + h00 * g0) * dt + g0 * dw
-            y1 = x1 + (r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)) * dt + g1 * dw
-            y2 = x2 + (x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)) * dt + g2 * dw
-            if not (abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound):
-                raise BlowUpError(i, np.array([y0, y1, y2]))
-            x0, x1, x2 = y0, y1, y2
-            if out is not None:
-                k = 3 * i
-                out[k], out[k + 1], out[k + 2] = x0, x1, x2
-        return x0, x1, x2
-    heun = _float_steps(s, cfg.dt)[1]
-    for i, dw in dws:
-        try:
-            x0, x1, x2 = heun(x0, x1, x2, dw)[1]
-        except BlowUpError as err:
-            raise BlowUpError(i, err.state) from None
-        if out is not None:
-            k = 3 * i
-            out[k], out[k + 1], out[k + 2] = x0, x1, x2
+    kept = None if out is None else []
+    dt, sigma, r, b = cfg.dt, s.params.sigma, s.params.r, s.params.b
+    (a00, _, _, _, a11, a12, _, a21, a22), (
+        h00, _, _, _, h11, h12, _, h21, h22) = _diffusion_rows(s)
+    bound, nbound = _STATE_BOUND, -_STATE_BOUND
+    euler = cfg.scheme is Scheme.EULER_MARUYAMA
+    for lo, hi, dws in _segments(path.scalar()[offset:offset + cfg.n_steps]):
+        steps = enumerate(dws, lo)
+        if euler:
+            for i, dw in steps:
+                g0 = a00 * x0  # the diffusion Df1 x
+                g1 = a11 * x1 + a12 * x2
+                g2 = a21 * x1 + a22 * x2
+                x0, x1, x2 = (
+                    x0 + (sigma * (x1 - x0) + h00 * g0) * dt + g0 * dw,
+                    x1 + (r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)) * dt + g1 * dw,
+                    x2 + (x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)) * dt + g2 * dw)
+                if not (nbound <= x0 <= bound and nbound <= x1 <= bound
+                        and nbound <= x2 <= bound):
+                    raise BlowUpError(i, np.array([x0, x1, x2]))
+                if kept is not None:
+                    kept += x0, x1, x2
+        else:
+            for i, dw in steps:
+                g0 = a00 * x0  # the diffusion Df1 x
+                g1 = a11 * x1 + a12 * x2
+                g2 = a21 * x1 + a22 * x2
+                f0 = sigma * (x1 - x0) + h00 * g0  # the drift
+                f1 = r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2)
+                f2 = x0 * x1 - b * x2 + (h21 * g1 + h22 * g2)
+                p0 = x0 + f0 * dt + g0 * dw  # the predictor p
+                p1 = x1 + f1 * dt + g1 * dw
+                p2 = x2 + f2 * dt + g2 * dw
+                u0 = a00 * p0  # the diffusion and the drift at p
+                u1 = a11 * p1 + a12 * p2
+                u2 = a21 * p1 + a22 * p2
+                v0 = sigma * (p1 - p0) + h00 * u0
+                v1 = r * p0 - p0 * p2 - p1 + (h11 * u1 + h12 * u2)
+                v2 = p0 * p1 - b * p2 + (h21 * u1 + h22 * u2)
+                x0 = x0 + 0.5 * (f0 + v0) * dt + 0.5 * (g0 + u0) * dw
+                x1 = x1 + 0.5 * (f1 + v1) * dt + 0.5 * (g1 + u1) * dw
+                x2 = x2 + 0.5 * (f2 + v2) * dt + 0.5 * (g2 + u2) * dw
+                if not (nbound <= x0 <= bound and nbound <= x1 <= bound
+                        and nbound <= x2 <= bound):
+                    raise BlowUpError(i, np.array([x0, x1, x2]))
+                if kept is not None:
+                    kept += x0, x1, x2
+        if kept is not None:
+            out[lo:hi] = np.reshape(kept, (-1, 3))
+            kept.clear()
     return x0, x1, x2
 
 
@@ -258,8 +303,7 @@ def simulate(
     """Integrate n_steps steps; returns the (n_steps + 1, 3) state sequence."""
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = x0
-    flat = memoryview(out.reshape(-1))
-    _base_loop(s, cfg, flat[:3].tolist(), path, offset, flat[3:])
+    _base_loop(s, cfg, out[0].tolist(), path, offset, out[1:])
     return out
 
 

@@ -25,7 +25,8 @@ __all__ = [
 # sqrt(dt) * standard_normal.  Pinned so outputs are replayable.
 GENERATOR_ID = "np-philox4x64-standard-normal-v1"
 
-# Steps per block of increment_blocks: under 1 MB per hundred seeds.
+# Steps per block of increment_blocks (under 1 MB per hundred seeds), and per
+# float conversion in the integrator's and the engine's loops.
 _BLOCK_STEPS = 1024
 
 
@@ -52,12 +53,6 @@ class WienerPath:
     def scalar(self) -> np.ndarray:
         """The increment sequence."""
         return self.increments
-
-    def floats(self, start: int, n: int) -> Iterator[float]:
-        """Increments start, ..., start + n - 1 as Python floats, converted
-        ``_BLOCK_STEPS`` at a time."""
-        for lo in range(start, start + n, _BLOCK_STEPS):
-            yield from self.increments[lo:min(lo + _BLOCK_STEPS, start + n)].tolist()
 
     def dump(self, filename: str | Path) -> None:
         """Write the path as CSV with a metadata header; round-trips bit-exactly."""

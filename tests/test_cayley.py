@@ -51,7 +51,7 @@ from stochlyap.models import (
     salt_lorenz,
 )
 from stochlyap.smallmat import SkewMat3, _cayley_entries, cayley, frobenius, qr_decompose
-from stochlyap.wiener import generate_path
+from stochlyap.wiener import WienerPath, generate_path
 
 
 def random_skew(rng, scale=0.3):
@@ -415,6 +415,56 @@ class TestEulerBodyMatchesClosures:
             want = [q[3 * i] * c[0][j] + q[3 * i + 1] * c[1][j] + q[3 * i + 2] * c[2][j]
                     for i in range(3) for j in range(3)]
             assert _rotate(q, s0, s1, s2) == tuple(want)
+
+
+def reference_blow_up(s, x0, path, scheme, dt, n):
+    """(step index, state) of the first state of a ``_float_steps`` loop that
+    fails the bound, or (None, end state)."""
+    euler, heun = _float_steps(s, dt)
+    x = tuple(x0)
+    for i, dw in enumerate(path.scalar()[:n].tolist()):
+        try:
+            x = euler(*x, dw) if scheme is Scheme.EULER_MARUYAMA else heun(*x, dw)[1]
+        except BlowUpError as err:
+            return i, err.state
+    return None, np.array(x)
+
+
+SEGMENT_EDGE_STEPS = 10_500
+
+
+class TestBlowUpAtSegmentEdges:
+    """The loops walk the path in segments that end on a sample (every 100
+    steps here), a re-orthogonalisation, a block of increments or the last
+    step; a blow-up on either side of each edge names its own step.  A huge
+    increment overflows FD to large positive states under Heun, SALT to
+    large negative ones."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.HEUN],
+                             ids=["em", "heun"])
+    @pytest.mark.parametrize("s, k, dw", [
+        *((fd_lorenz(beta=0.5), k, 1e120) for k in (
+            0, 99, 100, 1023, 1024, 9999, 10_000, SEGMENT_EDGE_STEPS - 1)),
+        (fd_lorenz(beta=0.5), 1024, -1e120),
+        (fd_lorenz(beta=0.5), 1024, float("nan")),
+        (salt_lorenz(beta=0.5), 1023, 1e120),
+    ], ids=lambda v: v.kind.value if isinstance(v, SystemDef) else None)
+    def test_step_and_state_match_the_reference(self, s, k, dw, scheme):
+        n = SEGMENT_EDGE_STEPS
+        inc = generate_path(11, n, 0.001).increments.copy()
+        inc[k] = dw
+        path = WienerPath(11, 0.001, inc)
+        want_step, want_state = reference_blow_up(s, SPIN_UP_STATE, path, scheme, 0.001, n)
+        assert want_step == k
+        cfg = IntegratorConfig(scheme, 0.001, n, allow_convention_mismatch=True)
+        for run in (lambda: simulate(s, SPIN_UP_STATE, path, cfg),
+                    lambda: spin_up(s, path, cfg),
+                    lambda: run_nle(s, SPIN_UP_STATE, path, 0.001, n, scheme=scheme,
+                                    allow_convention_mismatch=True)):
+            with pytest.raises(BlowUpError) as exc:
+                run()
+            assert exc.value.step_index == k
+            np.testing.assert_array_equal(exc.value.state, want_state)
 
 
 # every noise kind in each convention, at beta = 0 and beta > 0: the five

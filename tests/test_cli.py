@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -11,6 +12,7 @@ from stochlyap.cli import (
     EXIT_OK,
     OUTDIR_ENV,
     RunConfig,
+    build_parser,
     main,
 )
 from stochlyap.models import Convention, LorenzParams, NoiseKind, fd_lorenz, theoretical_sum
@@ -39,6 +41,97 @@ def returns_of(monkeypatch, name):
 def csv_row(*values):
     """A data row of an output CSV: each value's repr, comma-separated."""
     return ",".join(map(repr, values))
+
+
+# Every subcommand's actions as (option_strings, dest, default, type,
+# choices, help), in order, as the parser built them when each subcommand
+# added the config flags itself.
+HELP_ACTION = (("-h", "--help"), "help", argparse.SUPPRESS, None, None,
+               "show this help message and exit")
+CONFIG_ACTIONS = [
+    HELP_ACTION,
+    (("--config",), "config", None, None, None, "flat key = value configuration file"),
+    (("--print-config",), "print_config", False, None, None,
+     "echo the resolved configuration and exit"),
+    (("--system",), "system", None, None, ["deterministic", "salt", "fd"], None),
+    (("--sigma",), "sigma", None, float, None, None),
+    (("--r",), "r", None, float, None, None),
+    (("--b",), "b", None, float, None, None),
+    (("--beta",), "beta", None, float, None, None),
+    (("--seed",), "seed", None, int, None, None),
+    (("--dt",), "dt", None, float, None, None),
+    (("--spin-up-steps",), "spin_up_steps", None, int, None, None),
+    (("--nle-steps",), "nle_steps", None, int, None, None),
+    (("--eta",), "eta", None, float, None,
+     "restart threshold in (0, 1) of the K/eta reference stepper; the engine "
+     "restarts after every step, so eta does not change the exponents"),
+    (("--scheme",), "scheme", None, None, ["euler-maruyama", "heun"], None),
+    (("--convention-mode",), "convention_mode", None, None,
+     ["paper", "stratonovich-strict"], None),
+    (("--sample-every",), "sample_every", None, int, None, None),
+    (("--outdir",), "outdir", None, None, None, None),
+]
+JOBS_ACTION = (("--jobs",), "jobs", 0, int, None,
+               "worker processes the sweep's rows are split across "
+               "(default 0: all usable cores)")
+SUBCOMMAND_ACTIONS = {
+    "simulate": CONFIG_ACTIONS + [
+        (("--output",), "output", None, None, None, "trajectory CSV path"),
+    ],
+    "nle": CONFIG_ACTIONS + [
+        (("--output",), "output", None, None, None, "convergence CSV path"),
+        (("--json-output",), "json_output", None, None, None, "JSON summary path"),
+    ],
+    "sweep": CONFIG_ACTIONS + [
+        (("--beta-min",), "beta_min", 0.0, float, None, None),
+        (("--beta-max",), "beta_max", 1.0, float, None, None),
+        (("--count",), "count", 100, int, None, None),
+        (("--mode",), "mode", "fixed", None, ["fresh", "fixed"], None),
+        JOBS_ACTION,
+        (("--output",), "output", None, None, None, "sweep CSV path"),
+    ],
+    "reproduce": CONFIG_ACTIONS + [
+        ((), "target", None, None,
+         ["fig-sweep-fixed", "fig-sweep-fresh", "table1", "table2"], None),
+        JOBS_ACTION,
+        (("--output",), "output", None, None, None, None),
+        (("--json-output",), "json_output", None, None, None, None),
+    ],
+}
+
+
+def subcommands(parser):
+    """The subcommand parsers of build_parser(), by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    def test_actions_of_every_subcommand(self):
+        subs = subcommands(build_parser())
+        assert list(subs) == list(SUBCOMMAND_ACTIONS)
+        for name, sub in subs.items():
+            got = [(tuple(a.option_strings), a.dest, a.default, a.type, a.choices, a.help)
+                   for a in sub._actions]
+            assert got == SUBCOMMAND_ACTIONS[name], name
+
+    @pytest.mark.parametrize("columns", ["60", "100", "200"])
+    def test_help_wraps_at_argparse_default_width(self, columns, monkeypatch):
+        # argparse's own formatter asks the terminal for its width on each use
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = build_parser()
+        for sub in [parser, *subcommands(parser).values()]:
+            got = sub.format_help()
+            sub.formatter_class = argparse.HelpFormatter
+            assert got == sub.format_help()
+        assert "usage: stochlyap nle [-h]" in subcommands(parser)["nle"].format_help()
+
+    def test_help_exits_with_the_subcommand_help(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == subcommands(build_parser())["sweep"].format_help()
 
 
 class TestRunConfig:

@@ -11,6 +11,7 @@ from stochlyap.integrator import (
     IntegratorConfig,
     SPIN_UP_STATE,
     Scheme,
+    _segments,
     heun_step,
     simulate,
     spin_up,
@@ -27,7 +28,7 @@ from stochlyap.models import (
     jacobian_drift,
     salt_lorenz,
 )
-from stochlyap.wiener import generate_path
+from stochlyap.wiener import _BLOCK_STEPS, generate_path
 
 EM = Scheme.EULER_MARUYAMA
 HEUN = Scheme.HEUN
@@ -306,3 +307,27 @@ class TestWeakOrder:
         mean = x.mean(axis=1)
         stderr = x.std(axis=1) / np.sqrt(npaths)
         np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)
+
+
+@pytest.mark.parametrize("start, n", [(0, 2500), (1000, 1100), (7, 0), (2499, 1)])
+def test_segments_cross_blocks(start, n):
+    # the loops read the increments from start as floats, a block at a time
+    path = generate_path(5, 2500, 0.01)
+    pieces = list(_segments(path.scalar()[start:start + n]))
+    got = [dw for _, _, dws in pieces for dw in dws]
+    assert got == path.increments[start:start + n].tolist()
+    assert all(type(v) is float for v in got)
+    block_ends = [*range(_BLOCK_STEPS, n, _BLOCK_STEPS), n]
+    assert [hi for _, hi, _ in pieces] == block_ends[:len(pieces)]
+
+
+@pytest.mark.parametrize("n, every", [(10_500, (100, 10_000)), (10_500, (1,)),
+                                      (2049, (7,)), (5, (10,)), (0, (3,))])
+def test_segments_end_at_every_event(n, every):
+    inc = np.arange(n, dtype=float)
+    pieces = list(_segments(inc, *every))
+    assert [lo for lo, _, _ in pieces] == [0, *(hi for _, hi, _ in pieces)][:len(pieces)]
+    assert all(dws == inc[lo:hi].tolist() for lo, hi, dws in pieces)
+    ends = {hi for _, hi, _ in pieces}
+    assert ends == {k for k in range(1, n + 1)
+                    if k == n or any(k % e == 0 for e in (*every, _BLOCK_STEPS))}
