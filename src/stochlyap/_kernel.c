@@ -1,0 +1,147 @@
+/* The step kernel of stochlyap: the base step of the state x under
+   Euler-Maruyama or Heun, and the frame step of (Q, rho), on one system's
+   constants.  Every expression keeps the evaluation order of the Python
+   reference closures (integrator._float_steps, cayley._frame_increment and
+   cayley._rotate), less their products with the noise's structural zeros,
+   so that, built with -ffp-contract=off, the results equal theirs bit for
+   bit.  Matrices are 3x3, flat and row-major. */
+
+typedef struct {
+    double sigma, r, b, dt, bound;
+    double a00, a11, a12, a21, a22; /* Df1: the entries either noise sets */
+    double h00, h11, h12, h21, h22; /* the drift correction's factor */
+    double e00, e01, e11, e22;      /* the constant entries of M's Df0 dt */
+} Sys;
+
+static int bounded(const Sys *s, const double *y)
+{
+    return y[0] >= -s->bound && y[0] <= s->bound && y[1] >= -s->bound
+        && y[1] <= s->bound && y[2] >= -s->bound && y[2] <= s->bound;
+}
+
+/* the drift f and the diffusion g = Df1 x at x */
+static void coefficients(const Sys *s, const double *x, double *f, double *g)
+{
+    g[0] = s->a00 * x[0];
+    g[1] = s->a11 * x[1] + s->a12 * x[2];
+    g[2] = s->a21 * x[1] + s->a22 * x[2];
+    f[0] = s->sigma * (x[1] - x[0]) + s->h00 * g[0];
+    f[1] = s->r * x[0] - x[0] * x[2] - x[1] + (s->h11 * g[1] + s->h12 * g[2]);
+    f[2] = x[0] * x[1] - s->b * x[2] + (s->h21 * g[1] + s->h22 * g[2]);
+}
+
+/* one base step from x: the Euler-Maruyama state p and the next state y,
+   which is p under Euler-Maruyama and corrects it under Heun; y may be x */
+static void base_step(const Sys *s, int heun, const double *x, double dw,
+                      double *p, double *y)
+{
+    double f[3], g[3], v[3], u[3];
+    int k;
+    coefficients(s, x, f, g);
+    for (k = 0; k < 3; k++)
+        p[k] = x[k] + f[k] * s->dt + g[k] * dw;
+    if (heun)
+        coefficients(s, p, v, u);
+    for (k = 0; k < 3; k++)
+        y[k] = heun ? x[k] + 0.5 * (f[k] + v[k]) * s->dt + 0.5 * (g[k] + u[k]) * dw : p[k];
+}
+
+/* A = Q^T M Q with M = Df0(x) dt + Df1 dw: its diagonal d, and -1/2 times
+   its strict lower triangle (1,0), (2,0), (2,1) in t */
+static void frame_increment(const Sys *s, const double *q, const double *x,
+                            double dw, double *d, double *t)
+{
+    double m00 = s->e00 + s->a00 * dw, m11 = s->e11 + s->a11 * dw;
+    double m10 = (s->r - x[2]) * s->dt, m12 = -x[0] * s->dt + s->a12 * dw;
+    double m20 = x[1] * s->dt, m21 = x[0] * s->dt + s->a21 * dw;
+    double m22 = s->e22 + s->a22 * dw, n[9];
+    int j;
+    for (j = 0; j < 3; j++) { /* N = M Q */
+        n[j] = m00 * q[j] + s->e01 * q[3 + j];
+        n[3 + j] = m10 * q[j] + m11 * q[3 + j] + m12 * q[6 + j];
+        n[6 + j] = m20 * q[j] + m21 * q[3 + j] + m22 * q[6 + j];
+    }
+    for (j = 0; j < 3; j++)
+        d[j] = q[j] * n[j] + q[3 + j] * n[3 + j] + q[6 + j] * n[6 + j];
+    t[0] = -0.5 * (q[1] * n[0] + q[4] * n[3] + q[7] * n[6]);
+    t[1] = -0.5 * (q[2] * n[0] + q[5] * n[3] + q[8] * n[6]);
+    t[2] = -0.5 * (q[2] * n[1] + q[5] * n[4] + q[8] * n[7]);
+}
+
+/* out = q cayley(S), S skew with strict lower triangle t; out may be q */
+static void rotate(const double *q, const double *t, double *out)
+{
+    double s0 = t[0], s1 = t[1], s2 = t[2];
+    double w2 = s0 * s0 + s1 * s1 + s2 * s2, d = 1.0 - w2, den = 1.0 + w2;
+    double c[9] = {
+        (d + 2.0 * s2 * s2) / den, 2.0 * (s0 - s1 * s2) / den, 2.0 * (s1 + s0 * s2) / den,
+        -2.0 * (s0 + s1 * s2) / den, (d + 2.0 * s1 * s1) / den, 2.0 * (s2 - s0 * s1) / den,
+        2.0 * (s0 * s2 - s1) / den, -2.0 * (s2 + s0 * s1) / den, (d + 2.0 * s0 * s0) / den};
+    int i;
+    for (i = 0; i < 9; i += 3) {
+        double q0 = q[i], q1 = q[i + 1], q2 = q[i + 2];
+        out[i] = q0 * c[0] + q1 * c[3] + q2 * c[6];
+        out[i + 1] = q0 * c[1] + q1 * c[4] + q2 * c[7];
+        out[i + 2] = q0 * c[2] + q1 * c[5] + q2 * c[8];
+    }
+}
+
+/* n base steps from x along dw[0..n), the state after step i stored in
+   out[3i..3i+2] unless out is NULL.  Returns -1 with x the end state, or
+   the index of the first state that fails the bound (NaN fails it too)
+   with x that state. */
+long base_loop(const Sys *s, int heun, double *x, const double *dw, long n,
+               double *out)
+{
+    double p[3];
+    long i;
+    for (i = 0; i < n; i++) {
+        base_step(s, heun, x, dw[i], p, x);
+        if (!bounded(s, x))
+            return i;
+        if (out) {
+            out[3 * i] = x[0];
+            out[3 * i + 1] = x[1];
+            out[3 * i + 2] = x[2];
+        }
+    }
+    return -1;
+}
+
+/* Exponent steps lo..hi-1 of (x, q, rho) along dw: the base step, and the
+   frame step at (x, q); Heun takes the mean of the increments at (x, q) and
+   at (p, q cayley(S)).  After step i with (i + 1) % every == 0, row
+   (i + 1) / every - 1 of samples gets (t, rho).  Returns as base_loop. */
+long frame_loop(const Sys *s, int heun, double *x, double *q, double *rho,
+                const double *dw, long lo, long hi, long every, double *samples)
+{
+    double p[3], y[3], d[3], t[3], e[3], v[3], u[9];
+    long i;
+    int k;
+    for (i = lo; i < hi; i++) {
+        base_step(s, heun, x, dw[i], p, y);
+        if (!bounded(s, y)) {
+            x[0] = y[0], x[1] = y[1], x[2] = y[2];
+            return i;
+        }
+        frame_increment(s, q, x, dw[i], d, t);
+        if (heun) {
+            rotate(q, t, u);
+            frame_increment(s, u, p, dw[i], e, v);
+            for (k = 0; k < 3; k++) {
+                rho[k] += 0.5 * (d[k] + e[k]);
+                t[k] = 0.5 * (t[k] + v[k]);
+            }
+        } else
+            for (k = 0; k < 3; k++)
+                rho[k] += d[k];
+        rotate(q, t, q);
+        x[0] = y[0], x[1] = y[1], x[2] = y[2];
+        if ((i + 1) % every == 0) {
+            double *row = samples + 4 * ((i + 1) / every - 1);
+            row[0] = (double)(i + 1) * s->dt;
+            row[1] = rho[0], row[2] = rho[1], row[3] = rho[2];
+        }
+    }
+    return -1;
+}

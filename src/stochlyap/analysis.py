@@ -4,11 +4,10 @@ The closed-form exponent sum (``theoretical_sum``, stated in ``models``
 next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
 A sweep runs its rows' SALT and FD trajectories as one batch
-(``cayley.run_nle_batch``), split into contiguous shards across worker
-processes when ``SweepConfig.jobs`` > 1.  A shard of B = 2 x rows
-trajectories runs row by row on the float kernel below B = 24 (~4.3 us per
-trajectory-step) and in lockstep from B = 24 on (~4.2 us at B = 24, ~3.4 at
-B = 32, ~1.3 at the B = 100 of a 100-row sweep on 2 jobs; 2-vCPU VM).
+(``cayley.run_nle_batch``, one ``run_nle`` per trajectory), split into
+contiguous shards across worker processes when ``SweepConfig.jobs`` > 1.
+The step kernel is loaded before the workers start, so a cold cache builds
+it once.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .cayley import (
     _check_eta,
     run_nle_batch,
 )
-from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS
+from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS, _kernel
 from .models import (
     LorenzParams,
     SystemDef,
@@ -196,6 +195,7 @@ def sweep_beta(
     edges = [len(tasks) * k // n_shards for k in range(n_shards + 1)]
     shards = [(tasks[lo:hi], cfg) for lo, hi in zip(edges, edges[1:])]
     if len(shards) > 1:
+        _kernel()  # built here, not once per worker
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(shards)) as pool:
             parts = list(pool.map(_sweep_shard, shards))
     else:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, integrator
 from .analysis import SweepConfig, SweepMode, fit_fd_sum, sweep_beta
 from .cayley import run_nle
 from .integrator import (
@@ -302,6 +302,7 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
         "t_final": res.t_final,
         "seconds": seconds,
         "engine_steps_per_s": cfg.nle_steps / seconds["engine"],
+        "kernel": "python" if integrator._kernel() is None else "c",
         "generator_id": GENERATOR_ID,
         "config_hash": cfg.config_hash(),
     }
@@ -434,8 +435,13 @@ _JOBS_HELP = ("worker processes the sweep's rows are split across "
 def build_parser() -> argparse.ArgumentParser:
     # argparse's default help width, asked of the terminal once rather than
     # by a new formatter for every flag added
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    return _parser(shutil.get_terminal_size().columns - 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(width: int) -> argparse.ArgumentParser:
+    """The parser, built once per help width."""
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="stochlyap",
         description="Stochastic Lorenz 63 trajectories and Lyapunov exponents",

@@ -8,9 +8,9 @@ Ito and multiplies every variable, so its noise Jacobian has trace 3*beta.
 Conversion between conventions shifts the drift by +-(1/2) (Df1) f1; both
 noises are linear, which makes that correction exact.
 
-The Lorenz field and its Jacobian are each one component formula, evaluated
-at one state (``drift``, ``jacobian_drift``) or over a stack of states
-(``drift_batch``, ``jacobian_drift_batch``).  ``theoretical_sum`` is the
+The Lorenz field and its Jacobian are each one component formula; the
+Jacobian is evaluated at one state (``jacobian_drift``) or over a stack of
+states (``jacobian_drift_batch``).  ``theoretical_sum`` is the
 paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the Jacobians.
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "diffusion",
     "jacobian_drift",
     "jacobian_diffusion",
-    "drift_batch",
     "jacobian_drift_batch",
     "jacobian_correction",
     "theoretical_sum",
@@ -110,7 +109,7 @@ def fd_lorenz(params: LorenzParams | None = None, beta: float = 0.5) -> SystemDe
 
 
 def _lorenz(p: LorenzParams, x0, x1, x2):
-    """The Lorenz field at (x0, x1, x2): Python floats, or (B,) columns."""
+    """The Lorenz field at (x0, x1, x2), on Python floats."""
     return (p.sigma * (x1 - x0), p.r * x0 - x0 * x2 - x1, x0 * x1 - p.b * x2)
 
 
@@ -176,14 +175,9 @@ def jacobian_drift(s: SystemDef, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
-    """The Lorenz field at each row of x, shape (B, 3): ``drift`` of a system
-    with parameters p in its native convention, row for row bit for bit."""
-    return np.stack(_lorenz(p, x[:, 0], x[:, 1], x[:, 2]), axis=1)
-
-
 def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
-    """The Lorenz Jacobian at each row of x, shape (B, 3, 3), as ``drift_batch``."""
+    """The Lorenz Jacobian at each row of x, shape (B, 3, 3): ``jacobian_drift``
+    of a system with parameters p in its native convention, row for row."""
     jac = np.empty((x.shape[0], 9))
     rows = _lorenz_jacobian(p, x[:, 0], x[:, 1], x[:, 2])
     for k, entry in enumerate(itertools.chain(*rows)):

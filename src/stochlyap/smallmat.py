@@ -1,9 +1,7 @@
 """Small dense matrix kernels: QR, inversion and the Cayley transform.
 
 Everything here operates on plain numpy arrays with value semantics.  The
-inverse and the Cayley transform are closed-form 3x3 formulas; the Cayley
-entries are written once and serve one matrix (``cayley``) and a stack of
-them (``cayley_batch``).
+inverse and the Cayley transform are closed-form 3x3 formulas.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "qr_decompose",
     "inverse",
     "cayley",
-    "cayley_batch",
 ]
 
 _QR_DIAG_FLOOR = 1e-14
@@ -120,7 +117,7 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
 def _cayley_entries(a, b, c):
     """Numerator rows and denominator of the Cayley transform of the skew
-    matrix with lower triangle (a, b, c): Python floats, or (B,) columns.
+    matrix with lower triangle (a, b, c), on Python floats.
 
     With the Gibbs vector w = (c, -b, a) of K (K v = w x v) the transform is
     the rotation ((1 - |w|^2) I + 2 w w^T - 2 K) / (1 + |w|^2).
@@ -145,11 +142,3 @@ def cayley(k: SkewMat3) -> np.ndarray:
     out = np.array(num)
     out /= den
     return out
-
-
-def cayley_batch(lower: np.ndarray) -> np.ndarray:
-    """``cayley`` of a stack of skew matrices given by their (B, 3) lower
-    triangles; each (3, 3) slice of the C-ordered (B, 3, 3) result equals
-    ``cayley(SkewMat3(lower[k]))`` exactly."""
-    num, den = _cayley_entries(lower[:, 0], lower[:, 1], lower[:, 2])
-    return (np.array(num) / den).transpose(2, 0, 1).copy()

@@ -7,7 +7,6 @@ increments, so comparisons across systems see the identical realisation.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,17 +16,12 @@ __all__ = [
     "GENERATOR_ID",
     "WienerPath",
     "generate_path",
-    "increment_blocks",
     "terminal_value",
 ]
 
 # Counter-based Philox keyed by the seed, increments drawn as
 # sqrt(dt) * standard_normal.  Pinned so outputs are replayable.
 GENERATOR_ID = "np-philox4x64-standard-normal-v1"
-
-# Steps per block of increment_blocks (under 1 MB per hundred seeds), and per
-# float conversion in the integrator's and the engine's loops.
-_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -44,6 +38,7 @@ class WienerPath:
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 1:
             raise ValueError(f"increments must be one-dimensional, got shape {inc.shape}")
+        inc = np.ascontiguousarray(inc)  # the step kernel reads them through a pointer
         object.__setattr__(self, "increments", inc)
         inc.flags.writeable = False
 
@@ -95,19 +90,6 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
         raise ValueError(f"dt must be positive, got {dt}")
     increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)
     return WienerPath(seed=seed, dt=dt, increments=increments)
-
-
-def increment_blocks(seeds: Sequence[int], n_steps: int, dt: float) -> Iterator[np.ndarray]:
-    """The scalar increments of ``generate_path(seed, n_steps, dt)`` for each
-    seed, as consecutive (m, len(seeds)) blocks of at most ``_BLOCK_STEPS`` steps.
-
-    Column u continues the stream of ``seeds[u]`` exactly, so the blocks
-    stacked equal the paths side by side, while only one block is held.
-    """
-    rngs = [_generator(seed) for seed in seeds]
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        m = min(_BLOCK_STEPS, n_steps - start)
-        yield np.stack([np.sqrt(dt) * rng.standard_normal(m) for rng in rngs], axis=1)
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -1,6 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+from stochlyap import integrator
 from stochlyap.cayley import (
     CayleyState,
     conjugated_jacobians,
@@ -32,6 +35,25 @@ def _reference_nle(s, x0, path, dt, n_steps, eta, path_offset=0):
         cs = maybe_restart(step_k_rho(cs, j0, j1, dt, dW), eta)
         x = step(s, x, dW, cfg)
     return exponents_from_rho(cs.rho, n_steps * dt), cs.restarts
+
+
+@contextlib.contextmanager
+def on_kernel(name):
+    """Run the block on the compiled step kernel ("c") or, with its loader
+    patched to fail, on the Python loops over the reference closures."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "python":
+            mp.setattr(integrator, "_kernel", lambda: None)
+        else:
+            assert integrator._kernel() is not None, "the step kernel did not build"
+        yield name
+
+
+@pytest.fixture(params=["c", "python"])
+def kernel(request):
+    """Each kernel path in turn; a hypothesis test keeps it for all examples."""
+    with on_kernel(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="session")

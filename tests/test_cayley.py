@@ -1,16 +1,13 @@
-import math
 import pickle
-import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stochlyap
-from stochlyap import analysis
+from stochlyap import integrator
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
@@ -235,6 +232,15 @@ class TestRunNle:
         with pytest.raises(ValueError, match="sample_every"):
             run_nle(s, x0, short_path, 0.001, 100, sample_every=0)
 
+    def test_rejects_a_state_of_other_size(self, short_path, kernel):
+        # the kernel reads three components through a pointer
+        s = deterministic_lorenz()
+        for x0 in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="3 components"):
+                run_nle(s, np.array(x0), short_path, 0.001, 100)
+            with pytest.raises(ValueError):
+                simulate(s, np.array(x0), short_path, IntegratorConfig(n_steps=100))
+
     def test_blow_up_carries_step_index(self, short_path):
         s = deterministic_lorenz()
         with pytest.raises(BlowUpError) as exc:
@@ -313,7 +319,7 @@ class TestRunNle:
 
 def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100,
                 scheme=Scheme.EULER_MARUYAMA):
-    """``run_nle``'s step as the closures its loop bodies write out: the base
+    """``run_nle``'s step as the closures the step kernel follows: the base
     step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun
     step takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
     predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2).
@@ -370,8 +376,9 @@ SCHEME_FORMS = [
 ]
 
 
+@pytest.mark.usefixtures("kernel")
 class TestEulerBodyMatchesClosures:
-    """run_nle's straight-line Euler and Heun steps against the closures."""
+    """run_nle's Euler and Heun steps, on each kernel path, against the closures."""
 
     @pytest.mark.parametrize("s, scheme", SCHEME_FORMS)
     def test_bit_for_bit_past_reorthogonalization(self, s, scheme, short_path):
@@ -384,7 +391,8 @@ class TestEulerBodyMatchesClosures:
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
         beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_property_bit_for_bit(self, sigma, r, b, beta, seed):
         p = LorenzParams(sigma, r, b)
         path = generate_path(seed, 300, 0.001)
@@ -433,10 +441,11 @@ def reference_blow_up(s, x0, path, scheme, dt, n):
 SEGMENT_EDGE_STEPS = 10_500
 
 
+@pytest.mark.usefixtures("kernel")
 class TestBlowUpAtSegmentEdges:
-    """The loops walk the path in segments that end on a sample (every 100
-    steps here), a re-orthogonalisation, a block of increments or the last
-    step; a blow-up on either side of each edge names its own step.  A huge
+    """On each kernel path, a blow-up on either side of a sample of rho
+    (every 100 steps here), of the end of a kernel call at a
+    re-orthogonalisation, or of the last step names its own step.  A huge
     increment overflows FD to large positive states under Heun, SALT to
     large negative ones."""
 
@@ -478,7 +487,7 @@ EVERY_SYSTEM = [
 
 
 class TestStructuralZeros:
-    """The entries run_nle's and the integrator's loop bodies skip as zero:
+    """The entries the step kernel skips as zero:
     Df1 and the drift correction at (0, 1), (0, 2), (1, 0) and (2, 0), so the
     folded M at (0, 2), (1, 0), (1, 2), (2, 0) and (2, 1)."""
 
@@ -513,15 +522,16 @@ def assert_matches_scalar(batch, scalar, tol=1e-10):
     assert batch.restarts == scalar.restarts
 
 
-# run_nle_batch runs batches below its crossover row by row on run_nle and
-# larger ones on the lockstep kernel; each engine path is taken by moving it
-ENGINES = ("rows", "lockstep")
+# run_nle_batch runs each trajectory on spin_up and run_nle, on the compiled
+# kernel or, with its loader patched to fail, on the Python loops
+ENGINES = ("c", "python")
 
 
 def batch_on(engine, *args, **kwargs):
-    """``run_nle_batch`` on the given engine path, whatever the batch size."""
+    """``run_nle_batch`` on the given kernel path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stochlyap.cayley, "_LOCKSTEP_FROM", math.inf if engine == "rows" else 1)
+        if engine == "python":
+            mp.setattr(integrator, "_kernel", lambda: None)
         return run_nle_batch(*args, **kwargs)
 
 
@@ -531,10 +541,10 @@ def blow_up_on(engine, *args):
     return exc.value
 
 
-def assert_same_blow_up(rows, lockstep):
-    assert str(rows) == str(lockstep)
-    assert rows.step_index == lockstep.step_index
-    assert rows.context == lockstep.context
+def assert_same_blow_up(c, python):
+    assert str(c) == str(python)
+    assert c.step_index == python.step_index
+    assert c.context == python.context
 
 
 class TestRunNleBatch:
@@ -560,30 +570,6 @@ class TestRunNleBatch:
         for engine in ENGINES:
             (got,) = batch_on(engine, [s], [9], 0.001, 0, 500, sample_every=1)
             assert_matches_scalar(got, want)
-
-    def test_crossover_picks_the_engine(self, monkeypatch):
-        engine, calls = stochlyap.cayley, []
-        rows, blocks = engine._run_rows, engine.increment_blocks
-        monkeypatch.setattr(engine, "_run_rows",
-                            lambda *a: calls.append("rows") or rows(*a))
-        monkeypatch.setattr(engine, "increment_blocks",
-                            lambda *a: calls.append("lockstep") or blocks(*a))
-        n = engine._LOCKSTEP_FROM
-        for b in (n - 1, n):
-            assert len(run_nle_batch([salt_lorenz()] * b, [1] * b, 0.001, 10, 20)) == b
-        assert calls == ["rows", "lockstep"]
-
-    def test_quoted_crossover_is_the_dispatch_threshold(self):
-        # README's analysis and cayley rows and the docstrings quote it
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = [line for line in readme.splitlines()
-                if line.startswith(("| `stochlyap.analysis`", "| `stochlyap.cayley`"))]
-        assert len(rows) == 2
-        for text in [*rows, analysis.__doc__, stochlyap.cayley.__doc__, run_nle_batch.__doc__]:
-            below = re.findall(r"below\s+(?:B\s*=\s*)?(\d+)", text, re.IGNORECASE)
-            above = re.findall(r"from\s+(?:B\s*=\s*)?(\d+)\s+on", text, re.IGNORECASE)
-            assert below and above, text
-            assert {int(n) for n in below + above} == {stochlyap.cayley._LOCKSTEP_FROM}, text
 
     def test_rejects_mixed_params_and_foreign_convention(self):
         other = salt_lorenz(LorenzParams(16.0, 45.92, 4.0), 0.5)
@@ -637,9 +623,9 @@ class TestRunNleBatch:
         assert errs[0].step_index == 13
         assert errs[0].context == f"the {phase} (salt, beta=0.1, seed=4)"
         assert_same_blow_up(*errs)
-        # after a spin-up failure the row path runs no further exponent phase
+        # after a spin-up failure no further exponent phase runs
         ran = systems if phase == "exponent phase" else systems[:systems.index(salt)]
-        assert exponent_phases == ran
+        assert exponent_phases == ran * len(ENGINES)
 
     @given(
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),

@@ -1,10 +1,11 @@
 import argparse
+import functools
 import json
 import os
 
 import pytest
 
-from stochlyap import cli
+from stochlyap import cli, integrator
 from stochlyap.analysis import SweepRow, convergence_series
 from stochlyap.cli import (
     EXIT_CONFIG,
@@ -132,6 +133,13 @@ class TestParser:
             main(["sweep", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == subcommands(build_parser())["sweep"].format_help()
+
+    def test_built_once_per_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "90")
+        parser = build_parser()
+        assert build_parser() is parser
+        monkeypatch.setenv("COLUMNS", "91")
+        assert build_parser() is not parser
 
 
 class TestRunConfig:
@@ -404,8 +412,10 @@ class TestNle:
         data = json.loads(summ.read_text())
         for key in ("lambdas", "sum", "trace_residual", "restarts",
                     "ortho_drift", "w_T_over_T", "theoretical_sum", "t_final",
-                    "seconds", "engine_steps_per_s", "generator_id", "config_hash"):
+                    "seconds", "engine_steps_per_s", "kernel", "generator_id",
+                    "config_hash"):
             assert key in data
+        assert data["kernel"] == "c"
         assert 0.0 <= data["ortho_drift"] <= 1e-10
         assert set(data["seconds"]) == {"path", "spin_up", "engine"}
         assert all(v > 0.0 for v in data["seconds"].values())
@@ -414,6 +424,25 @@ class TestNle:
         assert len(data["lambdas"]) == 3
         assert data["sum"] == pytest.approx(-(10 + 1 + 8 / 3), abs=1e-9)
         assert "sum = " in stdout
+
+    def test_without_a_compiler_runs_the_python_kernel(self, tmp_path, capsys, monkeypatch):
+        def nle(name):
+            code, _, err = run(["nle", "--system", "fd", "--sample-every", "7",
+                                "--spin-up-steps", "300", "--nle-steps", "10050",
+                                "--outdir", str(tmp_path / name)], capsys)
+            assert code == EXIT_OK, err
+            summary = json.loads((tmp_path / name / "nle_summary.json").read_text())
+            for key in ("seconds", "engine_steps_per_s"):
+                del summary[key]
+            return summary, (tmp_path / name / "nle_convergence.csv").read_bytes()
+
+        want, want_csv = nle("c")
+        monkeypatch.setattr(integrator, "_CC", str(tmp_path / "no-such-compiler"))
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(integrator, "_kernel", functools.cache(integrator._load_kernel))
+        got, got_csv = nle("python")
+        assert (want.pop("kernel"), got.pop("kernel")) == ("c", "python")
+        assert got == want and got_csv == want_csv
 
     def test_convergence_csv_shape(self, tmp_path, capsys):
         conv = tmp_path / "conv.csv"

@@ -1,17 +1,20 @@
+import tomllib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stochlyap import integrator
 from stochlyap.integrator import (
     BlowUpError,
     ConventionMismatchError,
     IntegratorConfig,
     SPIN_UP_STATE,
     Scheme,
-    _segments,
     heun_step,
     simulate,
     spin_up,
@@ -28,7 +31,7 @@ from stochlyap.models import (
     jacobian_drift,
     salt_lorenz,
 )
-from stochlyap.wiener import _BLOCK_STEPS, generate_path
+from stochlyap.wiener import WienerPath, generate_path
 
 EM = Scheme.EULER_MARUYAMA
 HEUN = Scheme.HEUN
@@ -112,8 +115,9 @@ FORMS = [
 FORM_IDS = ["deterministic", "salt", "fd", "salt-ito", "fd-strict"]
 
 
+@pytest.mark.usefixtures("kernel")
 class TestFloatStepMatchesNumpy:
-    """The float base step against the ndarray expressions it replaced."""
+    """The base step, on each kernel path, against the ndarray expressions."""
 
     @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["em", "heun"])
     @pytest.mark.parametrize("s", FORMS, ids=FORM_IDS)
@@ -139,7 +143,8 @@ class TestFloatStepMatchesNumpy:
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
         beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_property_bit_for_bit(self, sigma, r, b, beta, seed):
         p = LorenzParams(sigma, r, b)
         path = generate_path(seed, 300, 0.001)
@@ -239,6 +244,16 @@ class TestSimulate:
         b = simulate(deterministic_lorenz(), SPIN_UP_STATE, short_path, cfg(n_steps=2000))
         np.testing.assert_array_equal(a, b)
 
+    def test_strided_increments(self, short_path):
+        # the kernel reads the increments through a pointer
+        inc = short_path.increments[:3000]
+        strided = WienerPath(1, 0.001, np.repeat(inc, 2)[::2])
+        assert strided.increments.flags.c_contiguous
+        c = cfg(n_steps=3000, mismatch=True)
+        s = salt_lorenz(beta=0.5)
+        assert np.array_equal(simulate(s, SPIN_UP_STATE, strided, c),
+                              simulate(s, SPIN_UP_STATE, WienerPath(1, 0.001, inc), c))
+
     def test_path_too_short(self):
         s = deterministic_lorenz()
         path = generate_path(1, 10, 0.001)
@@ -309,25 +324,32 @@ class TestWeakOrder:
         np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)
 
 
-@pytest.mark.parametrize("start, n", [(0, 2500), (1000, 1100), (7, 0), (2499, 1)])
-def test_segments_cross_blocks(start, n):
-    # the loops read the increments from start as floats, a block at a time
-    path = generate_path(5, 2500, 0.01)
-    pieces = list(_segments(path.scalar()[start:start + n]))
-    got = [dw for _, _, dws in pieces for dw in dws]
-    assert got == path.increments[start:start + n].tolist()
-    assert all(type(v) is float for v in got)
-    block_ends = [*range(_BLOCK_STEPS, n, _BLOCK_STEPS), n]
-    assert [hi for _, hi, _ in pieces] == block_ends[:len(pieces)]
+class TestKernelLoader:
+    """The step kernel is built once per source and command into the cache
+    directory and loaded; where that fails the loader gives None."""
 
+    def test_concurrent_loads_leave_one_library(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            kernels = list(pool.map(lambda _: integrator._load_kernel(), range(4),
+                                    timeout=300))
+        assert all(k is not None for k in kernels)
+        (lib,) = tmp_path.iterdir()  # no temporary files are left
+        assert lib.match("_kernel-*.so")
 
-@pytest.mark.parametrize("n, every", [(10_500, (100, 10_000)), (10_500, (1,)),
-                                      (2049, (7,)), (5, (10,)), (0, (3,))])
-def test_segments_end_at_every_event(n, every):
-    inc = np.arange(n, dtype=float)
-    pieces = list(_segments(inc, *every))
-    assert [lo for lo, _, _ in pieces] == [0, *(hi for _, hi, _ in pieces)][:len(pieces)]
-    assert all(dws == inc[lo:hi].tolist() for lo, hi, dws in pieces)
-    ends = {hi for _, hi, _ in pieces}
-    assert ends == {k for k in range(1, n + 1)
-                    if k == n or any(k % e == 0 for e in (*every, _BLOCK_STEPS))}
+    @pytest.mark.parametrize("compiler, cache", [
+        ("no-such-compiler", "cache"), ("false", "cache"), ("cc", "file/cache"),
+    ], ids=["missing", "failing", "cache-not-a-directory"])
+    def test_failed_build_gives_none(self, compiler, cache, tmp_path, monkeypatch):
+        (tmp_path / "file").touch()
+        (tmp_path / "cache").mkdir()
+        monkeypatch.setattr(integrator, "_CC", compiler)
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / cache)
+        assert integrator._load_kernel() is None
+        assert not any((tmp_path / "cache").iterdir())
+
+    def test_package_data_ships_the_source(self):
+        # without it a non-editable install has no source and runs in Python
+        root = Path(__file__).resolve().parents[1]
+        pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "_kernel.c" in pyproject["tool"]["setuptools"]["package-data"]["stochlyap"]

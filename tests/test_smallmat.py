@@ -7,7 +7,6 @@ from stochlyap.smallmat import (
     SingularMatrixError,
     SkewMat3,
     cayley,
-    cayley_batch,
     frobenius,
     inverse,
     qr_decompose,
@@ -125,12 +124,6 @@ class TestCayley:
         q = cayley(SkewMat3(np.array([1e8, 0.0, 0.0])))
         assert frobenius(q.T @ q - np.eye(3)) <= 1e-6
         np.testing.assert_allclose(q[2, 2], 1.0)
-
-
-    @given(st.lists(skew3(bound=1.0), min_size=1, max_size=5))
-    def test_batch_equals_scalar_exactly(self, ks):
-        got = cayley_batch(np.array([k.lower for k in ks]))
-        np.testing.assert_array_equal(got, [cayley(k) for k in ks])
 
 
 class TestSkewMat3:

@@ -5,7 +5,6 @@ from stochlyap.wiener import (
     GENERATOR_ID,
     WienerPath,
     generate_path,
-    increment_blocks,
     terminal_value,
 )
 
@@ -76,11 +75,3 @@ def test_increments_are_immutable():
     path = generate_path(1, 10, 0.001)
     with pytest.raises(ValueError):
         path.increments[0] = 1.0
-
-
-def test_increment_blocks_continue_each_stream():
-    blocks = list(increment_blocks([5, 9, 5], 2500, 0.01))
-    assert [b.shape for b in blocks] == [(1024, 3)] * 2 + [(452, 3)]
-    stacked = np.vstack(blocks)
-    for u, seed in enumerate([5, 9, 5]):
-        np.testing.assert_array_equal(stacked[:, u], generate_path(seed, 2500, 0.01).increments)
