@@ -28,7 +28,6 @@ from .cayley import (
     exponents_from_rho,
     maybe_restart,
     run_nle,
-    run_nle_batch,
     step_k_rho,
 )
 from .integrator import (
@@ -62,6 +61,6 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import GENERATOR_ID, WienerPath, generate_path, terminal_value
+from .wiener import GENERATOR_ID, WienerPath, generate_path
 
 __version__ = "0.1.0"

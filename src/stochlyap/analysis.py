@@ -3,11 +3,10 @@
 The closed-form exponent sum (``theoretical_sum``, stated in ``models``
 next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
-A sweep runs its rows' SALT and FD trajectories as one batch
-(``cayley.run_nle_batch``, one ``run_nle`` per trajectory), split into
-contiguous shards across worker processes when ``SweepConfig.jobs`` > 1.
-The step kernel is loaded before the workers start, so a cold cache builds
-it once.
+A sweep row is a SALT and then an FD run, each ``spin_up`` and then
+``run_nle`` as a single run makes them; the rows are split into contiguous
+shards across worker processes when ``SweepConfig.jobs`` > 1.  The step
+kernel is loaded before the workers start, so a cold cache builds it once.
 """
 
 from __future__ import annotations
@@ -23,9 +22,16 @@ from .cayley import (
     DEFAULT_NLE_STEPS,
     NleResult,
     _check_eta,
-    run_nle_batch,
+    run_nle,
 )
-from .integrator import DEFAULT_DT, DEFAULT_SPIN_UP_STEPS, _kernel
+from .integrator import (
+    DEFAULT_DT,
+    DEFAULT_SPIN_UP_STEPS,
+    IntegratorConfig,
+    _kernel,
+    _phase,
+    spin_up,
+)
 from .models import (
     LorenzParams,
     SystemDef,
@@ -36,7 +42,7 @@ from .models import (
     salt_lorenz,
     theoretical_sum,
 )
-from .wiener import WienerPath
+from .wiener import WienerPath, generate_path
 
 __all__ = [
     "SweepMode",
@@ -137,30 +143,28 @@ class SweepConfig:
 
 
 def _sweep_shard(args: tuple[list[tuple[float, int]], SweepConfig]) -> list[SweepRow]:
-    """One batched engine call for the (beta, seed) rows of a shard."""
+    """The (beta, seed) rows of a shard in order, each a SALT and then an FD
+    run; a blow-up names its phase and run, and no later run starts."""
     tasks, cfg = args
-    systems, seeds = [], []
+    icfg = IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps,
+                            allow_convention_mismatch=True)
+    rows, path = [], None
     for beta, seed in tasks:
-        systems += [salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)]
-        seeds += [seed, seed]
-    res = run_nle_batch(
-        systems,
-        seeds,
-        cfg.dt,
-        cfg.spin_up_steps,
-        cfg.nle_steps,
-        sample_every=cfg.sample_every,
-    )
-    return [
-        SweepRow(
-            beta=beta,
-            seed=seed,
-            sum_salt=salt.sum,
-            sum_fd=fd.sum,
-            w_T_over_T=fd.w_terminal / fd.t_final,
-        )
-        for (beta, seed), salt, fd in zip(tasks, res[0::2], res[1::2])
-    ]
+        if path is None or path.seed != seed:  # one path per run of equal seeds
+            path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+        runs = []
+        for s in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)):
+            with _phase("spin-up", s, seed):
+                x0 = spin_up(s, path, icfg)
+            with _phase("exponent phase", s, seed):
+                runs.append(run_nle(s, x0, path, cfg.dt, cfg.nle_steps,
+                                    sample_every=cfg.sample_every,
+                                    path_offset=cfg.spin_up_steps,
+                                    allow_convention_mismatch=True))
+        salt, fd = runs
+        rows.append(SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
+                             w_T_over_T=fd.w_terminal / fd.t_final))
+    return rows
 
 
 def sweep_beta(
@@ -172,11 +176,12 @@ def sweep_beta(
     """Run SALT and FD exponent computations over a grid of noise amplitudes.
 
     FIXED_PATH reuses the base_seed realisation for every amplitude, so the
-    whole batch reads one increment stream; the fresh mode derives seed
+    whole sweep reads one increment stream; the fresh mode derives seed
     base_seed + index per amplitude, one stream per row.
-    The rows are split into at most ``cfg.jobs`` contiguous shards, each
-    advanced by one ``run_nle_batch`` call in its own worker process (one
-    shard runs in-process).  Rows come back ordered by beta.
+    The rows are split into at most ``cfg.jobs`` contiguous shards, each run
+    in its own worker process (one shard runs in-process).  Rows come back
+    ordered by beta.  A blow-up raises the first failing row's error, in the
+    order of ``betas``, SALT before FD, whatever ``cfg.jobs``.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:

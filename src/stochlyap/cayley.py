@@ -34,14 +34,10 @@ cannot be built, the same loop runs on the closures in Python.  Per step
 (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled, ~4.3-7 us and
 ~7-12.5 us in Python, at any sampling interval.  ``_increment_at`` and the
 K/eta stepper keep the ndarray form as its reference.
-
-``run_nle_batch`` runs B trajectories, each a spin-up and then ``run_nle``;
-it serves ensembles such as amplitude sweeps, on the path of a single run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,14 +51,12 @@ from .integrator import (
     _float_steps,
     _kernel_args,
     _state,
-    spin_up,
 )
 from .models import (
     SystemDef,
     jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
-    native_convention,
     theoretical_sum,
 )
 from .smallmat import (
@@ -74,7 +68,7 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import WienerPath, generate_path
+from .wiener import WienerPath
 
 __all__ = [
     "CayleyState",
@@ -84,7 +78,6 @@ __all__ = [
     "maybe_restart",
     "exponents_from_rho",
     "run_nle",
-    "run_nle_batch",
     "DEFAULT_ETA",
     "DEFAULT_NLE_STEPS",
 ]
@@ -395,81 +388,3 @@ def _nle_result(
         w_terminal=w_terminal,
         ortho_drift=smallmat.frobenius(q.T @ q - np.eye(3)),
     )
-
-
-def _check_batch(systems: Sequence[SystemDef]) -> None:
-    """A batch is nonempty, shares one set of parameters and states each
-    system in its native convention, as an amplitude sweep's rows do."""
-    if not systems:
-        raise ValueError("a batch needs at least one system")
-    params = systems[0].params
-    for s in systems:
-        if s.params != params:
-            raise ValueError(
-                f"a batch shares one set of parameters, got {s.params} and {params}"
-            )
-        if s.convention is not native_convention(s.kind):
-            raise ValueError(
-                f"the batched engine takes systems in their native convention, got "
-                f"a {s.kind.value} system in {s.convention.value} form"
-            )
-
-
-def run_nle_batch(
-    systems: Sequence[SystemDef],
-    seeds: Sequence[int],
-    dt: float,
-    spin_up_steps: int,
-    n_steps: int = DEFAULT_NLE_STEPS,
-    *,
-    sample_every: int = 100,
-) -> list[NleResult]:
-    """Spin up and run B trajectories under Euler-Maruyama, one at a time.
-
-    Trajectory k integrates ``systems[k]`` in its native coefficient form
-    along ``generate_path(seeds[k], spin_up_steps + n_steps, dt)``:
-    ``spin_up`` from ``SPIN_UP_STATE``, then ``run_nle`` on the remaining
-    increments, with ``allow_convention_mismatch=True``.  The systems must
-    share their parameters.  Each seed's path is drawn once per run of equal
-    seeds and only one is held.  A blow-up raises ``BlowUpError`` naming the
-    phase, the step, and the trajectory's system, beta and seed: the
-    earliest phase and step of any trajectory, and of those the first
-    trajectory.  Once a trajectory has failed in spin-up, an exponent-phase
-    failure can no longer be the one raised, so later trajectories run their
-    spin-up only.
-    """
-    if len(systems) != len(seeds):
-        raise ValueError(f"{len(systems)} systems but {len(seeds)} seeds")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if spin_up_steps < 0:
-        raise ValueError(f"spin_up_steps must be nonnegative, got {spin_up_steps}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    _check_batch(systems)
-    cfg = IntegratorConfig(dt=dt, n_steps=spin_up_steps, allow_convention_mismatch=True)
-    results: list[NleResult] = []
-    failures: list[tuple[bool, int, int, BlowUpError]] = []
-    spin_up_failed = False
-    path = None
-    for k, (s, seed) in enumerate(zip(systems, seeds)):
-        if path is None or path.seed != seed:
-            path = generate_path(seed, spin_up_steps + n_steps, dt)
-        phase = "spin-up"
-        try:
-            x0 = spin_up(s, path, cfg)
-            if spin_up_failed:
-                continue
-            phase = "exponent phase"
-            results.append(run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
-                                   path_offset=spin_up_steps,
-                                   allow_convention_mismatch=True))
-        except BlowUpError as err:
-            spin_up_failed = spin_up_failed or phase == "spin-up"
-            failures.append((phase != "spin-up", err.step_index, k,
-                             err.within(phase, s, seed)))
-    if failures:
-        raise min(failures)[-1]
-    return results

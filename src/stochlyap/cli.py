@@ -18,7 +18,6 @@ import os
 import shutil
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .integrator import (
     ConventionMismatchError,
     IntegratorConfig,
     Scheme,
+    _phase,
     simulate,
     spin_up,
 )
@@ -204,15 +204,6 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     return out / name
 
 
-@contextmanager
-def _phase(cfg: RunConfig, s: SystemDef, phase: str):
-    """Name the phase, system, beta and seed in a blow-up inside the block."""
-    try:
-        yield
-    except BlowUpError as err:
-        raise err.within(phase, s, cfg.seed) from None
-
-
 def _spin_and_path(cfg: RunConfig):
     """The system, path, spin-up end state and integrator config of a run,
     with the wall seconds of its ``path`` and ``spin_up`` phases."""
@@ -239,7 +230,7 @@ def _spin_and_path(cfg: RunConfig):
     t0 = time.perf_counter()
     path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
     t1 = time.perf_counter()
-    with _phase(cfg, s, "spin-up"):
+    with _phase("spin-up", s, cfg.seed):
         x0 = spin_up(s, path, icfg)
     seconds = {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
     return s, path, x0, icfg, seconds
@@ -260,7 +251,7 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     s, path, x0, icfg, _ = _spin_and_path(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
-    with _phase(cfg, s, "trajectory"):
+    with _phase("trajectory", s, cfg.seed):
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
     out = _out_path(cfg, "trajectory.csv", args.output)
     _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: np.column_stack(
@@ -276,7 +267,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     s, path, x0, icfg, seconds = _spin_and_path(cfg)
     t0 = time.perf_counter()
-    with _phase(cfg, s, "exponent phase"):
+    with _phase("exponent phase", s, cfg.seed):
         res = run_nle(s, x0, path, cfg.dt, cfg.nle_steps, cfg.eta,
                       scheme=cfg.scheme_enum(), sample_every=cfg.sample_every,
                       path_offset=cfg.spin_up_steps,

@@ -7,12 +7,12 @@ mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
 Both schemes are written once on Python floats (``_float_steps``), bit for
 bit the ndarray expressions of ``models.drift`` and ``models.diffusion``;
-``step`` and ``heun_step`` wrap them for one ndarray state.  ``simulate``
-and ``spin_up`` share one loop, ``_base_loop``, run by the step kernel
-``_kernel.c``: the same steps in C, in the same evaluation order, so the
-states are the same bit for bit.  On first use the kernel is built with
-``cc`` into the package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by
-the source and the command) and loaded with ctypes.  Where it cannot be
+``step`` wraps them for one ndarray state.  ``simulate`` and ``spin_up``
+share one loop, ``_base_loop``, run by the step kernel ``_kernel.c``: the
+same steps in C, in the same evaluation order, so the states are the same
+bit for bit.  On first use the kernel is built with ``cc`` into the
+package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the source and
+the command) and loaded with ctypes.  Where it cannot be
 built, the loop calls the ``_float_steps`` closures step by step instead.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
 (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.6-2.4 us and
@@ -26,6 +26,7 @@ import functools
 import hashlib
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -51,7 +52,6 @@ __all__ = [
     "DEFAULT_DT",
     "SPIN_UP_STATE",
     "step",
-    "heun_step",
     "simulate",
     "spin_up",
 ]
@@ -96,6 +96,15 @@ class BlowUpError(RuntimeError):
     def __reduce__(self):
         # pickled by its fields, so the error survives a worker process
         return type(self), (self.step_index, self.state, self.context)
+
+
+@contextmanager
+def _phase(phase: str, s: SystemDef, seed: int):
+    """Name the phase, system, beta and seed in a blow-up inside the block."""
+    try:
+        yield
+    except BlowUpError as err:
+        raise err.within(phase, s, seed) from None
 
 
 class ConventionMismatchError(ValueError):
@@ -196,14 +205,6 @@ def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.nd
     if cfg.scheme is Scheme.EULER_MARUYAMA:
         return np.array(euler(*_floats(x), float(dW)))
     return np.array(heun(*_floats(x), float(dW))[1])
-
-
-def heun_step(
-    s: SystemDef, x: np.ndarray, dW: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Heun step: (Euler-Maruyama predictor, corrected state)."""
-    pred, out = _float_steps(s, dt)[1](*_floats(x), float(dW))
-    return np.array(pred), np.array(out)
 
 
 def _floats(x: np.ndarray) -> list[float]:

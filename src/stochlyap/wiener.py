@@ -16,7 +16,6 @@ __all__ = [
     "GENERATOR_ID",
     "WienerPath",
     "generate_path",
-    "terminal_value",
 ]
 
 # Counter-based Philox keyed by the seed, increments drawn as
@@ -94,10 +93,3 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def terminal_value(path: WienerPath, k: int) -> float:
-    """W at step k, i.e. the sum of the first k scalar increments; W(0) = 0."""
-    if k < 0 or k > len(path):
-        raise IndexError(f"step index {k} outside [0, {len(path)}]")
-    return float(np.sum(path.scalar()[:k]))

@@ -1,8 +1,9 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stochlyap.analysis import (
@@ -224,6 +225,18 @@ class TestBoundednessDiagnostics:
         assert res[3] == pytest.approx(ellipsoid_residual(STD, xs[3]))
 
 
+def scalar_row(beta, seed, cfg):
+    """A sweep row from a SALT and an FD run of ``spin_up`` and ``run_nle``."""
+    path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+    icfg = IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps,
+                            allow_convention_mismatch=True)
+    salt, fd = (run_nle(s, spin_up(s, path, icfg), path, cfg.dt, cfg.nle_steps,
+                        sample_every=cfg.sample_every, path_offset=cfg.spin_up_steps,
+                        allow_convention_mismatch=True)
+                for s in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)))
+    return SweepRow(beta, seed, salt.sum, fd.sum, fd.w_terminal / fd.t_final)
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return SweepConfig(spin_up_steps=500, nle_steps=1000)
@@ -277,20 +290,57 @@ class TestSweep:
             sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, SweepConfig(eta=1.0))
 
     @pytest.mark.parametrize("mode", list(SweepMode))
-    def test_rows_match_scalar_runs(self, mode, small_cfg):
-        # each row pairs a SALT and an FD run on its own path; both must be
-        # what the scalar engine computes for that system and path
-        rows = sweep_beta(np.array([0.6, 0.1]), mode, 21, small_cfg)
-        n_spin, n = small_cfg.spin_up_steps, small_cfg.nle_steps
-        for row in rows:
-            path = generate_path(row.seed, n_spin + n, small_cfg.dt)
-            icfg = IntegratorConfig(n_steps=n_spin, allow_convention_mismatch=True)
-            for system, got in ((salt_lorenz(beta=row.beta), row.sum_salt),
-                                (fd_lorenz(beta=row.beta), row.sum_fd)):
-                want = run_nle(system, spin_up(system, path, icfg), path, small_cfg.dt,
-                               n, path_offset=n_spin, allow_convention_mismatch=True)
-                assert abs(got - want.sum) <= 1e-10
-            assert abs(row.w_T_over_T - want.w_terminal / want.t_final) <= 1e-10
+    def test_rows_match_scalar_runs(self, mode, kernel):
+        # each row is a SALT and an FD run on its own path, the very calls of
+        # a single run, so the rows equal the scalar runs exactly
+        cfg = SweepConfig(spin_up_steps=2_000, nle_steps=3_000, sample_every=70)
+        rows = sweep_beta(np.array([0.5, 0.9, 0.2, 0.0]), mode, 3, cfg)
+        assert rows == [scalar_row(row.beta, row.seed, cfg) for row in rows]
+        assert [row.seed for row in rows] == ([3] * 4 if mode is SweepMode.FIXED_PATH
+                                              else [6, 5, 3, 4])
+
+    def test_zero_spin_up_and_single_row(self, kernel):
+        cfg = SweepConfig(spin_up_steps=0, nle_steps=500, sample_every=1)
+        rows = sweep_beta(np.array([0.7]), SweepMode.FIXED_PATH, 9, cfg)
+        assert rows == [scalar_row(0.7, 9, cfg)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("nle_steps", 0), ("spin_up_steps", -1), ("dt", float("nan")), ("sample_every", 0)])
+    def test_rejects_bad_sizes(self, field, value, kernel):
+        cfg = SweepConfig(**{"spin_up_steps": 10, "nle_steps": 10, field: value})
+        with pytest.raises(ValueError):
+            sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, cfg)
+
+    @pytest.mark.parametrize("n_spin, phase", [(100, "spin-up"), (0, "exponent phase")])
+    def test_blow_up_names_phase_step_and_row(self, n_spin, phase, kernel):
+        # at dt = 0.5 the first row's SALT run overflows at step 10
+        cfg = SweepConfig(dt=0.5, spin_up_steps=n_spin, nle_steps=100)
+        with pytest.raises(BlowUpError) as exc:
+            sweep_beta(np.array([0.1, 0.3]), SweepMode.FRESH_PATH_PER_BETA, 4, cfg)
+        err = exc.value
+        assert err.step_index == 10
+        assert err.context == f"the {phase} (salt, beta=0.1, seed=4)"
+        assert f"step 10 of the {phase}" in str(err)
+        # the error survives a worker process
+        again = pickle.loads(pickle.dumps(err))
+        assert str(again) == str(err)
+        assert (again.step_index, again.context) == (err.step_index, err.context)
+
+    @given(
+        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
+        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property_rows_equal_scalar_runs_and_sum_identities(self, kernel, sigma, r, b,
+                                                                 beta, seed):
+        cfg = SweepConfig(params=LorenzParams(sigma, r, b), spin_up_steps=50,
+                          nle_steps=150, sample_every=50)
+        (row,) = sweep_beta(np.array([beta]), SweepMode.FIXED_PATH, seed, cfg)
+        assert row == scalar_row(beta, seed, cfg)
+        trace = -(sigma + 1.0 + b)
+        assert abs(row.sum_salt - trace) <= 1e-10
+        assert abs(row.sum_fd - (trace + 3.0 * beta * row.w_T_over_T)) <= 1e-10
 
     @pytest.mark.parametrize("mode", list(SweepMode))
     def test_sharded_rows_equal_in_process_rows(self, mode, small_cfg):

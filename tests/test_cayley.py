@@ -1,4 +1,3 @@
-import pickle
 import sys
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stochlyap
-from stochlyap import integrator
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
@@ -21,7 +19,6 @@ from stochlyap.cayley import (
     inverse_cayley,
     maybe_restart,
     run_nle,
-    run_nle_batch,
     step_k_rho,
 )
 from stochlyap.integrator import (
@@ -502,148 +499,6 @@ class TestStructuralZeros:
         assert [e02, k10, k12, k20, k21] == [0.0] * 5
         for rows in (j1, h):  # the diffusion rows, flat
             assert [rows[1], rows[2], rows[3], rows[6]] == [0.0] * 4
-
-
-def scalar_run(s, seed, dt, n_spin, n_steps, sample_every=100):
-    """The per-trajectory reference of the batch: spin_up, then run_nle."""
-    path = generate_path(seed, n_spin + n_steps, dt)
-    x0 = spin_up(s, path, IntegratorConfig(dt=dt, n_steps=n_spin,
-                                           allow_convention_mismatch=True))
-    return run_nle(s, x0, path, dt, n_steps, sample_every=sample_every,
-                   path_offset=n_spin, allow_convention_mismatch=True)
-
-
-def assert_matches_scalar(batch, scalar, tol=1e-10):
-    np.testing.assert_allclose(batch.lambdas, scalar.lambdas, rtol=0, atol=tol)
-    for name in ("sum", "trace_residual", "w_terminal", "t_final", "ortho_drift"):
-        assert abs(getattr(batch, name) - getattr(scalar, name)) <= tol, name
-    assert batch.rho_series.shape == scalar.rho_series.shape
-    np.testing.assert_allclose(batch.rho_series, scalar.rho_series, rtol=0, atol=tol)
-    assert batch.restarts == scalar.restarts
-
-
-# run_nle_batch runs each trajectory on spin_up and run_nle, on the compiled
-# kernel or, with its loader patched to fail, on the Python loops
-ENGINES = ("c", "python")
-
-
-def batch_on(engine, *args, **kwargs):
-    """``run_nle_batch`` on the given kernel path."""
-    with pytest.MonkeyPatch.context() as mp:
-        if engine == "python":
-            mp.setattr(integrator, "_kernel", lambda: None)
-        return run_nle_batch(*args, **kwargs)
-
-
-def blow_up_on(engine, *args):
-    with pytest.raises(BlowUpError) as exc:
-        batch_on(engine, *args)
-    return exc.value
-
-
-def assert_same_blow_up(c, python):
-    assert str(c) == str(python)
-    assert c.step_index == python.step_index
-    assert c.context == python.context
-
-
-class TestRunNleBatch:
-    MIXED = [
-        salt_lorenz(beta=0.5), fd_lorenz(beta=0.5), salt_lorenz(beta=0.9),
-        fd_lorenz(beta=0.2), deterministic_lorenz(), fd_lorenz(beta=0.0),
-    ]
-
-    @pytest.mark.parametrize("seeds", [[3] * 6, [3, 4, 5, 3, 6, 7]],
-                             ids=["fixed", "fresh"])
-    def test_rows_match_scalar_runs(self, seeds):
-        want = [scalar_run(s, seed, 0.001, 2_000, 3_000, 70)
-                for s, seed in zip(self.MIXED, seeds)]
-        for engine in ENGINES:
-            res = batch_on(engine, self.MIXED, seeds, 0.001, 2_000, 3_000, sample_every=70)
-            assert len(res) == len(self.MIXED)
-            for got, scalar in zip(res, want):
-                assert_matches_scalar(got, scalar)
-
-    def test_zero_spin_up_and_single_trajectory(self):
-        s = fd_lorenz(beta=0.7)
-        want = scalar_run(s, 9, 0.001, 0, 500, 1)
-        for engine in ENGINES:
-            (got,) = batch_on(engine, [s], [9], 0.001, 0, 500, sample_every=1)
-            assert_matches_scalar(got, want)
-
-    def test_rejects_mixed_params_and_foreign_convention(self):
-        other = salt_lorenz(LorenzParams(16.0, 45.92, 4.0), 0.5)
-        strat_fd = convert_convention(fd_lorenz(), Convention.STRATONOVICH)
-        for engine in ENGINES:
-            with pytest.raises(ValueError, match="parameters"):
-                batch_on(engine, [salt_lorenz(), other], [1, 1], 0.001, 10, 10)
-            with pytest.raises(ValueError, match="native convention"):
-                batch_on(engine, [strat_fd], [1], 0.001, 10, 10)
-
-    def test_rejects_bad_sizes(self):
-        s = [salt_lorenz()]
-        for engine in ENGINES:
-            for kwargs in (dict(seeds=[1, 2]), dict(n_steps=0), dict(spin_up_steps=-1),
-                           dict(dt=float("nan")), dict(sample_every=0)):
-                args = dict(systems=s, seeds=[1], dt=0.001, spin_up_steps=10, n_steps=10)
-                with pytest.raises(ValueError):
-                    batch_on(engine, **{**args, **kwargs})
-            with pytest.raises(ValueError):
-                batch_on(engine, [], [], 0.001, 10, 10)
-
-    @pytest.mark.parametrize("n_spin, phase", [(100, "spin-up"), (0, "exponent phase")])
-    def test_blow_up_names_phase_step_and_trajectory(self, n_spin, phase):
-        systems = [salt_lorenz(beta=0.1), fd_lorenz(beta=0.3)]
-        errs = [blow_up_on(engine, systems, [4, 11], 0.5, n_spin, 100)
-                for engine in ENGINES]
-        for err in errs:
-            assert err.context.startswith(f"the {phase} (")
-            assert "beta=" in err.context and "seed=" in err.context
-            msg = str(err)
-            assert f"step {err.step_index} of the {phase}" in msg
-            # the error survives a worker process
-            again = pickle.loads(pickle.dumps(err))
-            assert str(again) == msg and again.step_index == err.step_index
-        assert_same_blow_up(*errs)
-
-    @pytest.mark.parametrize("n_spin, phase, salt_first", [
-        (0, "exponent phase", False), (14, "spin-up", False), (14, "spin-up", True)],
-        ids=["0-exponent phase", "14-spin-up", "14-spin-up-salt-first"])
-    def test_blow_up_names_the_earliest_failure(self, n_spin, phase, salt_first,
-                                                monkeypatch):
-        # at dt = 0.2 the FD row overflows at step 14 and the SALT row at step
-        # 13; with 14 spin-up steps the SALT row fails in the earlier phase
-        fd, salt = fd_lorenz(beta=2.0), salt_lorenz(beta=0.1)
-        systems = [salt, fd] if salt_first else [fd, salt]
-        exponent_phases, run = [], stochlyap.cayley.run_nle
-        monkeypatch.setattr(stochlyap.cayley, "run_nle", lambda s, *a, **kw:
-                            exponent_phases.append(s) or run(s, *a, **kw))
-        errs = [blow_up_on(engine, systems, [4, 4], 0.2, n_spin, 100)
-                for engine in ENGINES]
-        assert errs[0].step_index == 13
-        assert errs[0].context == f"the {phase} (salt, beta=0.1, seed=4)"
-        assert_same_blow_up(*errs)
-        # after a spin-up failure no further exponent phase runs
-        ran = systems if phase == "exponent phase" else systems[:systems.index(salt)]
-        assert exponent_phases == ran * len(ENGINES)
-
-    @given(
-        sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),
-        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_property_batch_equals_scalar_and_sum_identities(self, sigma, r, b, beta, seed):
-        p = LorenzParams(sigma, r, b)
-        systems = [salt_lorenz(p, beta), fd_lorenz(p, beta)]
-        want = [scalar_run(s, seed, 0.001, 50, 150, 50) for s in systems]
-        trace = -(sigma + 1.0 + b)
-        for engine in ENGINES:
-            salt, fd = batch_on(engine, systems, [seed, seed], 0.001, 50, 150,
-                                sample_every=50)
-            for got, scalar in zip((salt, fd), want):
-                assert_matches_scalar(got, scalar)
-            assert abs(salt.sum - trace) <= 1e-10
-            assert abs(fd.sum - (trace + 3.0 * beta * fd.w_terminal / fd.t_final)) <= 1e-10
 
 
 def test_package_attribute_is_engine_module():

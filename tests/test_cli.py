@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from stochlyap import cli, integrator
+from stochlyap import analysis, cli, integrator
 from stochlyap.analysis import SweepRow, convergence_series
 from stochlyap.cli import (
     EXIT_CONFIG,
@@ -282,6 +282,12 @@ class TestConfigResolution:
         assert not (tmp_path / "envout").exists()
 
 
+# Two rows, beta = 0 and 3, whose SALT spin-ups both overflow
+BLOW_UP_SWEEP = ["sweep", "--mode", "fixed", "--beta-min", "0", "--beta-max", "3",
+                 "--count", "2", "--dt", "0.05", "--spin-up-steps", "30",
+                 "--nle-steps", "200", "--seed", "4"]
+
+
 class TestNumericalFailure:
     def test_numerical_error_exit_code(self, monkeypatch, capsys):
         # the numerical errors subclass ValueError; they must not be
@@ -301,6 +307,38 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and "Traceback" not in err
         assert "of the spin-up (" in err and "beta=" in err and "seed=8" in err
+
+    def test_sweep_blow_up_is_the_same_for_every_jobs(self, tmp_path, capsys):
+        # the rows beta = 0 and 3 overflow at steps 23 and 22 of their SALT
+        # spin-ups; a sweep names its first failing row in beta order, so a
+        # second shard's earlier step must not win
+        results = [run(BLOW_UP_SWEEP + ["--jobs", jobs, "--outdir", str(tmp_path)], capsys)
+                   for jobs in ("1", "2")]
+        assert [code for code, _, _ in results] == [EXIT_NUMERICAL] * 2
+        assert results[0][2] == results[1][2]
+        assert "at step 23 of the spin-up (salt, beta=0.0, seed=4)" in results[0][2]
+
+    @pytest.mark.parametrize("argv, phase, want", [
+        (BLOW_UP_SWEEP, "spin-up", [("spin_up", "salt", 0.0)]),
+        # dt = 0.02: the row beta = 1.5 fails in its SALT exponent phase, and
+        # the row beta = 3.0 does not start
+        (["sweep", "--mode", "fixed", "--beta-min", "0", "--beta-max", "3", "--count", "3",
+          "--dt", "0.02", "--spin-up-steps", "30", "--nle-steps", "200", "--seed", "3"],
+         "exponent phase",
+         [(name, kind, 0.0) for kind in ("salt", "fd") for name in ("spin_up", "run_nle")]
+         + [("spin_up", "salt", 1.5), ("run_nle", "salt", 1.5)]),
+    ], ids=["spin-up", "exponent-phase"])
+    def test_sweep_stops_at_the_first_failing_row(self, argv, phase, want, tmp_path,
+                                                  capsys, monkeypatch):
+        calls = []
+        for name in ("spin_up", "run_nle"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda s, *a, name=name, real=real, **k:
+                                calls.append((name, s.kind.value, s.beta)) or real(s, *a, **k))
+        code, _, err = run(argv + ["--jobs", "1", "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert f"of the {phase} (salt, beta={want[-1][2]}, seed=" in err
+        assert calls == want
 
     @pytest.mark.parametrize("command, spin_up, phase", [
         ("nle", "100", "spin-up"), ("nle", "0", "exponent phase"),

@@ -15,7 +15,7 @@ from stochlyap.integrator import (
     IntegratorConfig,
     SPIN_UP_STATE,
     Scheme,
-    heun_step,
+    _float_steps,
     simulate,
     spin_up,
     step,
@@ -134,7 +134,7 @@ class TestFloatStepMatchesNumpy:
         for dw in short_path.scalar()[:200]:
             x = rng.uniform(-30.0, 30.0, 3)
             assert np.array_equal(step(s, x, dw, cfg()), numpy_em(s, x, dw, 0.001))
-            pred, out = heun_step(s, x, dw, 0.001)
+            pred, out = _float_steps(s, 0.001)[1](*x.tolist(), float(dw))
             want_pred, want_out = numpy_heun(s, x, dw, 0.001)
             assert np.array_equal(pred, want_pred) and np.array_equal(out, want_out)
             assert np.array_equal(step(s, x, dw, cfg(HEUN)), want_out)

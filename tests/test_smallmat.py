@@ -51,7 +51,8 @@ class TestQr:
     @given(matrices3())
     @settings(max_examples=200)
     def test_reconstruction(self, m):
-        assume(abs(np.linalg.det(m)) > 1e-3)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular draw is rejected
+            assume(abs(np.linalg.det(m)) > 1e-3)
         q, r = qr_decompose(m)
         assert frobenius(m - q @ r) <= 1e-12 * max(frobenius(m), 1.0)
         assert frobenius(q.T @ q - np.eye(3)) <= 1e-12
@@ -80,7 +81,8 @@ class TestInverse:
     @given(matrices3())
     @settings(max_examples=100)
     def test_roundtrip(self, m):
-        assume(abs(np.linalg.det(m)) > 1e-3)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular draw is rejected
+            assume(abs(np.linalg.det(m)) > 1e-3)
         assert frobenius(m @ inverse(m) - np.eye(3)) <= 1e-10
 
 

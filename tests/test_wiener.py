@@ -5,7 +5,6 @@ from stochlyap.wiener import (
     GENERATOR_ID,
     WienerPath,
     generate_path,
-    terminal_value,
 )
 
 
@@ -37,15 +36,6 @@ def test_argument_validation():
         generate_path(1, 0, 0.001)
     with pytest.raises(ValueError):
         WienerPath(seed=0, dt=0.1, increments=np.zeros((5, 2)))
-
-
-def test_terminal_value():
-    path = WienerPath(seed=0, dt=0.1, increments=np.array([0.1, -0.2, 0.3]))
-    assert terminal_value(path, 0) == 0.0
-    assert terminal_value(path, 2) == pytest.approx(-0.1)
-    assert terminal_value(path, 3) == pytest.approx(0.2)
-    with pytest.raises(IndexError):
-        terminal_value(path, 4)
 
 
 def test_dump_load_roundtrip_bit_exact(tmp_path):
