@@ -12,6 +12,7 @@ kernel is loaded before the workers start, so a cold cache builds it once.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,7 @@ from .cayley import (
     DEFAULT_NLE_STEPS,
     NleResult,
     _check_eta,
+    _check_sizes,
     run_nle,
 )
 from .integrator import (
@@ -192,6 +194,11 @@ def sweep_beta(
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     _check_eta(cfg.eta)
+    # every size a run reads, before any path, spin-up or worker
+    _check_sizes(cfg.nle_steps, cfg.sample_every)
+    if not math.isfinite(cfg.dt):
+        raise ValueError(f"dt must be finite, got {cfg.dt}")
+    IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps)  # dt > 0, spin-up >= 0
     fixed = mode is SweepMode.FIXED_PATH
     tasks = [
         (float(b), base_seed if fixed else base_seed + i) for i, b in enumerate(betas)

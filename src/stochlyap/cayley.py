@@ -170,6 +170,13 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
 
 
+def _check_sizes(n_steps: int, sample_every: int) -> None:
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+
+
 def maybe_restart(cs: CayleyState, eta: float) -> CayleyState:
     """Fold cayley(K) into the accumulated rotation once ||K|| reaches eta."""
     _check_eta(eta)
@@ -292,10 +299,7 @@ def run_nle(
     after every step, so ``eta`` is validated but does not change the output.
     Both steps run in the step kernel, one call per ``REORTH_EVERY`` steps.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    _check_sizes(n_steps, sample_every)
     if path_offset + n_steps > len(path):
         raise ValueError(
             f"path has {len(path)} steps, need {path_offset + n_steps}"

@@ -238,14 +238,29 @@ def _spin_and_path(cfg: RunConfig):
 
 def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
     """Write the metadata lines, the header and n data rows to out, 1024 rows
-    at a time: rows(lo, hi) gives rows lo to hi - 1 as one flat list, and each
-    value is written as its repr, for a float the shortest that round-trips."""
-    fmt = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
-    with open(out, "w", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in _metadata_lines(cfg)) + header + "\n")
+    at a time, each value as its repr: for a float the shortest digits that
+    round-trip.  rows(lo, hi) gives rows lo to hi - 1, either as a float
+    array of shape (hi - lo, columns), which the step kernel's ``repr_rows``
+    formats where it is loaded, or as one flat list of values (sweep.csv,
+    whose seed column is an int), which %-formatting writes.  Both give the
+    same bytes."""
+    cols = header.count(",") + 1
+    fmt = ",".join(["%r"] * cols) + "\n"
+    kernel = integrator._kernel()
+    if kernel is not None:
+        text = np.empty(1024 * cols * 25, np.uint8)  # a value takes <= 25 bytes
+    with open(out, "wb") as fh:
+        fh.write(("".join(line + "\n" for line in _metadata_lines(cfg)) + header + "\n").encode())
         for lo in range(0, n, 1024):  # in blocks: memory stays flat
             hi = min(lo + 1024, n)
-            fh.write(fmt * (hi - lo) % tuple(rows(lo, hi)))
+            block = rows(lo, hi)
+            if kernel is not None and isinstance(block, np.ndarray):
+                block = np.ascontiguousarray(block, dtype=float)
+                size = kernel.repr_rows(block.ctypes.data, hi - lo, cols, text.ctypes.data)
+                fh.write(text[:size])
+            else:
+                values = block.ravel().tolist() if isinstance(block, np.ndarray) else block
+                fh.write((fmt * (hi - lo) % tuple(values)).encode())
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -255,7 +270,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
     out = _out_path(cfg, "trajectory.csv", args.output)
     _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: np.column_stack(
-        (np.arange(lo, hi) * cfg.dt, traj[lo:hi])).ravel().tolist())
+        (np.arange(lo, hi) * cfg.dt, traj[lo:hi])))
     print(f"wrote {out} ({traj.shape[0]} states)")
     print(
         "terminal state: "
@@ -280,7 +295,7 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
     table = np.column_stack((conv, conv[:, 1] + conv[:, 2] + conv[:, 3]))  # sum = l1 + l2 + l3
     _write_csv(conv_out, cfg, "t,lambda1,lambda2,lambda3,sum", len(table),
-               lambda lo, hi: table[lo:hi].ravel().tolist())
+               lambda lo, hi: table[lo:hi])
 
     summary = {
         "lambdas": [float(v) for v in res.lambdas],

@@ -10,10 +10,13 @@ bit the ndarray expressions of ``models.drift`` and ``models.diffusion``;
 ``step`` wraps them for one ndarray state.  ``simulate`` and ``spin_up``
 share one loop, ``_base_loop``, run by the step kernel ``_kernel.c``: the
 same steps in C, in the same evaluation order, so the states are the same
-bit for bit.  On first use the kernel is built with ``cc`` into the
-package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the source and
-the command) and loaded with ctypes.  Where it cannot be
-built, the loop calls the ``_float_steps`` closures step by step instead.
+bit for bit.  The kernel also holds the CSV float formatter of
+``cli._write_csv``, ``_repr.cc`` (C++17 ``std::to_chars``).  On first use
+both sources are built with one ``cc`` command into one library in the
+package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and
+the command) and loaded with ctypes.  Where it cannot be built, the loop
+calls the ``_float_steps`` closures step by step instead, and the CSV
+writer formats with ``%r``, to the same bytes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
 (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.6-2.4 us and
 ~2.6-3.9 us in Python.
@@ -62,12 +65,14 @@ SPIN_UP_STATE = np.array([0.0, 1.0, 0.0])
 
 _STATE_BOUND = 1e100
 
-# The step kernel's source, and where it is built on first use: the
-# package's own __pycache__, keyed by a hash of the source and the command.
-_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+# The step kernel's sources, the loops in C and the CSV formatter in C++17,
+# and where they are built on first use into one library: the package's own
+# __pycache__, keyed by a hash of the sources and the command.
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.cc"))
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_LIBS = ("-lstdc++",)
 
 
 class Scheme(Enum):
@@ -232,14 +237,16 @@ def _kernel_args(s: SystemDef, dt: float, folded=(0.0, 0.0, 0.0, 0.0)) -> np.nda
 
 
 def _load_kernel():
-    """Build ``_kernel.c`` once per source and command into ``_KERNEL_CACHE``
-    and load it; None where the source or the compiler is missing, the build
-    fails or the cache directory is not writable.  The library is written to
-    a temporary file beside its name and moved there, so concurrent builds
-    do not race."""
+    """Build ``_KERNEL_SOURCES`` once per sources and command into
+    ``_KERNEL_CACHE`` and load the library; None where a source or the
+    compiler is missing, the build fails or the cache directory is not
+    writable.  The library is written to a temporary file beside its name
+    and moved there, so concurrent builds do not race."""
     command = [_CC, *_CFLAGS]
     try:
-        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(command).encode())
+        key = hashlib.sha256(" ".join([*command, *_LIBS]).encode())
+        for source in _KERNEL_SOURCES:
+            key.update(source.read_bytes())
         lib = _KERNEL_CACHE / f"_kernel-{key.hexdigest()[:16]}.so"
         if not lib.exists():
             import subprocess
@@ -248,7 +255,7 @@ def _load_kernel():
             fd, tmp = tempfile.mkstemp(prefix=lib.stem + "-", suffix=".tmp", dir=_KERNEL_CACHE)
             os.close(fd)
             try:
-                if subprocess.run([*command, "-o", tmp, str(_KERNEL_SOURCE)],
+                if subprocess.run([*command, "-o", tmp, *map(str, _KERNEL_SOURCES), *_LIBS],
                                   capture_output=True).returncode:
                     return None
                 os.replace(tmp, lib)
@@ -261,14 +268,16 @@ def _load_kernel():
     ptr, long = ctypes.c_void_p, ctypes.c_long
     kernel.base_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, long, ptr]
     kernel.frame_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, long, long, long, ptr]
-    kernel.base_loop.restype = kernel.frame_loop.restype = long
+    kernel.repr_rows.argtypes = [ptr, long, long, ptr]
+    kernel.base_loop.restype = kernel.frame_loop.restype = kernel.repr_rows.restype = long
     return kernel
 
 
 @functools.cache
 def _kernel():
     """The compiled kernel, loaded once per process, or None: then the loops
-    run their Python form on the reference closures."""
+    run their Python form on the reference closures and the CSV writer
+    formats with %r."""
     return _load_kernel()
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stochlyap import analysis
 from stochlyap.analysis import (
     RegressionSummary,
     SweepConfig,
@@ -310,6 +312,28 @@ class TestSweep:
         cfg = SweepConfig(**{"spin_up_steps": 10, "nle_steps": 10, field: value})
         with pytest.raises(ValueError):
             sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, cfg)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nle_steps", 0, "n_steps must be >= 1, got 0"),
+        ("sample_every", 0, "sample_every must be >= 1, got 0"),
+        ("spin_up_steps", -1, "n_steps must be nonnegative, got -1"),
+        ("dt", 0.0, "dt must be positive, got 0.0"),
+        ("dt", float("nan"), "dt must be finite, got nan"),
+        ("dt", float("inf"), "dt must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checks_sizes_before_any_work(self, field, value, message, jobs, monkeypatch):
+        calls = []
+        for name in ("spin_up", "generate_path"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: calls.append("pool"))
+        cfg = SweepConfig(**{"spin_up_steps": 10, "nle_steps": 10, "jobs": jobs, field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_beta(np.array([0.1, 0.2]), SweepMode.FIXED_PATH, 1, cfg)
+        assert calls == []
 
     @pytest.mark.parametrize("n_spin, phase", [(100, "spin-up"), (0, "exponent phase")])
     def test_blow_up_names_phase_step_and_row(self, n_spin, phase, kernel):

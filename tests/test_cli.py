@@ -412,7 +412,7 @@ class TestSimulate:
     @pytest.mark.parametrize("dt", [0.001, 0.003, 1e-4])
     @pytest.mark.parametrize("n_states", [1023, 1024, 1025, 2049])
     def test_rows_are_shortest_round_trip_reprs(self, n_states, dt, tmp_path, capsys,
-                                                monkeypatch):
+                                                monkeypatch, kernel):
         # the text, not just the values: 0.1 is written 0.1, not 0.10000000000000001
         states = returns_of(monkeypatch, "simulate")
         out = tmp_path / "traj.csv"
@@ -490,7 +490,7 @@ class TestNle:
         assert lines[2] == "t,lambda1,lambda2,lambda3,sum"
         assert len(lines) == 3 + 10  # 500 steps sampled every 50
 
-    def test_rows_are_shortest_round_trip_reprs(self, tmp_path, capsys, monkeypatch):
+    def test_rows_are_shortest_round_trip_reprs(self, tmp_path, capsys, monkeypatch, kernel):
         results = returns_of(monkeypatch, "run_nle")
         conv = tmp_path / "conv.csv"
         # 1050 rows: one block of 1024 and part of the next
@@ -519,7 +519,7 @@ class TestSweep:
         assert len(lines) == 3 + 5
         assert "fd-sum regression" in stdout
 
-    def test_rows_are_reprs(self, tmp_path, capsys, monkeypatch):
+    def test_rows_are_reprs(self, tmp_path, capsys, monkeypatch, kernel):
         rows = [SweepRow(0.1, 7, -13.5 - 1 / 3, -13.25, 0.3), SweepRow(0.7, 7, -14.0, -13.0, 0.3)]
         monkeypatch.setattr(cli, "sweep_beta", lambda betas, mode, seed, cfg: rows)
         out = tmp_path / "sweep.csv"

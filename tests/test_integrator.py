@@ -349,7 +349,11 @@ class TestKernelLoader:
         assert not any((tmp_path / "cache").iterdir())
 
     def test_package_data_ships_the_source(self):
-        # without it a non-editable install has no source and runs in Python
+        # a source a non-editable install lacks fails the build: it runs in Python
         root = Path(__file__).resolve().parents[1]
         pyproject = tomllib.loads((root / "pyproject.toml").read_text())
-        assert "_kernel.c" in pyproject["tool"]["setuptools"]["package-data"]["stochlyap"]
+        shipped = pyproject["tool"]["setuptools"]["package-data"]["stochlyap"]
+        assert integrator._KERNEL_SOURCES
+        for source in integrator._KERNEL_SOURCES:
+            assert source.parent == Path(integrator.__file__).parent
+            assert source.name in shipped

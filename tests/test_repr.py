@@ -1,0 +1,82 @@
+"""The step kernel's CSV formatter ``repr_rows`` against Python's repr."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochlyap import integrator
+
+GUARD = 64  # bytes past the formatter's bound of 25 a value, left untouched
+
+
+def repr_rows(values, cols=1):
+    """values, cols to a row, as the kernel formats them."""
+    kernel = integrator._kernel()
+    assert kernel is not None, "the step kernel did not build"
+    v = np.ascontiguousarray(np.asarray(values, dtype=float).reshape(-1, cols))
+    text = np.full(25 * v.size + GUARD, 0xFF, np.uint8)
+    size = kernel.repr_rows(v.ctypes.data, v.shape[0], cols, text.ctypes.data)
+    assert size <= 25 * v.size and (text[size:] == 0xFF).all()
+    return text[:size].tobytes().decode("ascii")
+
+
+def mismatch(values, cols=1):
+    """The first row that repr_rows writes other than ",".join(map(repr, row)),
+    as (index, written, repr), or None; the text ends with a newline."""
+    rows = np.asarray(values, dtype=float).reshape(-1, cols)
+    got = repr_rows(rows, cols).split("\n")
+    want = [",".join(map(repr, row)) for row in rows.tolist()] + [""]
+    pairs = enumerate(itertools.zip_longest(got, want))
+    return next(((i, g, w) for i, (g, w) in pairs if g != w), None)
+
+
+def edge_values():
+    """Zeros, both sides of the layout switches at 1e-4 and 1e16, the
+    extremes, every power of two, the powers of ten and the special values."""
+    nan, inf = math.nan, math.inf
+    values = [0.0, -0.0, 9999999999999998.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308, inf, -inf, nan,
+              math.copysign(nan, -1), 0.1, 0.3, 1 / 3, 123.0, 1e22, 1e23]
+    for edge in (1e-4, 1e16):
+        values += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, inf)]
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-324, 309)]
+    return values + [-v for v in values]
+
+
+def test_edge_values():
+    assert mismatch(edge_values()) is None
+
+
+def test_negative_nan_is_nan():
+    assert repr_rows([math.copysign(math.nan, -1.0)]) == "nan\n"
+
+
+def test_random_bit_patterns():
+    # every exponent and mantissa pattern, NaN payloads of either sign included
+    bits = np.random.default_rng(20180618).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert mismatch(bits.view(np.float64)) is None
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_property_floats(values):
+    assert mismatch(values) is None
+
+
+@pytest.mark.parametrize("cols", [1, 2, 4, 6, 7])
+def test_rows_are_comma_separated_and_newline_terminated(cols):
+    rng = np.random.default_rng(cols)
+    values = rng.standard_normal((50, cols)) * 10.0 ** rng.integers(-8, 20, (50, cols))
+    values[7] = -0.0
+    values[11, 0] = math.nan
+    assert mismatch(values, cols) is None
+
+
+def test_no_rows():
+    assert repr_rows(np.empty((0, 4)), 4) == ""
