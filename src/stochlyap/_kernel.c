@@ -6,6 +6,8 @@
    so that, built with -ffp-contract=off, the results equal theirs bit for
    bit.  Matrices are 3x3, flat and row-major. */
 
+#include <string.h>
+
 typedef struct {
     double sigma, r, b, dt, bound;
     double a00, a11, a12, a21, a22; /* Df1: the entries either noise sets */
@@ -89,59 +91,60 @@ static void rotate(const double *q, const double *t, double *out)
 /* n base steps from x along dw[0..n), the state after step i stored in
    out[3i..3i+2] unless out is NULL.  Returns -1 with x the end state, or
    the index of the first state that fails the bound (NaN fails it too)
-   with x that state. */
+   with x that state.  It steps a copy of x, stored back once: a store per
+   step can share a cache line with another thread's loop state. */
 long base_loop(const Sys *s, int heun, double *x, const double *dw, long n,
                double *out)
 {
-    double p[3];
+    double y[3], p[3];
     long i;
+    memcpy(y, x, sizeof y);
     for (i = 0; i < n; i++) {
-        base_step(s, heun, x, dw[i], p, x);
-        if (!bounded(s, x))
-            return i;
-        if (out) {
-            out[3 * i] = x[0];
-            out[3 * i + 1] = x[1];
-            out[3 * i + 2] = x[2];
-        }
+        base_step(s, heun, y, dw[i], p, y);
+        if (!bounded(s, y))
+            break;
+        if (out)
+            memcpy(out + 3 * i, y, sizeof y);
     }
-    return -1;
+    memcpy(x, y, sizeof y);
+    return i < n ? i : -1;
 }
 
 /* Exponent steps lo..hi-1 of (x, q, rho) along dw: the base step, and the
    frame step at (x, q); Heun takes the mean of the increments at (x, q) and
    at (p, q cayley(S)).  After step i with (i + 1) % every == 0, row
-   (i + 1) / every - 1 of samples gets (t, rho).  Returns as base_loop. */
+   (i + 1) / every - 1 of samples gets (t, rho).  Returns as base_loop, and
+   steps copies of x, q and rho likewise. */
 long frame_loop(const Sys *s, int heun, double *x, double *q, double *rho,
                 const double *dw, long lo, long hi, long every, double *samples)
 {
-    double p[3], y[3], d[3], t[3], e[3], v[3], u[9];
+    double xl[3], ql[9], rl[3], p[3], y[3], d[3], t[3], e[3], v[3], u[9];
     long i;
     int k;
+    memcpy(xl, x, sizeof xl), memcpy(ql, q, sizeof ql), memcpy(rl, rho, sizeof rl);
     for (i = lo; i < hi; i++) {
-        base_step(s, heun, x, dw[i], p, y);
-        if (!bounded(s, y)) {
-            x[0] = y[0], x[1] = y[1], x[2] = y[2];
-            return i;
-        }
-        frame_increment(s, q, x, dw[i], d, t);
+        base_step(s, heun, xl, dw[i], p, y);
+        if (!bounded(s, y))
+            break;
+        frame_increment(s, ql, xl, dw[i], d, t);
         if (heun) {
-            rotate(q, t, u);
+            rotate(ql, t, u);
             frame_increment(s, u, p, dw[i], e, v);
             for (k = 0; k < 3; k++) {
-                rho[k] += 0.5 * (d[k] + e[k]);
+                rl[k] += 0.5 * (d[k] + e[k]);
                 t[k] = 0.5 * (t[k] + v[k]);
             }
         } else
             for (k = 0; k < 3; k++)
-                rho[k] += d[k];
-        rotate(q, t, q);
-        x[0] = y[0], x[1] = y[1], x[2] = y[2];
+                rl[k] += d[k];
+        rotate(ql, t, ql);
+        memcpy(xl, y, sizeof y);
         if ((i + 1) % every == 0) {
             double *row = samples + 4 * ((i + 1) / every - 1);
             row[0] = (double)(i + 1) * s->dt;
-            row[1] = rho[0], row[2] = rho[1], row[3] = rho[2];
+            row[1] = rl[0], row[2] = rl[1], row[3] = rl[2];
         }
     }
-    return -1;
+    memcpy(x, i < hi ? y : xl, sizeof y), memcpy(q, ql, sizeof ql), memcpy(rho, rl, sizeof rl);
+    return i < hi ? i : -1;
 }

@@ -4,15 +4,16 @@ The closed-form exponent sum (``theoretical_sum``, stated in ``models``
 next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
 boundedness diagnostics, noise-amplitude sweeps and convergence series.
 A sweep row is a SALT and then an FD run, each ``spin_up`` and then
-``run_nle`` as a single run makes them; the rows are split into contiguous
-shards across worker processes when ``SweepConfig.jobs`` > 1.  The step
-kernel is loaded before the workers start, so a cold cache builds it once.
+``run_nle`` as a single run makes them; up to ``SweepConfig.jobs`` rows
+run at once on threads, in parallel inside the step kernel's loops, which
+release the interpreter lock (without the kernel, one at a time).  The
+kernel is loaded before the threads start, so a cold cache builds it once.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import math
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,32 +142,28 @@ class SweepConfig:
     nle_steps: int = DEFAULT_NLE_STEPS
     eta: float = DEFAULT_ETA  # validated by sweep_beta; does not change its output
     sample_every: int = 100
-    jobs: int = 1  # worker processes the rows are split across; 1 runs in-process
+    jobs: int = 1  # rows run at once on threads; 1 runs them on the calling thread
 
 
-def _sweep_shard(args: tuple[list[tuple[float, int]], SweepConfig]) -> list[SweepRow]:
-    """The (beta, seed) rows of a shard in order, each a SALT and then an FD
-    run; a blow-up names its phase and run, and no later run starts."""
-    tasks, cfg = args
+def _sweep_row(beta: float, seed: int, path: WienerPath | None, cfg: SweepConfig) -> SweepRow:
+    """One row: a SALT and then an FD run on path, or on the path of seed
+    when path is None; a blow-up names its phase and run."""
+    if path is None:
+        path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
     icfg = IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps,
                             allow_convention_mismatch=True)
-    rows, path = [], None
-    for beta, seed in tasks:
-        if path is None or path.seed != seed:  # one path per run of equal seeds
-            path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-        runs = []
-        for s in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)):
-            with _phase("spin-up", s, seed):
-                x0 = spin_up(s, path, icfg)
-            with _phase("exponent phase", s, seed):
-                runs.append(run_nle(s, x0, path, cfg.dt, cfg.nle_steps,
-                                    sample_every=cfg.sample_every,
-                                    path_offset=cfg.spin_up_steps,
-                                    allow_convention_mismatch=True))
-        salt, fd = runs
-        rows.append(SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
-                             w_T_over_T=fd.w_terminal / fd.t_final))
-    return rows
+    runs = []
+    for s in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)):
+        with _phase("spin-up", s, seed):
+            x0 = spin_up(s, path, icfg)
+        with _phase("exponent phase", s, seed):
+            runs.append(run_nle(s, x0, path, cfg.dt, cfg.nle_steps,
+                                sample_every=cfg.sample_every,
+                                path_offset=cfg.spin_up_steps,
+                                allow_convention_mismatch=True))
+    salt, fd = runs
+    return SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
+                    w_T_over_T=fd.w_terminal / fd.t_final)
 
 
 def sweep_beta(
@@ -177,13 +174,12 @@ def sweep_beta(
 ) -> list[SweepRow]:
     """Run SALT and FD exponent computations over a grid of noise amplitudes.
 
-    FIXED_PATH reuses the base_seed realisation for every amplitude, so the
-    whole sweep reads one increment stream; the fresh mode derives seed
-    base_seed + index per amplitude, one stream per row.
-    The rows are split into at most ``cfg.jobs`` contiguous shards, each run
-    in its own worker process (one shard runs in-process).  Rows come back
-    ordered by beta.  A blow-up raises the first failing row's error, in the
-    order of ``betas``, SALT before FD, whatever ``cfg.jobs``.
+    FIXED_PATH draws the base_seed realisation once and every amplitude
+    reads it; the fresh mode derives seed base_seed + index per amplitude,
+    and each row draws its own stream.  Up to ``cfg.jobs`` rows run at once
+    on threads (with one job or one row, on the calling thread).  Rows come
+    back ordered by beta.  A blow-up raises the first failing row's error,
+    in the order of ``betas``, SALT before FD, whatever ``cfg.jobs``.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
@@ -194,25 +190,21 @@ def sweep_beta(
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     _check_eta(cfg.eta)
-    # every size a run reads, before any path, spin-up or worker
+    # every size a run reads, before any path, spin-up or thread
     _check_sizes(cfg.nle_steps, cfg.sample_every)
-    if not math.isfinite(cfg.dt):
-        raise ValueError(f"dt must be finite, got {cfg.dt}")
-    IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps)  # dt > 0, spin-up >= 0
+    IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps)  # dt finite and > 0, spin-up >= 0
     fixed = mode is SweepMode.FIXED_PATH
-    tasks = [
-        (float(b), base_seed if fixed else base_seed + i) for i, b in enumerate(betas)
-    ]
-    n_shards = min(cfg.jobs, len(tasks))
-    edges = [len(tasks) * k // n_shards for k in range(n_shards + 1)]
-    shards = [(tasks[lo:hi], cfg) for lo, hi in zip(edges, edges[1:])]
-    if len(shards) > 1:
-        _kernel()  # built here, not once per worker
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            parts = list(pool.map(_sweep_shard, shards))
+    path = generate_path(base_seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt) if fixed else None
+    seeds = [base_seed if fixed else base_seed + i for i in range(betas.size)]
+    run_row = functools.partial(_sweep_row, path=path, cfg=cfg)
+    jobs = min(cfg.jobs, betas.size)
+    if jobs > 1:
+        _kernel()  # built here, not once per thread
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(run_row, betas.tolist(), seeds))
     else:
-        parts = [_sweep_shard(shards[0])]
-    return sorted((row for part in parts for row in part), key=lambda row: row.beta)
+        rows = list(map(run_row, betas.tolist(), seeds))
+    return sorted(rows, key=lambda row: row.beta)
 
 
 @dataclass(frozen=True)

@@ -434,8 +434,7 @@ def _config_flags(formatter) -> argparse.ArgumentParser:
     return parser
 
 
-_JOBS_HELP = ("worker processes the sweep's rows are split across "
-              "(default 0: all usable cores)")
+_JOBS_HELP = "threads the sweep's rows run on at once (default 0: all usable cores)"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -99,7 +99,7 @@ class BlowUpError(RuntimeError):
         return BlowUpError(self.step_index, self.state, where)
 
     def __reduce__(self):
-        # pickled by its fields, so the error survives a worker process
+        # pickled by its fields: the default would pass __init__ the message alone
         return type(self), (self.step_index, self.state, self.context)
 
 
@@ -128,6 +128,8 @@ class IntegratorConfig:
     allow_convention_mismatch: bool = False
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:

@@ -85,6 +85,8 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
     """Draw a seeded Brownian increment path of ``n_steps`` steps of size ``dt``."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)

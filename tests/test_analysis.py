@@ -1,6 +1,9 @@
 import dataclasses
 import pickle
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -328,7 +331,7 @@ class TestSweep:
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(analysis.concurrent.futures, "ThreadPoolExecutor",
                             lambda *a, **k: calls.append("pool"))
         cfg = SweepConfig(**{"spin_up_steps": 10, "nle_steps": 10, "jobs": jobs, field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -345,7 +348,7 @@ class TestSweep:
         assert err.step_index == 10
         assert err.context == f"the {phase} (salt, beta=0.1, seed=4)"
         assert f"step 10 of the {phase}" in str(err)
-        # the error survives a worker process
+        # the error survives pickling
         again = pickle.loads(pickle.dumps(err))
         assert str(again) == str(err)
         assert (again.step_index, again.context) == (err.step_index, err.context)
@@ -377,6 +380,61 @@ class TestSweep:
         cfg = SweepConfig(dt=0.5, spin_up_steps=100, nle_steps=100, jobs=2)
         with pytest.raises(BlowUpError, match=r"step \d+ of the spin-up \((salt|fd), beta="):
             sweep_beta(np.array([0.1, 0.2]), SweepMode.FRESH_PATH_PER_BETA, 3, cfg)
+
+
+class TestThreadedRows:
+    """Rows on threads equal the rows run one after another on the calling
+    thread, on either kernel path."""
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_rows_equal_for_every_jobs(self, mode, kernel):
+        cfg = SweepConfig(spin_up_steps=300, nle_steps=700, sample_every=50)
+        betas = np.array([0.6, 0.0, 0.9, 0.3, 0.45])
+        serial = sweep_beta(betas, mode, 11, cfg)
+        for jobs in (2, 3, 8):
+            assert sweep_beta(betas, mode, 11, dataclasses.replace(cfg, jobs=jobs)) == serial
+
+    def test_concurrent_runs_equal_serial_runs(self, kernel, short_path):
+        # a SALT Euler-Maruyama and an FD Heun run, twice each: more runs at
+        # once than cores, released together and switched often
+        runs = [(salt_lorenz(beta=0.4), Scheme.EULER_MARUYAMA),
+                (fd_lorenz(beta=0.7), Scheme.HEUN)] * 2
+        start = threading.Barrier(len(runs))
+
+        def run(s, scheme, wait=False):
+            if wait:
+                start.wait(timeout=60)
+            x0 = spin_up(s, short_path, IntegratorConfig(
+                scheme=scheme, n_steps=1_000, allow_convention_mismatch=True))
+            return run_nle(s, x0, short_path, 0.001, 6_000, scheme=scheme, sample_every=7,
+                           path_offset=1_000, allow_convention_mismatch=True)
+
+        serial = [run(s, scheme) for s, scheme in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+                futures = [pool.submit(run, s, scheme, True) for s, scheme in runs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got.rho_series, want.rho_series)
+            assert np.array_equal(got.lambdas, want.lambdas)
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_blow_up_names_the_first_failing_row_for_every_jobs(self, mode, kernel):
+        # at seed 4 the row beta = 0 overflows at step 23 of its SALT
+        # spin-up and the row beta = 3 at an earlier step (22 on the fixed
+        # path, 21 on its own): the first row in beta order still wins
+        cfg = SweepConfig(dt=0.05, spin_up_steps=30, nle_steps=200)
+        messages = []
+        for jobs in (1, 2, 3):
+            with pytest.raises(BlowUpError) as exc:
+                sweep_beta(np.array([0.0, 3.0]), mode, 4, dataclasses.replace(cfg, jobs=jobs))
+            messages.append(str(exc.value))
+        assert messages == [messages[0]] * 3
+        assert "at step 23 of the spin-up (salt, beta=0.0, seed=4)" in messages[0]
 
 
 class TestFitFdSum:

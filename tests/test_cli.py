@@ -73,7 +73,7 @@ CONFIG_ACTIONS = [
     (("--outdir",), "outdir", None, None, None, None),
 ]
 JOBS_ACTION = (("--jobs",), "jobs", 0, int, None,
-               "worker processes the sweep's rows are split across "
+               "threads the sweep's rows run on at once "
                "(default 0: all usable cores)")
 SUBCOMMAND_ACTIONS = {
     "simulate": CONFIG_ACTIONS + [
@@ -311,7 +311,7 @@ class TestNumericalFailure:
     def test_sweep_blow_up_is_the_same_for_every_jobs(self, tmp_path, capsys):
         # the rows beta = 0 and 3 overflow at steps 23 and 22 of their SALT
         # spin-ups; a sweep names its first failing row in beta order, so a
-        # second shard's earlier step must not win
+        # later row's earlier step must not win
         results = [run(BLOW_UP_SWEEP + ["--jobs", jobs, "--outdir", str(tmp_path)], capsys)
                    for jobs in ("1", "2")]
         assert [code for code, _, _ in results] == [EXIT_NUMERICAL] * 2

@@ -187,6 +187,11 @@ class TestIntegratorConfig:
             with pytest.raises(ValueError, match="dt"):
                 cfg(dt=dt)
 
+    @pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be finite, got {dt}$"):
+            IntegratorConfig(dt=dt)
+
 
 class TestConventionCheck:
     def test_em_rejects_stratonovich(self):

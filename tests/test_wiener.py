@@ -38,6 +38,12 @@ def test_argument_validation():
         WienerPath(seed=0, dt=0.1, increments=np.zeros((5, 2)))
 
 
+@pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan")])
+def test_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match=f"^dt must be finite, got {dt}$"):
+        generate_path(1, 3, dt)
+
+
 def test_dump_load_roundtrip_bit_exact(tmp_path):
     path = generate_path(11, 5000, 0.002)
     fname = tmp_path / "path.csv"
