@@ -76,10 +76,8 @@ def liouville_oracle(
     traces of the Lorenz variants, and independent of the Cayley engine.
     """
     n = trajectory.shape[0] - 1
-    if path_offset + n > len(path):
-        raise ValueError("trajectory and path lengths do not match")
+    inc = path.window(path_offset, n)
     dt = path.dt
-    inc = path.scalar()[path_offset:path_offset + n]
     j0 = jacobian_drift_batch(s.params, trajectory[:n])
     j0 += jacobian_correction(s)
     tr0 = np.trace(j0, axis1=1, axis2=2)

@@ -47,14 +47,13 @@ from .integrator import (
     BlowUpError,
     IntegratorConfig,
     Scheme,
-    _diffusion_rows,
     _float_steps,
+    _folded_m,
     _kernel_args,
     _state,
 )
 from .models import (
     SystemDef,
-    jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
     theoretical_sum,
@@ -200,20 +199,6 @@ def _reorthogonalize(q: np.ndarray) -> np.ndarray:
     return qr_decompose(q)[0]
 
 
-def _folded_m(s: SystemDef, dt: float):
-    """The constants of M = Df0(x) dt + Df1 dW, flat row-major.  Df0 is the
-    Lorenz Jacobian l plus the convention correction k: its five entries that
-    do not depend on x are folded once into (l + k) dt, the other four keep k
-    alone.  The second and third items are ``_diffusion_rows(s)``: Df1 and the
-    drift correction's factor.  For both noises the first item is 0 at (0, 2),
-    (1, 0), (1, 2), (2, 0) and (2, 1)."""
-    p = s.params
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = jacobian_correction(s).ravel().tolist()
-    return ((-p.sigma + k00) * dt, (p.sigma + k01) * dt, (0.0 + k02) * dt, k10,
-            (-1.0 + k11) * dt, k12, k20, k21, (-p.b + k22) * dt,
-            ), *_diffusion_rows(s)
-
-
 def _frame_increment(s: SystemDef, dt: float):
     """The frame kernel's increment on Python floats: a map
     (q, x0, x1, x2, dW) -> (drho0, drho1, drho2, s0, s1, s2) of the flat
@@ -300,10 +285,7 @@ def run_nle(
     Both steps run in the step kernel, one call per ``REORTH_EVERY`` steps.
     """
     _check_sizes(n_steps, sample_every)
-    if path_offset + n_steps > len(path):
-        raise ValueError(
-            f"path has {len(path)} steps, need {path_offset + n_steps}"
-        )
+    inc = path.window(path_offset, n_steps)
     _check_eta(eta)
     IntegratorConfig(
         scheme=scheme,
@@ -314,12 +296,10 @@ def run_nle(
     x = _state(x0)
     q, rho = np.eye(3).ravel(), np.zeros(3)
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
-    inc = path.scalar()[path_offset:path_offset + n_steps]
     heun = scheme is Scheme.HEUN
     kernel = integrator._kernel()
     if kernel is not None:
-        (e00, e01, _, _, e11, _, _, _, e22), _, _ = _folded_m(s, dt)
-        args = _kernel_args(s, dt, (e00, e01, e11, e22))
+        args = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
     for lo in range(0, n_steps, REORTH_EVERY):
         hi = min(lo + REORTH_EVERY, n_steps)
         if kernel is None:

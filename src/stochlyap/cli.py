@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import analysis, integrator
 from .analysis import SweepConfig, SweepMode, fit_fd_sum, sweep_beta
-from .cayley import run_nle
+from .cayley import _check_eta, run_nle
 from .integrator import (
     BlowUpError,
     ConventionMismatchError,
@@ -62,12 +61,22 @@ class ConfigError(ValueError):
     pass
 
 
+# Each RunConfig field's flag options beyond its type; validate checks the choices.
+_FLAG_OPTIONS = {
+    "system": {"choices": ["deterministic", "salt", "fd"]},
+    "eta": {"help": "restart threshold in (0, 1) of the K/eta reference stepper; the "
+                    "engine restarts after every step, so eta does not change the exponents"},
+    "scheme": {"choices": ["euler-maruyama", "heun"]},
+    "convention_mode": {"choices": ["paper", "stratonovich-strict"]},
+}
+_CONVERTERS = {"int": int, "float": float}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; defaults match the reference
-    experiments (sigma=10, r=28, b=8/3, beta=0.5, dt=0.001, 50000 spin-up
-    steps, 100000 exponent steps, eta=0.8, Euler-Maruyama).  The engine is
-    the K/eta reference stepper restarted every step, so eta leaves it unchanged."""
+    """Fully resolved run configuration; the defaults are the reference
+    experiments' protocol.  The engine is the K/eta reference stepper
+    restarted every step, so eta leaves it unchanged."""
 
     system: str = "deterministic"
     sigma: float = 10.0
@@ -85,19 +94,14 @@ class RunConfig:
     outdir: str = "."
 
     def validate(self) -> None:
-        if self.system not in ("deterministic", "salt", "fd"):
-            raise ConfigError(f"unknown system {self.system!r}")
-        if self.scheme not in ("euler-maruyama", "heun"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.convention_mode not in ("paper", "stratonovich-strict"):
-            raise ConfigError(f"unknown convention_mode {self.convention_mode!r}")
+        for name, options in _FLAG_OPTIONS.items():
+            if "choices" in options and getattr(self, name) not in options["choices"]:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("sigma", "r", "b", "beta", "dt", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not 0 < self.eta < 1:
-            raise ConfigError(f"eta must lie in (0, 1), got {self.eta}")
+        IntegratorConfig(dt=self.dt)  # dt > 0, by the check every run makes
+        _check_eta(self.eta)
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_every < 1:
@@ -162,7 +166,7 @@ def _coerce(name: str, value: str, where: str):
     kind = _FIELD_TYPES.get(name)
     if kind is None:
         raise ConfigError(f"{where}: unknown configuration key {name!r}")
-    convert = {"int": int, "float": float}.get(kind)
+    convert = _CONVERTERS.get(kind)
     if convert is None:
         return value
     try:
@@ -353,7 +357,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     betas = np.linspace(args.beta_min, args.beta_max, args.count)
     mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
-    jobs = args.jobs or _usable_cores()
+    cores = _usable_cores()
+    jobs = min(args.jobs or cores, cores)  # a thread per row at once, no more than the cores
     sweep_cfg = SweepConfig(
         params=cfg.params(),
         dt=cfg.dt,
@@ -392,68 +397,44 @@ _REPRODUCTIONS = {
 
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     overrides = _REPRODUCTIONS[args.target]
-    cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
+    cfg = dataclasses.replace(cfg, **overrides)  # the overrides are valid values
     if args.target in ("table1", "table2"):
         return cmd_nle(cfg, args)
-    sweep_args = argparse.Namespace(
-        beta_min=0.0,
-        beta_max=1.0,
-        count=100,
-        mode="fixed" if args.target.endswith("fixed") else "fresh",
-        jobs=args.jobs,
-        output=args.output,
-    )
+    # the sweep subcommand's own defaults: 100 amplitudes in [0, 1]
+    mode = "fixed" if args.target.endswith("fixed") else "fresh"
+    sweep_args = build_parser().parse_args(["sweep", "--mode", mode, f"--jobs={args.jobs}"])
+    sweep_args.output = args.output
     return cmd_sweep(cfg, sweep_args)
 
 
-def _config_flags(formatter) -> argparse.ArgumentParser:
-    """The flags every subcommand shares, on a parser they take as a parent."""
-    parser = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand shares, on a parser they take as a parent:
+    --config, --print-config and one flag per RunConfig field."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--print-config", action="store_true",
                         help="echo the resolved configuration and exit")
-    parser.add_argument("--system", choices=["deterministic", "salt", "fd"])
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--r", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--spin-up-steps", type=int, dest="spin_up_steps")
-    parser.add_argument("--nle-steps", type=int, dest="nle_steps")
-    parser.add_argument("--eta", type=float, help=(
-        "restart threshold in (0, 1) of the K/eta reference stepper; the engine "
-        "restarts after every step, so eta does not change the exponents"))
-    parser.add_argument("--scheme", choices=["euler-maruyama", "heun"])
-    parser.add_argument("--convention-mode",
-                        choices=["paper", "stratonovich-strict"],
-                        dest="convention_mode")
-    parser.add_argument("--sample-every", type=int, dest="sample_every")
-    parser.add_argument("--outdir")
+    for field in dataclasses.fields(RunConfig):
+        parser.add_argument("--" + field.name.replace("_", "-"),
+                            type=_CONVERTERS.get(field.type),
+                            **_FLAG_OPTIONS.get(field.name, {}))
     return parser
 
 
-_JOBS_HELP = "threads the sweep's rows run on at once (default 0: all usable cores)"
+_JOBS_HELP = ("threads the sweep's rows run on at once, at most the usable cores "
+              "(default 0: all usable cores)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # argparse's default help width, asked of the terminal once rather than
-    # by a new formatter for every flag added
-    return _parser(shutil.get_terminal_size().columns - 2)
-
-
-@functools.lru_cache(maxsize=8)
-def _parser(width: int) -> argparse.ArgumentParser:
-    """The parser, built once per help width."""
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    """The parser, built once per process; argparse's formatter asks the
+    terminal for the help width each time help is printed."""
     parser = argparse.ArgumentParser(
         prog="stochlyap",
         description="Stochastic Lorenz 63 trajectories and Lyapunov exponents",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = {"parents": [_config_flags(formatter)], "formatter_class": formatter}
+    common = {"parents": [_config_flags()]}
 
     p_sim = sub.add_parser("simulate", help="integrate one trajectory to CSV", **common)
     p_sim.add_argument("--output", help="trajectory CSV path")

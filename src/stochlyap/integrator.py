@@ -14,9 +14,11 @@ bit for bit.  The kernel also holds the CSV float formatter of
 ``cli._write_csv``, ``_repr.cc`` (C++17 ``std::to_chars``).  On first use
 both sources are built with one ``cc`` command into one library in the
 package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and
-the command) and loaded with ctypes.  Where it cannot be built, the loop
-calls the ``_float_steps`` closures step by step instead, and the CSV
-writer formats with ``%r``, to the same bytes.
+the command) and loaded with ctypes.  Both loops read one block of
+constants, ``Sys``, all filled by ``_kernel_args`` from ``_folded_m``.
+Where the kernel cannot be built, the loop calls the ``_float_steps``
+closures step by step instead, and the CSV writer formats with ``%r``, to
+the same bytes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
 (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.6-2.4 us and
 ~2.6-3.9 us in Python.
@@ -42,6 +44,7 @@ from .models import (
     SystemDef,
     _correction_sign,
     _lorenz,
+    jacobian_correction,
     jacobian_diffusion,
 )
 from .wiener import WienerPath
@@ -156,6 +159,20 @@ def _diffusion_rows(s: SystemDef):
     return j1.ravel().tolist(), (_correction_sign(s) * 0.5 * j1).ravel().tolist()
 
 
+def _folded_m(s: SystemDef, dt: float):
+    """The constants of M = Df0(x) dt + Df1 dW, flat row-major.  Df0 is the
+    Lorenz Jacobian l plus the convention correction k: its five entries that
+    do not depend on x are folded once into (l + k) dt, the other four keep k
+    alone.  The second and third items are ``_diffusion_rows(s)``: Df1 and the
+    drift correction's factor.  For both noises the first item is 0 at (0, 2),
+    (1, 0), (1, 2), (2, 0) and (2, 1)."""
+    p = s.params
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = jacobian_correction(s).ravel().tolist()
+    return ((-p.sigma + k00) * dt, (p.sigma + k01) * dt, (0.0 + k02) * dt, k10,
+            (-1.0 + k11) * dt, k12, k20, k21, (-p.b + k22) * dt,
+            ), *_diffusion_rows(s)
+
+
 @functools.lru_cache(maxsize=32)
 def _float_steps(s: SystemDef, dt: float):
     """The base step of s on Python floats: (euler, heun), each a map
@@ -226,16 +243,16 @@ def _state(x) -> np.ndarray:
     return x
 
 
-def _kernel_args(s: SystemDef, dt: float, folded=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
-    """The kernel's ``Sys`` constants of s: sigma, r, b, dt, the bound, the
-    entries of Df1 and of the correction factor that the loops read, and
-    ``folded``, the entries (0,0), (0,1), (1,1), (2,2) of M's Df0 dt that
-    only the frame loop reads (``cayley._folded_m``)."""
+def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
+    """The kernel's ``Sys`` block of s, every constant its loops read:
+    sigma, r, b, dt, the bound, the entries of Df1 and of the correction
+    factor that the base step reads, and the entries (0,0), (0,1), (1,1),
+    (2,2) of M's folded Df0 dt (``_folded_m``) that the frame step reads."""
     p = s.params
-    (a00, _, _, _, a11, a12, _, a21, a22), (
-        h00, _, _, _, h11, h12, _, h21, h22) = _diffusion_rows(s)
+    (e00, e01, _, _, e11, _, _, _, e22), (a00, _, _, _, a11, a12, _, a21, a22), (
+        h00, _, _, _, h11, h12, _, h21, h22) = _folded_m(s, dt)
     return np.array([p.sigma, p.r, p.b, dt, _STATE_BOUND, a00, a11, a12, a21, a22,
-                     h00, h11, h12, h21, h22, *folded])
+                     h00, h11, h12, h21, h22, e00, e01, e11, e22])
 
 
 def _load_kernel():
@@ -308,12 +325,8 @@ def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset:
     array out, when given, receives the state after step i in row i.  A
     state failing the bound raises ``BlowUpError`` naming step i."""
     cfg.check(s)
-    if offset + cfg.n_steps > len(path):
-        raise ValueError(
-            f"path has {len(path)} steps, need {offset + cfg.n_steps}"
-        )
+    inc = path.window(offset, cfg.n_steps)
     x = _state(x)
-    inc = path.scalar()[offset:offset + cfg.n_steps]
     heun = cfg.scheme is Scheme.HEUN
     kernel = _kernel()
     if kernel is None:

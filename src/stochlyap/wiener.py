@@ -48,6 +48,14 @@ class WienerPath:
         """The increment sequence."""
         return self.increments
 
+    def window(self, offset: int, n: int) -> np.ndarray:
+        """The n increments from offset on, read-only; the path must hold them."""
+        if offset < 0:  # a negative offset would slice from the end
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        if offset + n > len(self):
+            raise ValueError(f"path has {len(self)} steps, need {offset + n}")
+        return self.increments[offset:offset + n]
+
     def dump(self, filename: str | Path) -> None:
         """Write the path as CSV with a metadata header; round-trips bit-exactly."""
         with open(filename, "w", encoding="ascii", newline="\n") as fh:

@@ -135,11 +135,12 @@ class TestLiouvilleOracle:
             want, abs=1e-10
         )
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("states, offset", [(12, 0), (10, 2)])
+    def test_length_mismatch(self, states, offset):
         s = deterministic_lorenz()
         path = generate_path(1, 10, 0.001)
-        with pytest.raises(ValueError):
-            liouville_oracle(s, np.zeros((12, 3)), path)
+        with pytest.raises(ValueError, match=r"^path has 10 steps, need 11$"):
+            liouville_oracle(s, np.zeros((states, 3)), path, offset)
 
     def test_engine_sum_agrees(self, short_path):
         # the Cayley engine and the oracle integrate the same trace identity

@@ -238,6 +238,18 @@ class TestRunNle:
             with pytest.raises(ValueError):
                 simulate(s, np.array(x0), short_path, IntegratorConfig(n_steps=100))
 
+    def test_rejects_a_window_outside_the_path(self, short_path, kernel):
+        # the kernel reads the increments through a pointer
+        s = deterministic_lorenz()
+        x0 = np.array([1.0, 1.0, 20.0])
+        with pytest.raises(ValueError, match=r"^offset must be >= 0, got -5$"):
+            run_nle(s, x0, short_path, 0.001, 10, path_offset=-5)
+        with pytest.raises(ValueError, match=r"^offset must be >= 0, got -1$"):
+            simulate(s, x0, short_path, IntegratorConfig(n_steps=10), offset=-1)
+        n = len(short_path)
+        with pytest.raises(ValueError, match=f"^path has {n} steps, need {n + 1}$"):
+            run_nle(s, x0, short_path, 0.001, 10, path_offset=n - 9)
+
     def test_blow_up_carries_step_index(self, short_path):
         s = deterministic_lorenz()
         with pytest.raises(BlowUpError) as exc:

@@ -73,7 +73,7 @@ CONFIG_ACTIONS = [
     (("--outdir",), "outdir", None, None, None, None),
 ]
 JOBS_ACTION = (("--jobs",), "jobs", 0, int, None,
-               "threads the sweep's rows run on at once "
+               "threads the sweep's rows run on at once, at most the usable cores "
                "(default 0: all usable cores)")
 SUBCOMMAND_ACTIONS = {
     "simulate": CONFIG_ACTIONS + [
@@ -134,12 +134,19 @@ class TestParser:
         assert exc.value.code == 0
         assert capsys.readouterr().out == subcommands(build_parser())["sweep"].format_help()
 
-    def test_built_once_per_width(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "90")
-        parser = build_parser()
+    def test_built_once_per_process(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "60")
+        build_parser.cache_clear()
+        parser = build_parser()  # built under a 60-column terminal
+        monkeypatch.setenv("COLUMNS", "200")
         assert build_parser() is parser
-        monkeypatch.setenv("COLUMNS", "91")
-        assert build_parser() is not parser
+        # the width is asked of the terminal when help is printed, not built in
+        sweep = subcommands(parser)["sweep"]
+        got = sweep.format_help()
+        monkeypatch.setattr(sweep, "formatter_class",
+                            functools.partial(argparse.HelpFormatter, width=198))
+        assert got == sweep.format_help()
+        assert max(map(len, got.splitlines())) > 100
 
 
 class TestRunConfig:
@@ -212,6 +219,17 @@ class TestConfigResolution:
         code, _, err = run(["nle", "--config", str(cfgfile)], capsys)
         assert code == EXIT_CONFIG
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key, value", [("system", "lorenz"), ("scheme", "rk4"),
+                                            ("convention_mode", "ito")])
+    def test_unknown_choice_in_file_rejected(self, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        code, _, err = run(["nle", "--config", str(cfgfile), "--outdir", str(tmp_path)],
+                           capsys)
+        assert code == EXIT_CONFIG
+        assert err == f"configuration error: unknown {key} {value!r}\n"
+        assert list(tmp_path.iterdir()) == [cfgfile]
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -549,6 +567,19 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "sweep_beta", sweep_beta)
         code, _, err = run(["sweep", "--count", "2", "--mode", "fixed", "--jobs", "0",
+                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert jobs == [want]
+
+
+    @pytest.mark.parametrize("flag, want", [("64", 2), ("1", 1), ("0", 2)])
+    def test_jobs_are_capped_at_the_usable_cores(self, flag, want, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        jobs, real = [], cli.sweep_beta
+        monkeypatch.setattr(cli, "sweep_beta", lambda betas, mode, seed, cfg:
+                            jobs.append(cfg.jobs) or real(betas, mode, seed, cfg))
+        code, _, err = run(["sweep", "--count", "4", "--jobs", flag,
                             "--outdir", str(tmp_path)] + SMALL, capsys)
         assert code == EXIT_OK, err
         assert jobs == [want]

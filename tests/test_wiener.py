@@ -44,6 +44,18 @@ def test_rejects_non_finite_dt(dt):
         generate_path(1, 3, dt)
 
 
+def test_window_is_the_read_only_slice():
+    path = generate_path(1, 10, 0.001)
+    window = path.window(4, 6)  # ends at the path's last step
+    np.testing.assert_array_equal(window, path.increments[4:10])
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+    with pytest.raises(ValueError, match=r"^path has 10 steps, need 11$"):
+        path.window(4, 7)
+    with pytest.raises(ValueError, match=r"^offset must be >= 0, got -1$"):
+        path.window(-1, 2)
+
+
 def test_dump_load_roundtrip_bit_exact(tmp_path):
     path = generate_path(11, 5000, 0.002)
     fname = tmp_path / "path.csv"
