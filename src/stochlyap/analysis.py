@@ -1,20 +1,22 @@
-"""Analytical oracles and experiment drivers.
+"""Runs, analytical oracles and experiment drivers.
 
-The closed-form exponent sum (``theoretical_sum``, stated in ``models``
-next to the Jacobians it reads), the Liouville trace oracle, the Lorenz
-boundedness diagnostics, noise-amplitude sweeps and convergence series.
-A sweep row is a SALT and then an FD run, each ``spin_up`` and then
-``run_nle`` as a single run makes them; up to ``SweepConfig.jobs`` rows
-run at once on threads, in parallel inside the step kernel's loops, which
-release the interpreter lock (without the kernel, one at a time).  The
-kernel is loaded before the threads start, so a cold cache builds it once.
+``run_one`` makes the run a ``RunSpec`` states (path, spin-up, ``run_nle``)
+under the spec's one convention rule, for every command and sweep row.
+Also the exponent-sum identity ``theoretical_sum`` (from ``models``), the
+Liouville trace oracle, the Lorenz boundedness diagnostics, noise-amplitude
+sweeps and convergence series.  A sweep row is a SALT and then an FD
+``run_one`` on one path; up to ``SweepConfig.jobs`` rows run at once on
+threads, in parallel inside the step kernel's loops, which release the
+interpreter lock (without the kernel, one at a time).  The kernel is loaded
+before the threads start, so a cold cache builds it once.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,13 +33,17 @@ from .integrator import (
     DEFAULT_DT,
     DEFAULT_SPIN_UP_STEPS,
     IntegratorConfig,
+    Scheme,
     _kernel,
     _phase,
     spin_up,
 )
 from .models import (
+    Convention,
     LorenzParams,
     SystemDef,
+    convert_convention,
+    deterministic_lorenz,
     fd_lorenz,
     jacobian_correction,
     jacobian_diffusion,
@@ -48,6 +54,9 @@ from .models import (
 from .wiener import WienerPath, generate_path
 
 __all__ = [
+    "RunSpec",
+    "spun_up",
+    "run_one",
     "SweepMode",
     "SweepRow",
     "SweepConfig",
@@ -60,6 +69,82 @@ __all__ = [
     "fit_fd_sum",
     "convergence_series",
 ]
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run; the defaults are the reference experiments' protocol.  The
+    engine restarts the K/eta stepper every step, so eta leaves it unchanged."""
+
+    system: str = "deterministic"
+    sigma: float = 10.0
+    r: float = 28.0
+    b: float = 8.0 / 3.0
+    beta: float = 0.5
+    seed: int = 1
+    dt: float = DEFAULT_DT
+    spin_up_steps: int = DEFAULT_SPIN_UP_STEPS
+    nle_steps: int = DEFAULT_NLE_STEPS
+    eta: float = DEFAULT_ETA
+    scheme: str = "euler-maruyama"
+    convention_mode: str = "paper"
+    sample_every: int = 100
+
+    def params(self) -> LorenzParams:
+        return LorenzParams(self.sigma, self.r, self.b)
+
+    def system_def(self) -> SystemDef:
+        if self.system == "deterministic":
+            s = deterministic_lorenz(self.params())
+        else:
+            factory = salt_lorenz if self.system == "salt" else fd_lorenz
+            s = factory(self.params(), self.beta)
+        if self.convention_mode == "stratonovich-strict":
+            s = convert_convention(s, Convention.STRATONOVICH)
+        return s
+
+    def scheme_enum(self) -> Scheme:
+        return Scheme(self.scheme)
+
+    def integrator_config(self) -> IntegratorConfig:
+        """The spin-up's config, allowing a convention mismatch to paper-mode
+        Euler-Maruyama only; Heun refuses an Ito system rather than integrate another SDE."""
+        scheme = self.scheme_enum()
+        paper_em = self.convention_mode == "paper" and scheme is Scheme.EULER_MARUYAMA
+        return IntegratorConfig(scheme=scheme, dt=self.dt, n_steps=self.spin_up_steps,
+                                allow_convention_mismatch=paper_em)
+
+
+def _draw_path(spec: RunSpec) -> WienerPath:
+    return generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
+
+
+def spun_up(spec: RunSpec, path: WienerPath | None = None):
+    """The system, path (drawn unless given), spin-up end state and
+    integrator config of spec's run, with the wall seconds of its ``path``
+    and ``spin_up`` phases.  ``spin_up`` checks the convention rule."""
+    s = spec.system_def()
+    icfg = spec.integrator_config()
+    t0 = time.perf_counter()
+    path = _draw_path(spec) if path is None else path
+    t1 = time.perf_counter()
+    with _phase("spin-up", s, spec.seed):
+        x0 = spin_up(s, path, icfg)
+    return s, path, x0, icfg, {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
+
+
+def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, dict]:
+    """spec's run, ``spun_up`` and then ``run_nle``, with the wall seconds
+    of its ``path``, ``spin_up`` and ``engine`` phases."""
+    s, path, x0, icfg, seconds = spun_up(spec, path)
+    t0 = time.perf_counter()
+    with _phase("exponent phase", s, spec.seed):
+        res = run_nle(s, x0, path, spec.dt, spec.nle_steps, spec.eta,
+                      scheme=icfg.scheme, sample_every=spec.sample_every,
+                      path_offset=spec.spin_up_steps,
+                      allow_convention_mismatch=icfg.allow_convention_mismatch)
+    seconds["engine"] = time.perf_counter() - t0
+    return res, seconds
 
 
 def liouville_oracle(
@@ -76,6 +161,8 @@ def liouville_oracle(
     traces of the Lorenz variants, and independent of the Cayley engine.
     """
     n = trajectory.shape[0] - 1
+    if n < 1:
+        raise ValueError(f"liouville_oracle needs at least two states, got {n + 1}")
     inc = path.window(path_offset, n)
     dt = path.dt
     j0 = jacobian_drift_batch(s.params, trajectory[:n])
@@ -143,23 +230,13 @@ class SweepConfig:
     jobs: int = 1  # rows run at once on threads; 1 runs them on the calling thread
 
 
-def _sweep_row(beta: float, seed: int, path: WienerPath | None, cfg: SweepConfig) -> SweepRow:
-    """One row: a SALT and then an FD run on path, or on the path of seed
-    when path is None; a blow-up names its phase and run."""
-    if path is None:
-        path = generate_path(seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-    icfg = IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps,
-                            allow_convention_mismatch=True)
-    runs = []
-    for s in (salt_lorenz(cfg.params, beta), fd_lorenz(cfg.params, beta)):
-        with _phase("spin-up", s, seed):
-            x0 = spin_up(s, path, icfg)
-        with _phase("exponent phase", s, seed):
-            runs.append(run_nle(s, x0, path, cfg.dt, cfg.nle_steps,
-                                sample_every=cfg.sample_every,
-                                path_offset=cfg.spin_up_steps,
-                                allow_convention_mismatch=True))
-    salt, fd = runs
+def _sweep_row(beta: float, seed: int, path: WienerPath | None, spec: RunSpec) -> SweepRow:
+    """One row: a SALT and then an FD run of spec at beta and seed, on path,
+    or on the path of seed when path is None."""
+    salt_spec = replace(spec, system="salt", beta=beta, seed=seed)
+    path = _draw_path(salt_spec) if path is None else path
+    salt, _ = run_one(salt_spec, path)
+    fd, _ = run_one(replace(salt_spec, system="fd"), path)
     return SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
                     w_T_over_T=fd.w_terminal / fd.t_final)
 
@@ -190,11 +267,14 @@ def sweep_beta(
     _check_eta(cfg.eta)
     # every size a run reads, before any path, spin-up or thread
     _check_sizes(cfg.nle_steps, cfg.sample_every)
-    IntegratorConfig(dt=cfg.dt, n_steps=cfg.spin_up_steps)  # dt finite and > 0, spin-up >= 0
+    spec = RunSpec(sigma=cfg.params.sigma, r=cfg.params.r, b=cfg.params.b, seed=base_seed,
+                   dt=cfg.dt, spin_up_steps=cfg.spin_up_steps, nle_steps=cfg.nle_steps,
+                   eta=cfg.eta, sample_every=cfg.sample_every)
+    spec.integrator_config()  # dt finite and > 0, spin-up >= 0
     fixed = mode is SweepMode.FIXED_PATH
-    path = generate_path(base_seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt) if fixed else None
+    path = _draw_path(spec) if fixed else None
     seeds = [base_seed if fixed else base_seed + i for i in range(betas.size)]
-    run_row = functools.partial(_sweep_row, path=path, cfg=cfg)
+    run_row = functools.partial(_sweep_row, path=path, spec=spec)
     jobs = min(cfg.jobs, betas.size)
     if jobs > 1:
         _kernel()  # built here, not once per thread

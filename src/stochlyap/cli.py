@@ -2,8 +2,10 @@
 sweep noise amplitudes and reproduce the pinned reference experiments.
 
 Configuration is a flat ``key = value`` file overridden by command-line
-flags; every output file carries a metadata header with the resolved
-config hash and the noise generator id, so runs are replayable.
+flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
+directory, run by ``analysis.run_one`` (``spun_up`` for ``simulate``).
+Every output file carries a metadata header with the resolved config hash
+and the noise generator id, so runs are replayable.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,28 +25,17 @@ import numpy as np
 
 from . import analysis, integrator
 from .analysis import SweepConfig, SweepMode, fit_fd_sum, sweep_beta
-from .cayley import _check_eta, run_nle
+from .cayley import _check_eta
 from .integrator import (
     BlowUpError,
     ConventionMismatchError,
     IntegratorConfig,
-    Scheme,
     _phase,
     simulate,
-    spin_up,
 )
-from .models import (
-    Convention,
-    LorenzParams,
-    SystemDef,
-    convert_convention,
-    deterministic_lorenz,
-    fd_lorenz,
-    salt_lorenz,
-    theoretical_sum,
-)
+from .models import fd_lorenz, theoretical_sum
 from .smallmat import CayleyDomainError, SingularMatrixError
-from .wiener import GENERATOR_ID, generate_path
+from .wiener import GENERATOR_ID
 
 __all__ = ["RunConfig", "main"]
 
@@ -73,24 +63,9 @@ _CONVERTERS = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration; the defaults are the reference
-    experiments' protocol.  The engine is the K/eta reference stepper
-    restarted every step, so eta leaves it unchanged."""
+class RunConfig(analysis.RunSpec):
+    """Fully resolved run configuration: the run and where it writes."""
 
-    system: str = "deterministic"
-    sigma: float = 10.0
-    r: float = 28.0
-    b: float = 8.0 / 3.0
-    beta: float = 0.5
-    seed: int = 1
-    dt: float = 0.001
-    spin_up_steps: int = 50_000
-    nle_steps: int = 100_000
-    eta: float = 0.8
-    scheme: str = "euler-maruyama"
-    convention_mode: str = "paper"
-    sample_every: int = 100
     outdir: str = "."
 
     def validate(self) -> None:
@@ -111,22 +86,6 @@ class RunConfig:
                 f"--spin-up-steps must be >= 0, got {self.spin_up_steps}")
         if self.nle_steps < 1:
             raise ConfigError(f"--nle-steps must be >= 1, got {self.nle_steps}")
-
-    def params(self) -> LorenzParams:
-        return LorenzParams(self.sigma, self.r, self.b)
-
-    def system_def(self) -> SystemDef:
-        if self.system == "deterministic":
-            s = deterministic_lorenz(self.params())
-        else:
-            factory = salt_lorenz if self.system == "salt" else fd_lorenz
-            s = factory(self.params(), self.beta)
-        if self.convention_mode == "stratonovich-strict":
-            s = convert_convention(s, Convention.STRATONOVICH)
-        return s
-
-    def scheme_enum(self) -> Scheme:
-        return Scheme(self.scheme)
 
     def lines(self) -> list[str]:
         return [
@@ -208,38 +167,6 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     return out / name
 
 
-def _spin_and_path(cfg: RunConfig):
-    """The system, path, spin-up end state and integrator config of a run,
-    with the wall seconds of its ``path`` and ``spin_up`` phases."""
-    s = cfg.system_def()
-    # Paper mode applies Euler-Maruyama to the native coefficients.  Heun
-    # consistently integrates Stratonovich systems only, so an Ito system
-    # under Heun is refused rather than silently integrated as another SDE.
-    icfg = IntegratorConfig(
-        scheme=cfg.scheme_enum(),
-        dt=cfg.dt,
-        n_steps=cfg.spin_up_steps,
-        allow_convention_mismatch=(
-            cfg.convention_mode == "paper"
-            and cfg.scheme_enum() is Scheme.EULER_MARUYAMA
-        ),
-    )
-    try:
-        icfg.check(s)
-    except ConventionMismatchError as err:
-        other = "stratonovich-strict" if cfg.convention_mode == "paper" else "paper"
-        raise ConfigError(
-            f"{err}; on the command line, pass --convention-mode {other}"
-        ) from None
-    t0 = time.perf_counter()
-    path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-    t1 = time.perf_counter()
-    with _phase("spin-up", s, cfg.seed):
-        x0 = spin_up(s, path, icfg)
-    seconds = {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
-    return s, path, x0, icfg, seconds
-
-
 def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
     """Write the metadata lines, the header and n data rows to out, 1024 rows
     at a time, each value as its repr: for a float the shortest digits that
@@ -268,7 +195,7 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    s, path, x0, icfg, _ = _spin_and_path(cfg)
+    s, path, x0, icfg, _ = analysis.spun_up(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
     with _phase("trajectory", s, cfg.seed):
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
@@ -284,16 +211,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
-    s, path, x0, icfg, seconds = _spin_and_path(cfg)
-    t0 = time.perf_counter()
-    with _phase("exponent phase", s, cfg.seed):
-        res = run_nle(s, x0, path, cfg.dt, cfg.nle_steps, cfg.eta,
-                      scheme=cfg.scheme_enum(), sample_every=cfg.sample_every,
-                      path_offset=cfg.spin_up_steps,
-                      allow_convention_mismatch=icfg.allow_convention_mismatch)
-    seconds["engine"] = time.perf_counter() - t0
+    res, seconds = analysis.run_one(cfg)
     w_over_t = res.w_terminal / res.t_final
-    theory = theoretical_sum(s, res.w_terminal, res.t_final)
+    theory = theoretical_sum(cfg.system_def(), res.w_terminal, res.t_final)
 
     conv = analysis.convergence_series(res)
     conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
@@ -348,6 +268,9 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     if fixed and args.beta_min == args.beta_max:
         raise ConfigError("--beta-min and --beta-max must differ in fixed mode")
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
     if cfg.scheme != "euler-maruyama" or cfg.convention_mode != "paper":
@@ -479,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     except (BlowUpError, CayleyDomainError, SingularMatrixError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ConventionMismatchError as err:
+        other = "stratonovich-strict" if cfg.convention_mode == "paper" else "paper"
+        print(f"configuration error: {err}; on the command line, pass --convention-mode {other}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

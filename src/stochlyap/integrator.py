@@ -243,6 +243,7 @@ def _state(x) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=32)
 def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
     """The kernel's ``Sys`` block of s, every constant its loops read:
     sigma, r, b, dt, the bound, the entries of Df1 and of the correction
@@ -251,8 +252,10 @@ def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
     p = s.params
     (e00, e01, _, _, e11, _, _, _, e22), (a00, _, _, _, a11, a12, _, a21, a22), (
         h00, _, _, _, h11, h12, _, h21, h22) = _folded_m(s, dt)
-    return np.array([p.sigma, p.r, p.b, dt, _STATE_BOUND, a00, a11, a12, a21, a22,
+    args = np.array([p.sigma, p.r, p.b, dt, _STATE_BOUND, a00, a11, a12, a21, a22,
                      h00, h11, h12, h21, h22, e00, e01, e11, e22])
+    args.flags.writeable = False  # shared through the cache; the kernel takes a const Sys *
+    return args
 
 
 def _load_kernel():
@@ -354,11 +357,7 @@ def simulate(
     return out
 
 
-def spin_up(
-    s: SystemDef,
-    path: WienerPath,
-    cfg: IntegratorConfig | None = None,
-) -> np.ndarray:
+def spin_up(s: SystemDef, path: WienerPath, cfg: IntegratorConfig) -> np.ndarray:
     """Discard the transient: integrate from (0, 1, 0) and return the end state.
 
     The spin-up consumes the head of the path (noise on); the exponent
@@ -366,6 +365,4 @@ def spin_up(
     ``simulate(s, SPIN_UP_STATE, path, cfg)[-1]`` without keeping the
     states on the way.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(n_steps=DEFAULT_SPIN_UP_STEPS)
     return _base_loop(s, cfg, SPIN_UP_STATE, path, 0)

@@ -152,8 +152,9 @@ def _correction_sign(s: SystemDef) -> float:
 def jacobian_correction(s: SystemDef) -> np.ndarray:
     """Jacobian of the drift's convention correction, sign * (1/2)(Df1)^2:
     constant, since both noises are linear, and zero in the native convention."""
-    j1 = jacobian_diffusion(s)
-    return _correction_sign(s) * 0.5 * (j1 @ j1)
+    sign = _correction_sign(s)
+    j1 = jacobian_diffusion(s)  # (Df1)^2 is formed only where used: it may overflow
+    return sign * 0.5 * (j1 @ j1) if sign else np.zeros((3, 3))
 
 
 def drift(s: SystemDef, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stochlyap import analysis
 from stochlyap.analysis import (
     RegressionSummary,
+    RunSpec,
     SweepConfig,
     SweepMode,
     SweepRow,
@@ -21,6 +22,7 @@ from stochlyap.analysis import (
     fit_fd_sum,
     liouville_oracle,
     lyapunov_function,
+    run_one,
     sweep_beta,
     theoretical_sum,
 )
@@ -141,6 +143,12 @@ class TestLiouvilleOracle:
         path = generate_path(1, 10, 0.001)
         with pytest.raises(ValueError, match=r"^path has 10 steps, need 11$"):
             liouville_oracle(s, np.zeros((states, 3)), path, offset)
+
+    @pytest.mark.parametrize("states", [1, 0])
+    def test_needs_two_states(self, states):
+        path = generate_path(1, 10, 0.001)
+        with pytest.raises(ValueError, match=f"needs at least two states, got {states}$"):
+            liouville_oracle(fd_lorenz(beta=0.5), np.zeros((states, 3)), path)
 
     def test_engine_sum_agrees(self, short_path):
         # the Cayley engine and the oracle integrate the same trace identity
@@ -304,6 +312,16 @@ class TestSweep:
         assert rows == [scalar_row(row.beta, row.seed, cfg) for row in rows]
         assert [row.seed for row in rows] == ([3] * 4 if mode is SweepMode.FIXED_PATH
                                               else [6, 5, 3, 4])
+
+    def test_fixed_rows_are_run_one_on_the_shared_path(self, kernel):
+        cfg = SweepConfig(spin_up_steps=300, nle_steps=700, sample_every=70)
+        rows = sweep_beta(np.array([0.2, 0.6]), SweepMode.FIXED_PATH, 11, cfg)
+        spec = RunSpec(seed=11, spin_up_steps=300, nle_steps=700, sample_every=70)
+        path = generate_path(11, 1_000, spec.dt)
+        for row in rows:
+            salt, _ = run_one(dataclasses.replace(spec, system="salt", beta=row.beta), path)
+            fd, _ = run_one(dataclasses.replace(spec, system="fd", beta=row.beta), path)
+            assert (row.sum_salt, row.sum_fd) == (salt.sum, fd.sum)
 
     def test_zero_spin_up_and_single_row(self, kernel):
         cfg = SweepConfig(spin_up_steps=0, nle_steps=500, sample_every=1)

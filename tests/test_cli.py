@@ -2,11 +2,12 @@ import argparse
 import functools
 import json
 import os
+import warnings
 
 import pytest
 
 from stochlyap import analysis, cli, integrator
-from stochlyap.analysis import SweepRow, convergence_series
+from stochlyap.analysis import RunSpec, SweepRow, convergence_series
 from stochlyap.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -16,6 +17,7 @@ from stochlyap.cli import (
     build_parser,
     main,
 )
+from stochlyap.integrator import ConventionMismatchError
 from stochlyap.models import Convention, LorenzParams, NoiseKind, fd_lorenz, theoretical_sum
 from stochlyap.smallmat import SingularMatrixError
 
@@ -32,10 +34,11 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
-def returns_of(monkeypatch, name):
-    """The list every later call of cli.<name> appends its return value to."""
-    values, real = [], getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a, **k: values.append(real(*a, **k)) or values[-1])
+def returns_of(monkeypatch, name, module=cli):
+    """The list every later call of module.<name> appends its return value to."""
+    values, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: values.append(real(*a, **k)) or values[-1])
     return values
 
 
@@ -187,6 +190,12 @@ class TestRunConfig:
         assert RunConfig().config_hash() != RunConfig(seed=2).config_hash()
         assert len(RunConfig().config_hash()) == 12
 
+    def test_hash_is_pinned(self):
+        # the fields, their order and their defaults are what the hash of
+        # every existing output's header was computed from
+        assert RunConfig().config_hash() == "362e944e8862"
+        assert RunConfig(system="salt", seed=5).config_hash() == "948ef4aef55c"
+
     def test_hash_ignores_outdir(self, capsys):
         assert RunConfig(outdir="a").config_hash() == RunConfig(outdir="b").config_hash()
         code, out, _ = run(["nle", "--print-config", "--outdir", "a"], capsys)
@@ -201,6 +210,12 @@ class TestConfigResolution:
         assert code == EXIT_OK
         assert "seed = 9" in out
         assert "config_hash = " in out
+        assert out.splitlines() == [
+            "system = deterministic", "sigma = 10.0", "r = 28.0", "b = 2.6666666666666665",
+            "beta = 0.5", "seed = 9", "dt = 0.001", "spin_up_steps = 50000",
+            "nle_steps = 100000", "eta = 0.8", "scheme = euler-maruyama",
+            "convention_mode = paper", "sample_every = 100", "outdir = .",
+            "config_hash = 7117fbb38a67"]
 
     def test_file_then_flag_precedence(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -261,6 +276,7 @@ class TestConfigResolution:
             (["--count", "0", "--mode", "fresh"], "--count"),
             (["--count", "3", "--jobs", "-1"], "--jobs"),
             (["--count", "3", "--beta-min", "0.4", "--beta-max", "0.4"], "--beta-min"),
+            (["--count", "3", "--beta-min", "-0.5"], "--beta-min"),
             (["--count", "3", "--scheme", "heun"], "--scheme"),
         ):
             code, _, err = run(["sweep", "--outdir", str(tmp_path)] + argv + SMALL, capsys)
@@ -313,7 +329,7 @@ class TestNumericalFailure:
         def singular(*args, **kwargs):
             raise SingularMatrixError("QR diagonal entry below 1e-14")
 
-        monkeypatch.setattr(cli, "run_nle", singular)
+        monkeypatch.setattr(analysis, "run_nle", singular)
         code, _, err = run(["nle"] + SMALL, capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
@@ -374,7 +390,48 @@ class TestNumericalFailure:
         assert f"of the {phase} (fd, beta=0.5, seed=3)" in err
 
 
+@pytest.mark.parametrize("argv, code, flag", [
+    # (Df1)^2 of the unused FD convention correction would overflow; the run blows up
+    (["nle", "--system", "fd", "--beta", "1e200", "--spin-up-steps", "0",
+      "--nle-steps", "10"], EXIT_NUMERICAL, None),
+    (["sweep", "--beta-max", "inf", "--count", "3", "--spin-up-steps", "10",
+      "--nle-steps", "10"], EXIT_CONFIG, "--beta-max"),
+], ids=["nle-huge-beta", "sweep-infinite-beta"])
+def test_bad_input_warns_nothing(argv, code, flag, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(argv + ["--outdir", str(tmp_path)], capsys)
+    assert got == code, err
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err and "Traceback" not in err
+    assert flag is None or f"configuration error: {flag} must be finite" in err
+
+
+# The (system, scheme, convention mode) runs the convention rule refuses
+REFUSED = {("salt", "euler-maruyama", "stratonovich-strict"),
+           ("fd", "euler-maruyama", "stratonovich-strict"),
+           ("fd", "heun", "paper")}
+
+
 class TestConventionGuard:
+    @pytest.mark.parametrize("mode", ["paper", "stratonovich-strict"])
+    @pytest.mark.parametrize("scheme", ["euler-maruyama", "heun"])
+    @pytest.mark.parametrize("system", ["deterministic", "salt", "fd"])
+    def test_one_rule_for_the_library_and_the_command_line(self, system, scheme, mode,
+                                                            tmp_path, capsys):
+        spec = RunSpec(system=system, scheme=scheme, convention_mode=mode)
+        try:
+            spec.integrator_config().check(spec.system_def())
+            accepted = True
+        except ConventionMismatchError:
+            accepted = False
+        assert accepted is ((system, scheme, mode) not in REFUSED)
+        code, _, err = run(["nle", "--system", system, "--scheme", scheme,
+                            "--convention-mode", mode, "--spin-up-steps", "10",
+                            "--nle-steps", "20", "--sample-every", "5",
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == (EXIT_OK if accepted else EXIT_CONFIG), err
+
     def test_heun_refuses_ito_system_in_paper_mode(self, tmp_path, capsys):
         code, _, err = run(["nle", "--scheme", "heun", "--system", "fd",
                             "--outdir", str(tmp_path)] + SMALL, capsys)
@@ -509,7 +566,7 @@ class TestNle:
         assert len(lines) == 3 + 10  # 500 steps sampled every 50
 
     def test_rows_are_shortest_round_trip_reprs(self, tmp_path, capsys, monkeypatch, kernel):
-        results = returns_of(monkeypatch, "run_nle")
+        results = returns_of(monkeypatch, "run_nle", analysis)
         conv = tmp_path / "conv.csv"
         # 1050 rows: one block of 1024 and part of the next
         code, _, err = run(["nle", "--system", "fd", "--spin-up-steps", "100",
