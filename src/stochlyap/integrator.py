@@ -11,11 +11,15 @@ bit the ndarray expressions of ``models.drift`` and ``models.diffusion``;
 share one loop, ``_base_loop``, run by the step kernel ``_kernel.c``: the
 same steps in C, in the same evaluation order, so the states are the same
 bit for bit.  The kernel also holds the CSV float formatter of
-``cli._write_csv``, ``_repr.cc`` (C++17 ``std::to_chars``).  On first use
-both sources are built with one ``cc`` command into one library in the
-package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and
-the command) and loaded with ctypes.  Both loops read one block of
-constants, ``Sys``, all filled by ``_kernel_args`` from ``_folded_m``.
+``cli._write_csv``, ``_repr.cc``: exact ``unsigned __int128`` arithmetic for
+1e-4 <= |x| < 1e16, where the compiler has that type (GCC and Clang on
+64-bit targets), and C++17 ``std::to_chars`` for every other value, or for
+every value without it; both write the bytes of repr.  On first use both
+sources are built with one ``cc`` command into one library in the package's
+``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and the
+command; a build deletes the older libraries there) and loaded with ctypes.
+Both loops read one block of constants, ``Sys``, all filled by
+``_kernel_args`` from ``_folded_m``.
 Where the kernel cannot be built, the loop calls the ``_float_steps``
 closures step by step instead, and the CSV writer formats with ``%r``, to
 the same bytes.
@@ -30,8 +34,9 @@ import ctypes
 import functools
 import hashlib
 import os
+import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -135,6 +140,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be finite, got {self.dt}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt < sys.float_info.min:
+            raise ValueError(f"dt must be a normal float, >= {sys.float_info.min!r}, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
@@ -263,7 +270,8 @@ def _load_kernel():
     ``_KERNEL_CACHE`` and load the library; None where a source or the
     compiler is missing, the build fails or the cache directory is not
     writable.  The library is written to a temporary file beside its name
-    and moved there, so concurrent builds do not race."""
+    and moved there, so concurrent builds do not race; after a build the
+    cache's other libraries are deleted, where that can be done."""
     command = [_CC, *_CFLAGS]
     try:
         key = hashlib.sha256(" ".join([*command, *_LIBS]).encode())
@@ -284,6 +292,10 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            for stale in _KERNEL_CACHE.glob("_kernel-*.so"):  # from older sources or commands
+                if stale != lib:
+                    with suppress(OSError):
+                        stale.unlink()
         kernel = ctypes.CDLL(str(lib))
     except OSError:
         return None

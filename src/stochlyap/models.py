@@ -151,10 +151,17 @@ def _correction_sign(s: SystemDef) -> float:
 
 def jacobian_correction(s: SystemDef) -> np.ndarray:
     """Jacobian of the drift's convention correction, sign * (1/2)(Df1)^2:
-    constant, since both noises are linear, and zero in the native convention."""
+    constant, since both noises are linear, and zero in the native convention.
+    A ValueError names beta where beta^2 overflows."""
     sign = _correction_sign(s)
-    j1 = jacobian_diffusion(s)  # (Df1)^2 is formed only where used: it may overflow
-    return sign * 0.5 * (j1 @ j1) if sign else np.zeros((3, 3))
+    if not sign:
+        return np.zeros((3, 3))
+    beta = float(s.beta)
+    if not np.isfinite(beta * beta):  # the entries of (Df1)^2 are 0 and +-beta^2
+        raise ValueError(f"beta = {beta!r} is too large for the convention correction: "
+                         "(Df1)^2 = +-beta^2 overflows")
+    j1 = jacobian_diffusion(s)
+    return sign * 0.5 * (j1 @ j1)
 
 
 def drift(s: SystemDef, x: np.ndarray) -> np.ndarray:

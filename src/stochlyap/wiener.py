@@ -7,6 +7,7 @@ increments, so comparisons across systems see the identical realisation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
         raise ValueError(f"dt must be finite, got {dt}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if dt < sys.float_info.min:
+        raise ValueError(f"dt must be a normal float, >= {sys.float_info.min!r}, got {dt}")
     increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)
     return WienerPath(seed=seed, dt=dt, increments=increments)
 

@@ -342,6 +342,7 @@ class TestSweep:
         ("dt", 0.0, "dt must be positive, got 0.0"),
         ("dt", float("nan"), "dt must be finite, got nan"),
         ("dt", float("inf"), "dt must be finite, got inf"),
+        ("dt", 1e-320, "dt must be a normal float, >= 2.2250738585072014e-308, got 1e-320"),
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checks_sizes_before_any_work(self, field, value, message, jobs, monkeypatch):

@@ -262,9 +262,15 @@ class TestConfigResolution:
         assert key in err and repr(line.split(" = ")[1]) in err and "bad.cfg:2" in err
         assert "Traceback" not in err
 
+    def test_smallest_normal_dt_runs(self, tmp_path, capsys):
+        code, _, err = run(["nle", "--dt", "2.2250738585072014e-308", "--spin-up-steps", "0",
+                            "--nle-steps", "10", "--outdir", str(tmp_path)], capsys)
+        assert code == 0, err
+
     def test_invalid_value_exit_code(self, tmp_path, capsys):
-        for flag, value in (("--eta", "1.5"), ("--sample-every", "0"),
-                            ("--dt", "nan"), ("--sigma", "nan"), ("--beta", "nan")):
+        for flag, value in (("--eta", "1.5"), ("--sample-every", "0"), ("--dt", "nan"),
+                            ("--dt", "1e-320"), ("--dt", "5e-324"), ("--sigma", "nan"),
+                            ("--beta", "nan")):
             code, _, err = run(["nle", flag, value] + SMALL[:4], capsys)
             assert code == EXIT_CONFIG, (flag, value, err)
             assert "configuration error" in err
@@ -390,21 +396,25 @@ class TestNumericalFailure:
         assert f"of the {phase} (fd, beta=0.5, seed=3)" in err
 
 
-@pytest.mark.parametrize("argv, code, flag", [
+@pytest.mark.parametrize("argv, code, message", [
     # (Df1)^2 of the unused FD convention correction would overflow; the run blows up
     (["nle", "--system", "fd", "--beta", "1e200", "--spin-up-steps", "0",
       "--nle-steps", "10"], EXIT_NUMERICAL, None),
     (["sweep", "--beta-max", "inf", "--count", "3", "--spin-up-steps", "10",
-      "--nle-steps", "10"], EXIT_CONFIG, "--beta-max"),
-], ids=["nle-huge-beta", "sweep-infinite-beta"])
-def test_bad_input_warns_nothing(argv, code, flag, tmp_path, capsys):
+      "--nle-steps", "10"], EXIT_CONFIG, "configuration error: --beta-max must be finite"),
+    # the strict FD run uses the correction, whose beta^2 = 1e310 overflows
+    (["nle", "--system", "fd", "--beta", "1e155", "--convention-mode", "stratonovich-strict",
+      "--scheme", "heun", "--spin-up-steps", "0", "--nle-steps", "10"], EXIT_CONFIG,
+     "configuration error: beta = 1e+155 is too large for the convention correction"),
+], ids=["nle-huge-beta", "sweep-infinite-beta", "nle-strict-fd-huge-beta"])
+def test_bad_input_warns_nothing(argv, code, message, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got, _, err = run(argv + ["--outdir", str(tmp_path)], capsys)
     assert got == code, err
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err and "Traceback" not in err
-    assert flag is None or f"configuration error: {flag} must be finite" in err
+    assert message is None or message in err
 
 
 # The (system, scheme, convention mode) runs the convention rule refuses

@@ -192,6 +192,14 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match=f"^dt must be finite, got {dt}$"):
             IntegratorConfig(dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324, 2.225073858507201e-308])
+    def test_rejects_subnormal_dt(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be a normal float, .* got {dt}$"):
+            IntegratorConfig(dt=dt)
+
+    def test_accepts_the_smallest_normal_dt(self):
+        assert IntegratorConfig(dt=2.2250738585072014e-308).dt == 2.2250738585072014e-308
+
 
 class TestConventionCheck:
     def test_em_rejects_stratonovich(self):
@@ -341,6 +349,27 @@ class TestKernelLoader:
         assert all(k is not None for k in kernels)
         (lib,) = tmp_path.iterdir()  # no temporary files are left
         assert lib.match("_kernel-*.so")
+
+    def test_a_build_deletes_the_older_libraries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path)
+        assert integrator._load_kernel() is not None
+        (old,) = tmp_path.iterdir()
+        # another process's build in flight, and a file that is not a library
+        others = {tmp_path / f"{old.stem}-abc123.tmp", tmp_path / "notes.txt"}
+        for other in others:
+            other.touch()
+        monkeypatch.setattr(integrator, "_CFLAGS", (*integrator._CFLAGS, "-g0"))
+        assert integrator._load_kernel() is not None
+        (new,) = set(tmp_path.iterdir()) - others
+        assert new != old and new.match("_kernel-*.so")
+
+    def test_a_failed_build_keeps_the_library(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path)
+        assert integrator._load_kernel() is not None
+        libs = list(tmp_path.iterdir())
+        monkeypatch.setattr(integrator, "_CC", "false")
+        assert integrator._load_kernel() is None
+        assert list(tmp_path.iterdir()) == libs
 
     @pytest.mark.parametrize("compiler, cache", [
         ("no-such-compiler", "cache"), ("false", "cache"), ("cc", "file/cache"),

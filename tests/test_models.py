@@ -11,6 +11,7 @@ from stochlyap.models import (
     diffusion,
     drift,
     fd_lorenz,
+    jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
     jacobian_drift_batch,
@@ -170,6 +171,22 @@ class TestJacobians:
             np.testing.assert_allclose(jacobian_drift(system, x), fd_jac, atol=1e-5)
             fd_jac1 = central_difference_jacobian(lambda y: diffusion(system, y), x)
             np.testing.assert_allclose(jacobian_diffusion(system), fd_jac1, atol=1e-5)
+
+
+class TestCorrectionOverflow:
+    @pytest.mark.parametrize("make, target", [(salt_lorenz, Convention.ITO),
+                                              (fd_lorenz, Convention.STRATONOVICH)])
+    def test_overflowing_beta_squared_names_beta(self, make, target):
+        s = convert_convention(make(beta=1e155), target)
+        with pytest.raises(ValueError, match=r"^beta = 1e\+155 is too large"):
+            jacobian_correction(s)
+        # a beta whose square is finite still gives the correction
+        s = convert_convention(make(beta=1e154), target)
+        assert np.isfinite(jacobian_correction(s)).all()
+
+    def test_native_convention_needs_no_square(self):
+        np.testing.assert_array_equal(jacobian_correction(fd_lorenz(beta=1e200)),
+                                      np.zeros((3, 3)))
 
 
 class TestBatch:

@@ -62,6 +62,40 @@ def test_random_bit_patterns():
     assert mismatch(bits.view(np.float64)) is None
 
 
+# Every double with 1e-4 <= |x| < 1e16 takes the formatter's exact integer path
+# where the compiler has __int128; the tests below cover that range.
+
+
+def test_random_bit_patterns_of_the_positional_range():
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    rng = np.random.default_rng(20260417)
+    values = rng.integers(lo, hi, 200_000).view(np.float64)
+    assert mismatch(values * rng.choice([-1.0, 1.0], values.size)) is None
+
+
+def test_powers_of_two_and_their_neighbours():
+    # at m = 2^52 the rounding interval is narrower below than above
+    values = []
+    for k in range(-13, 54):
+        values += [math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf)]
+    assert mismatch(values + [-v for v in values]) is None
+
+
+def test_decimals_of_every_length_and_exponent():
+    rng = np.random.default_rng(1706)
+    values = []
+    for exponent in range(-4, 16):
+        for digits in range(1, 18):
+            for i in rng.integers(10 ** (digits - 1), 10**digits, 40).tolist():
+                values.append(float(f"{i}e{exponent - digits + 1}"))
+    assert mismatch(values) is None
+
+
+@pytest.mark.parametrize("dt", [1e-3, 3e-3, 1e-4, 0.05])
+def test_the_time_column_simulate_writes(dt):
+    assert mismatch(np.arange(100_000) * dt) is None
+
+
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=16))
 @settings(max_examples=300, deadline=None)

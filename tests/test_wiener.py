@@ -44,6 +44,12 @@ def test_rejects_non_finite_dt(dt):
         generate_path(1, 3, dt)
 
 
+@pytest.mark.parametrize("dt", [1e-320, 5e-324])
+def test_rejects_subnormal_dt(dt):
+    with pytest.raises(ValueError, match=f"^dt must be a normal float, .* got {dt}$"):
+        generate_path(1, 3, dt)
+
+
 def test_window_is_the_read_only_slice():
     path = generate_path(1, 10, 0.001)
     window = path.window(4, 6)  # ends at the path's last step
