@@ -1,10 +1,11 @@
 /* The step kernel of stochlyap: the base step of the state x under
    Euler-Maruyama or Heun, and the frame step of (Q, rho), on one system's
-   constants.  Every expression keeps the evaluation order of the Python
-   reference closures (integrator._float_steps, cayley._frame_increment and
-   cayley._rotate), less their products with the noise's structural zeros,
-   so that, built with -ffp-contract=off, the results equal theirs bit for
-   bit.  Matrices are 3x3, flat and row-major. */
+   constants, the Sys block that integrator._kernel_args fills.  The Python
+   closures integrator._float_steps, cayley._frame_increment and
+   cayley._rotate read the same block and skip the same structural zeros of
+   the noise, expression for expression, so that, built with
+   -ffp-contract=off, the results equal theirs bit for bit.  Matrices are
+   3x3, flat and row-major. */
 
 #include <string.h>
 

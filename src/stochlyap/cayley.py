@@ -25,15 +25,16 @@ with a restart after every step and eta does not change the exponents.
 ``run_nle`` runs the frame loop of the step kernel ``_kernel.c``, next to
 the base loop (see ``integrator``): per step, the base step, then the
 diagonal and strict lower triangle of Q^T M Q and the rotation of Q by the
-closed-form Cayley entries of ``smallmat``, in the evaluation order of the
-closures ``_frame_increment`` and ``_rotate``, so the results are theirs bit
-for bit.  One kernel call covers the steps between re-orthogonalisations of
-Q, every ``REORTH_EVERY`` steps, and samples rho itself.  Where the kernel
-cannot be built, the same loop runs on the closures in Python.  Per step
-(base step included; 20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.06-0.09 us
-(Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled, ~4.3-7 us and
-~7-12.5 us in Python, at any sampling interval.  ``_increment_at`` and the
-K/eta stepper keep the ndarray form as its reference.
+closed-form Cayley entries of ``smallmat``.  One kernel call covers the
+steps between re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and
+samples rho itself.  Where the kernel cannot be built, the same loop runs in
+Python on the closures ``_frame_increment`` and ``_rotate``: the frame step
+on the kernel's constants, in its evaluation order, so the results are the
+same bit for bit.  Per step (base step included; 20k-100k SALT steps,
+2-vCPU VM, gcc 12.2): ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us
+(Heun) compiled, ~4.5 us and ~8.7 us in Python, at any sampling
+interval.  ``_increment_at`` and the K/eta stepper keep the ndarray form as
+its reference.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .integrator import (
     IntegratorConfig,
     Scheme,
     _float_steps,
-    _folded_m,
     _kernel_args,
     _state,
 )
@@ -204,25 +204,21 @@ def _frame_increment(s: SystemDef, dt: float):
     (q, x0, x1, x2, dW) -> (drho0, drho1, drho2, s0, s1, s2) of the flat
     row-major frame q and the base state, as ``_increment_at`` with
     M = Df0(x) dt + Df1 dW: the diagonal of A = Q^T M Q, then -(1/2) times
-    its strict lower triangle (1,0), (2,0), (2,1)."""
-    r = s.params.r
-    (e00, e01, e02, k10, e11, k12, k20, k21, e22), (
-        a00, a01, a02, a10, a11, a12, a20, a21, a22), _ = _folded_m(s, dt)
+    its strict lower triangle (1,0), (2,0), (2,1).  It reads the constants
+    of ``_kernel_args(s, dt)`` and follows ``frame_increment`` of
+    ``_kernel.c`` expression for expression."""
+    _, r, _, dt, _, a00, a11, a12, a21, a22, *_, e00, e01, e11, e22 = (
+        _kernel_args(s, dt).tolist())
 
     def increment(q, x0, x1, x2, dw):
-        m00 = e00 + a00 * dw
-        m01 = e01 + a01 * dw
-        m02 = e02 + a02 * dw
-        m10 = (r - x2 + k10) * dt + a10 * dw
-        m11 = e11 + a11 * dw
-        m12 = (-x0 + k12) * dt + a12 * dw
-        m20 = (x1 + k20) * dt + a20 * dw
-        m21 = (x0 + k21) * dt + a21 * dw
+        m00, m11 = e00 + a00 * dw, e11 + a11 * dw
+        m10, m12 = (r - x2) * dt, -x0 * dt + a12 * dw
+        m20, m21 = x1 * dt, x0 * dt + a21 * dw
         m22 = e22 + a22 * dw
         q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
-        n00 = m00 * q00 + m01 * q10 + m02 * q20  # N = M Q
-        n01 = m00 * q01 + m01 * q11 + m02 * q21
-        n02 = m00 * q02 + m01 * q12 + m02 * q22
+        n00 = m00 * q00 + e01 * q10  # N = M Q
+        n01 = m00 * q01 + e01 * q11
+        n02 = m00 * q02 + e01 * q12
         n10 = m10 * q00 + m11 * q10 + m12 * q20
         n11 = m10 * q01 + m11 * q11 + m12 * q21
         n12 = m10 * q02 + m11 * q12 + m12 * q22

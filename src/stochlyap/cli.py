@@ -34,7 +34,7 @@ from .integrator import (
     simulate,
 )
 from .models import fd_lorenz, theoretical_sum
-from .smallmat import CayleyDomainError, SingularMatrixError
+from .smallmat import SingularMatrixError
 from .wiener import GENERATOR_ID
 
 __all__ = ["RunConfig", "main"]
@@ -194,7 +194,30 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
                 fh.write((fmt * (hi - lo) % tuple(values)).encode())
 
 
+def _check_memory(cfg: RunConfig, held: int, **flags: int) -> None:
+    """Refuse, before anything is allocated, a run whose Wiener path, of
+    8 (spin-up + nle) bytes, and ``held`` bytes more would exceed the
+    machine's physical memory, naming the size flags; no check where
+    sysconf does not report that memory."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 8 * (cfg.spin_up_steps + cfg.nle_steps) + held
+    if 0 < memory < need:
+        sizes = {"spin-up-steps": cfg.spin_up_steps, "nle-steps": cfg.nle_steps, **flags}
+        raise ConfigError(", ".join(f"--{flag} {n}" for flag, n in sizes.items())
+                          + f" would hold {need:,} bytes, more than the {memory:,} bytes"
+                          " of physical memory")
+
+
+def _series_bytes(cfg: RunConfig) -> int:
+    """The bytes of a run's sampled rho series, rows (t, rho1, rho2, rho3)."""
+    return 32 * -(-cfg.nle_steps // cfg.sample_every)
+
+
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _check_memory(cfg, 24 * (cfg.nle_steps + 1))  # the trajectory
     s, path, x0, icfg, _ = analysis.spun_up(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
     with _phase("trajectory", s, cfg.seed):
@@ -211,6 +234,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _check_memory(cfg, _series_bytes(cfg))
     res, seconds = analysis.run_one(cfg)
     w_over_t = res.w_terminal / res.t_final
     theory = theoretical_sum(cfg.system_def(), res.w_terminal, res.t_final)
@@ -278,6 +302,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             "sweep runs Euler-Maruyama in paper mode only; drop --scheme "
             "and --convention-mode"
         )
+    _check_memory(cfg, _series_bytes(cfg) + 8 * args.count, count=args.count)
     betas = np.linspace(args.beta_min, args.beta_max, args.count)
     mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
     cores = _usable_cores()
@@ -399,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config_hash = {cfg.config_hash()}")
             return EXIT_OK
         return args.func(cfg, args)
-    except (BlowUpError, CayleyDomainError, SingularMatrixError) as err:
+    except (BlowUpError, SingularMatrixError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConventionMismatchError as err:

@@ -5,27 +5,24 @@ consumes Stratonovich ones.  The reference experiments apply Euler-Maruyama
 directly to the transport-noise system in its Stratonovich form; that
 mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
-Both schemes are written once on Python floats (``_float_steps``), bit for
-bit the ndarray expressions of ``models.drift`` and ``models.diffusion``;
-``step`` wraps them for one ndarray state.  ``simulate`` and ``spin_up``
-share one loop, ``_base_loop``, run by the step kernel ``_kernel.c``: the
-same steps in C, in the same evaluation order, so the states are the same
-bit for bit.  The kernel also holds the CSV float formatter of
+``simulate`` and ``spin_up`` share one loop, ``_base_loop``, run by the
+step kernel ``_kernel.c`` on one block of constants, ``Sys``, which only
+``_kernel_args`` computes.  ``_float_steps`` is the same step on Python
+floats: it reads the same block and follows the C expression for
+expression, so the states are the same bit for bit.  ``step`` wraps it for
+one ndarray state, and where the kernel cannot be built the loop calls it
+step by step instead.  The kernel also holds the CSV float formatter of
 ``cli._write_csv``, ``_repr.cc``: exact ``unsigned __int128`` arithmetic for
 1e-4 <= |x| < 1e16, where the compiler has that type (GCC and Clang on
 64-bit targets), and C++17 ``std::to_chars`` for every other value, or for
-every value without it; both write the bytes of repr.  On first use both
-sources are built with one ``cc`` command into one library in the package's
-``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and the
-command; a build deletes the older libraries there) and loaded with ctypes.
-Both loops read one block of constants, ``Sys``, all filled by
-``_kernel_args`` from ``_folded_m``.
-Where the kernel cannot be built, the loop calls the ``_float_steps``
-closures step by step instead, and the CSV writer formats with ``%r``, to
-the same bytes.
+every value without it; both write the bytes of repr, as ``%r`` does
+without the kernel.  On first use both sources are built with one ``cc``
+command into one library in the package's ``__pycache__``
+(``_kernel-<hash>.so``, keyed by the sources and the command; a build
+deletes the older libraries there) and loaded with ctypes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
-(Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.6-2.4 us and
-~2.6-3.9 us in Python.
+(Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and
+~2.0 us in Python.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from .models import (
     NoiseKind,
     SystemDef,
     _correction_sign,
-    _lorenz,
     jacobian_correction,
     jacobian_diffusion,
 )
@@ -158,26 +154,24 @@ class IntegratorConfig:
             )
 
 
-def _diffusion_rows(s: SystemDef):
-    """Df1 and the convention correction's factor sign * (1/2) Df1, each as
-    its nine entries, flat row-major.  Both noises leave (0, 1), (0, 2),
-    (1, 0) and (2, 0) zero, and the step kernel skips them."""
-    j1 = jacobian_diffusion(s)
-    return j1.ravel().tolist(), (_correction_sign(s) * 0.5 * j1).ravel().tolist()
-
-
-def _folded_m(s: SystemDef, dt: float):
-    """The constants of M = Df0(x) dt + Df1 dW, flat row-major.  Df0 is the
-    Lorenz Jacobian l plus the convention correction k: its five entries that
-    do not depend on x are folded once into (l + k) dt, the other four keep k
-    alone.  The second and third items are ``_diffusion_rows(s)``: Df1 and the
-    drift correction's factor.  For both noises the first item is 0 at (0, 2),
-    (1, 0), (1, 2), (2, 0) and (2, 1)."""
+@functools.lru_cache(maxsize=32)
+def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
+    """The ``Sys`` block of s, every constant that the step kernel and the
+    closures ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r,
+    b, dt, the bound; Df1 and the drift correction's factor sign * (1/2) Df1
+    at (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at
+    (0,0), (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the
+    Lorenz Jacobian plus the convention correction k.  Both noises leave the
+    other entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero:
+    the steps skip them."""
     p = s.params
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = jacobian_correction(s).ravel().tolist()
-    return ((-p.sigma + k00) * dt, (p.sigma + k01) * dt, (0.0 + k02) * dt, k10,
-            (-1.0 + k11) * dt, k12, k20, k21, (-p.b + k22) * dt,
-            ), *_diffusion_rows(s)
+    j1 = jacobian_diffusion(s).take([0, 4, 5, 7, 8])
+    (k00, k01, _), (_, k11, _), (_, _, k22) = jacobian_correction(s).tolist()
+    args = np.array([p.sigma, p.r, p.b, dt, _STATE_BOUND, *j1, *(_correction_sign(s) * 0.5 * j1),
+                     (-p.sigma + k00) * dt, (p.sigma + k01) * dt, (-1.0 + k11) * dt,
+                     (-p.b + k22) * dt])
+    args.flags.writeable = False  # shared through the cache; the kernel takes a const Sys *
+    return args
 
 
 @functools.lru_cache(maxsize=32)
@@ -185,28 +179,24 @@ def _float_steps(s: SystemDef, dt: float):
     """The base step of s on Python floats: (euler, heun), each a map
     (x0, x1, x2, dW) -> next state; heun returns (predictor, next state).
 
-    The diffusion is Df1 x and the convention correction sign * (1/2) Df1
-    f1, both read off ``_diffusion_rows(s)``; with the Lorenz field of
-    ``models`` this is ``drift`` and ``diffusion`` per component, so the
-    states equal the ndarray expressions bit for bit.  A next state that
-    fails the bound max|x| <= 1e100 raises ``BlowUpError`` with step
+    Both read the constants of ``_kernel_args(s, dt)`` and follow
+    ``coefficients`` and ``base_step`` of ``_kernel.c`` expression for
+    expression, so the states are the kernel's bit for bit.  A next state
+    that fails the bound max|x| <= 1e100 raises ``BlowUpError`` with step
     index -1.
     """
-    p = s.params
-    (a00, a01, a02, a10, a11, a12, a20, a21, a22), (
-        c00, c01, c02, c10, c11, c12, c20, c21, c22) = _diffusion_rows(s)
+    sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22, *_ = (
+        _kernel_args(s, dt).tolist())
 
     def coefficients(x0, x1, x2):
-        f0, f1, f2 = _lorenz(p, x0, x1, x2)
-        g0 = a00 * x0 + a01 * x1 + a02 * x2
-        g1 = a10 * x0 + a11 * x1 + a12 * x2
-        g2 = a20 * x0 + a21 * x1 + a22 * x2
-        return (f0 + (c00 * g0 + c01 * g1 + c02 * g2),
-                f1 + (c10 * g0 + c11 * g1 + c12 * g2),
-                f2 + (c20 * g0 + c21 * g1 + c22 * g2), g0, g1, g2)
+        g0 = a00 * x0
+        g1 = a11 * x1 + a12 * x2
+        g2 = a21 * x1 + a22 * x2
+        return (sigma * (x1 - x0) + h00 * g0,
+                r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2),
+                x0 * x1 - b * x2 + (h21 * g1 + h22 * g2), g0, g1, g2)
 
     def checked(y0, y1, y2):
-        bound = _STATE_BOUND
         if abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound:
             return y0, y1, y2
         raise BlowUpError(-1, np.array([y0, y1, y2]))
@@ -233,13 +223,8 @@ def _float_steps(s: SystemDef, dt: float):
 def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.ndarray:
     """One integration step of size cfg.dt consuming the increment dW."""
     euler, heun = _float_steps(s, cfg.dt)
-    if cfg.scheme is Scheme.EULER_MARUYAMA:
-        return np.array(euler(*_floats(x), float(dW)))
-    return np.array(heun(*_floats(x), float(dW))[1])
-
-
-def _floats(x: np.ndarray) -> list[float]:
-    return np.asarray(x, dtype=float).tolist()
+    x, dW = np.asarray(x, dtype=float).tolist(), float(dW)
+    return np.array(euler(*x, dW) if cfg.scheme is Scheme.EULER_MARUYAMA else heun(*x, dW)[1])
 
 
 def _state(x) -> np.ndarray:
@@ -248,21 +233,6 @@ def _state(x) -> np.ndarray:
     if x.shape != (3,):
         raise ValueError(f"a state has 3 components, got shape {x.shape}")
     return x
-
-
-@functools.lru_cache(maxsize=32)
-def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
-    """The kernel's ``Sys`` block of s, every constant its loops read:
-    sigma, r, b, dt, the bound, the entries of Df1 and of the correction
-    factor that the base step reads, and the entries (0,0), (0,1), (1,1),
-    (2,2) of M's folded Df0 dt (``_folded_m``) that the frame step reads."""
-    p = s.params
-    (e00, e01, _, _, e11, _, _, _, e22), (a00, _, _, _, a11, a12, _, a21, a22), (
-        h00, _, _, _, h11, h12, _, h21, h22) = _folded_m(s, dt)
-    args = np.array([p.sigma, p.r, p.b, dt, _STATE_BOUND, a00, a11, a12, a21, a22,
-                     h00, h11, h12, h21, h22, e00, e01, e11, e22])
-    args.flags.writeable = False  # shared through the cache; the kernel takes a const Sys *
-    return args
 
 
 def _load_kernel():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +31,6 @@ class WienerPath:
     seed: int
     dt: float
     increments: np.ndarray
-    generator_id: str = GENERATOR_ID
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
@@ -56,38 +54,6 @@ class WienerPath:
         if offset + n > len(self):
             raise ValueError(f"path has {len(self)} steps, need {offset + n}")
         return self.increments[offset:offset + n]
-
-    def dump(self, filename: str | Path) -> None:
-        """Write the path as CSV with a metadata header; round-trips bit-exactly."""
-        with open(filename, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"# seed = {self.seed}\n")
-            fh.write(f"# dt = {self.dt!r}\n")
-            fh.write(f"# n = {len(self)}\n")
-            fh.write("# channels = 1\n")  # part of the file format
-            fh.write(f"# generator-id = {self.generator_id}\n")
-            for v in self.increments.tolist():
-                fh.write(f"{v!r}\n")
-
-    @classmethod
-    def load(cls, filename: str | Path) -> "WienerPath":
-        meta: dict[str, str] = {}
-        rows: list[float] = []
-        with open(filename, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line.lstrip("# ").partition("=")
-                    meta[key.strip()] = value.strip()
-                else:
-                    rows.append(float(line))
-        return cls(
-            seed=int(meta["seed"]),
-            dt=float(meta["dt"]),
-            increments=np.array(rows),
-            generator_id=meta.get("generator-id", GENERATOR_ID),
-        )
 
 
 def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:

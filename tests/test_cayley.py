@@ -9,7 +9,6 @@ import stochlyap
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
-    _folded_m,
     _frame_increment,
     _increment_at,
     _reorthogonalize,
@@ -328,8 +327,8 @@ class TestRunNle:
 
 def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100,
                 scheme=Scheme.EULER_MARUYAMA):
-    """``run_nle``'s step as the closures the step kernel follows: the base
-    step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun
+    """``run_nle``'s step on the closures that mirror the step kernel: the
+    base step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun
     step takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
     predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2).
     Returns (rho_series, final frame)."""
@@ -497,8 +496,9 @@ EVERY_SYSTEM = [
 
 class TestStructuralZeros:
     """The entries the step kernel skips as zero:
-    Df1 and the drift correction at (0, 1), (0, 2), (1, 0) and (2, 0), so the
-    folded M at (0, 2), (1, 0), (1, 2), (2, 0) and (2, 1)."""
+    Df1 and the drift correction's factor at (0, 1), (0, 2), (1, 0) and
+    (2, 0), and the convention correction at (0, 2), (1, 0), (1, 2), (2, 0)
+    and (2, 1)."""
 
     @pytest.mark.parametrize("s", EVERY_SYSTEM)
     def test_noise_jacobians_vanish_off_the_pattern(self, s):
@@ -506,11 +506,9 @@ class TestStructuralZeros:
             assert [jac[0, 1], jac[0, 2], jac[1, 0], jac[2, 0]] == [0.0] * 4
 
     @pytest.mark.parametrize("s", EVERY_SYSTEM)
-    def test_folded_m_vanishes_where_the_bodies_skip_it(self, s):
-        (_, _, e02, k10, _, k12, k20, k21, _), j1, h = _folded_m(s, 0.001)
-        assert [e02, k10, k12, k20, k21] == [0.0] * 5
-        for rows in (j1, h):  # the diffusion rows, flat
-            assert [rows[1], rows[2], rows[3], rows[6]] == [0.0] * 4
+    def test_correction_vanishes_where_the_frame_step_skips_it(self, s):
+        k = jacobian_correction(s)
+        assert [k[0, 2], k[1, 0], k[1, 2], k[2, 0], k[2, 1]] == [0.0] * 5
 
 
 def test_package_attribute_is_engine_module():

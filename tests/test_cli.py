@@ -406,7 +406,14 @@ class TestNumericalFailure:
     (["nle", "--system", "fd", "--beta", "1e155", "--convention-mode", "stratonovich-strict",
       "--scheme", "heun", "--spin-up-steps", "0", "--nle-steps", "10"], EXIT_CONFIG,
      "configuration error: beta = 1e+155 is too large for the convention correction"),
-], ids=["nle-huge-beta", "sweep-infinite-beta", "nle-strict-fd-huge-beta"])
+    # sizes whose arrays exceed physical memory are refused before any is allocated
+    (["nle", "--nle-steps", "1000000000000", "--spin-up-steps", "10"], EXIT_CONFIG,
+     "configuration error: --spin-up-steps 10, --nle-steps 1000000000000 would hold"),
+    (["simulate", "--nle-steps", "100000000000", "--spin-up-steps", "10"], EXIT_CONFIG,
+     "configuration error: --spin-up-steps 10, --nle-steps 100000000000 would hold"),
+    (["sweep", "--count", "1000000000000"], EXIT_CONFIG, "--count 1000000000000 would hold"),
+], ids=["nle-huge-beta", "sweep-infinite-beta", "nle-strict-fd-huge-beta", "nle-huge-size",
+        "simulate-huge-size", "sweep-huge-count"])
 def test_bad_input_warns_nothing(argv, code, message, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -415,6 +422,21 @@ def test_bad_input_warns_nothing(argv, code, message, tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err and "Traceback" not in err
     assert message is None or message in err
+
+
+def test_memory_check_reads_sysconf(tmp_path, capsys, monkeypatch):
+    # the path and the rho series hold 8 * 1100 + 32 * 10 bytes: more than two pages
+    argv = ["nle", "--spin-up-steps", "100", "--nle-steps", "1000", "--outdir", str(tmp_path)]
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2, "SC_PAGE_SIZE": 4096}.get)
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert "--nle-steps 1000 would hold 9,120 bytes, more than the 8,192 bytes" in err
+
+    def lacking(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", lacking)  # no check where sysconf lacks the names
+    assert run(argv, capsys)[0] == EXIT_OK
 
 
 # The (system, scheme, convention mode) runs the convention rule refuses
@@ -548,24 +570,37 @@ class TestNle:
         assert data["sum"] == pytest.approx(-(10 + 1 + 8 / 3), abs=1e-9)
         assert "sum = " in stdout
 
-    def test_without_a_compiler_runs_the_python_kernel(self, tmp_path, capsys, monkeypatch):
-        def nle(name):
-            code, _, err = run(["nle", "--system", "fd", "--sample-every", "7",
-                                "--spin-up-steps", "300", "--nle-steps", "10050",
-                                "--outdir", str(tmp_path / name)], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["nle", "--system", "fd", "--sample-every", "7"],
+        ["nle", "--system", "salt", "--scheme", "heun", "--convention-mode",
+         "stratonovich-strict"],
+        ["simulate", "--system", "salt"],
+        ["sweep", "--count", "3", "--jobs", "2"],
+    ], ids=["nle-fd", "nle-salt-heun-strict", "simulate-salt", "sweep"])
+    def test_without_a_compiler_runs_the_python_kernel(self, argv, tmp_path, capsys,
+                                                       monkeypatch):
+        def outputs(name):
+            outdir = tmp_path / name
+            code, out, err = run(argv + ["--spin-up-steps", "300", "--nle-steps", "10050",
+                                         "--outdir", str(outdir)], capsys)
             assert code == EXIT_OK, err
-            summary = json.loads((tmp_path / name / "nle_summary.json").read_text())
-            for key in ("seconds", "engine_steps_per_s"):
-                del summary[key]
-            return summary, (tmp_path / name / "nle_convergence.csv").read_bytes()
+            files = {f.name: f.read_bytes() for f in outdir.iterdir()}
+            kernel = None
+            if "nle_summary.json" in files:
+                summary = json.loads(files.pop("nle_summary.json"))
+                for key in ("seconds", "engine_steps_per_s"):
+                    del summary[key]
+                kernel, files["nle_summary.json"] = summary.pop("kernel"), summary
+            return kernel, out.replace(str(outdir), "<outdir>"), err, files
 
-        want, want_csv = nle("c")
+        want_kernel, *want = outputs("c")
         monkeypatch.setattr(integrator, "_CC", str(tmp_path / "no-such-compiler"))
         monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
         monkeypatch.setattr(integrator, "_kernel", functools.cache(integrator._load_kernel))
-        got, got_csv = nle("python")
-        assert (want.pop("kernel"), got.pop("kernel")) == ("c", "python")
-        assert got == want and got_csv == want_csv
+        got_kernel, *got = outputs("python")
+        if argv[0] == "nle":
+            assert (want_kernel, got_kernel) == ("c", "python")
+        assert got == want and want[2]
 
     def test_convergence_csv_shape(self, tmp_path, capsys):
         conv = tmp_path / "conv.csv"
