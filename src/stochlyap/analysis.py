@@ -32,22 +32,20 @@ from .cayley import (
 from .integrator import (
     DEFAULT_DT,
     DEFAULT_SPIN_UP_STEPS,
+    BlowUpError,
     IntegratorConfig,
     Scheme,
     _kernel,
-    _phase,
     spin_up,
 )
 from .models import (
     Convention,
     LorenzParams,
     SystemDef,
+    _traces,
     convert_convention,
     deterministic_lorenz,
     fd_lorenz,
-    jacobian_correction,
-    jacobian_diffusion,
-    jacobian_drift_batch,
     salt_lorenz,
     theoretical_sum,
 )
@@ -128,8 +126,10 @@ def spun_up(spec: RunSpec, path: WienerPath | None = None):
     t0 = time.perf_counter()
     path = _draw_path(spec) if path is None else path
     t1 = time.perf_counter()
-    with _phase("spin-up", s, spec.seed):
+    try:
         x0 = spin_up(s, path, icfg)
+    except BlowUpError as err:
+        raise err.within("spin-up", s, spec.seed) from None
     return s, path, x0, icfg, {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
 
 
@@ -138,11 +138,13 @@ def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, d
     of its ``path``, ``spin_up`` and ``engine`` phases."""
     s, path, x0, icfg, seconds = spun_up(spec, path)
     t0 = time.perf_counter()
-    with _phase("exponent phase", s, spec.seed):
+    try:
         res = run_nle(s, x0, path, spec.dt, spec.nle_steps, spec.eta,
                       scheme=icfg.scheme, sample_every=spec.sample_every,
                       path_offset=spec.spin_up_steps,
                       allow_convention_mismatch=icfg.allow_convention_mismatch)
+    except BlowUpError as err:
+        raise err.within("exponent phase", s, spec.seed) from None
     seconds["engine"] = time.perf_counter() - t0
     return res, seconds
 
@@ -165,11 +167,8 @@ def liouville_oracle(
         raise ValueError(f"liouville_oracle needs at least two states, got {n + 1}")
     inc = path.window(path_offset, n)
     dt = path.dt
-    j0 = jacobian_drift_batch(s.params, trajectory[:n])
-    j0 += jacobian_correction(s)
-    tr0 = np.trace(j0, axis1=1, axis2=2)
-    tr1 = float(np.trace(jacobian_diffusion(s)))
-    return (float(np.sum(tr0 * dt)) + tr1 * float(np.sum(inc))) / (n * dt)
+    tr0, tr1 = _traces(s)  # trace(Df0) does not depend on x_k: no Jacobian per state
+    return (float(np.sum(np.full(n, tr0) * dt)) + tr1 * float(np.sum(inc))) / (n * dt)
 
 
 def lyapunov_function(p: LorenzParams, x: np.ndarray) -> float | np.ndarray:

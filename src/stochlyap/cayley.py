@@ -27,14 +27,16 @@ the base loop (see ``integrator``): per step, the base step, then the
 diagonal and strict lower triangle of Q^T M Q and the rotation of Q by the
 closed-form Cayley entries of ``smallmat``.  One kernel call covers the
 steps between re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and
-samples rho itself.  Where the kernel cannot be built, the same loop runs in
-Python on the closures ``_frame_increment`` and ``_rotate``: the frame step
-on the kernel's constants, in its evaluation order, so the results are the
-same bit for bit.  Per step (base step included; 20k-100k SALT steps,
-2-vCPU VM, gcc 12.2): ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us
-(Heun) compiled, ~4.5 us and ~8.7 us in Python, at any sampling
-interval.  ``_increment_at`` and the K/eta stepper keep the ndarray form as
-its reference.
+samples rho itself; x, Q and rho share one buffer, at one address.  Where
+the kernel cannot be built, the same loop runs in Python on the closures
+``_frame_increment`` and ``_rotate``: the frame step on the kernel's
+constants, in its evaluation order, so the results are the same bit for
+bit.  Per step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc
+12.2): ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled,
+~4.5 us and ~8.7 us in Python, at any sampling interval.  Per run, outside
+the kernel calls (``analysis.run_one`` at 1 + 1 steps): ~38 us, from ~74 us
+when each run built an ``IntegratorConfig``, three state arrays, an address
+for each and the Jacobians of ``theoretical_sum``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ import numpy as np
 from . import integrator, smallmat
 from .integrator import (
     BlowUpError,
-    IntegratorConfig,
     Scheme,
+    _address,
+    _check_convention,
     _float_steps,
     _kernel_args,
     _state,
@@ -67,7 +70,7 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import WienerPath
+from .wiener import WienerPath, _check_dt
 
 __all__ = [
     "CayleyState",
@@ -85,6 +88,7 @@ DEFAULT_ETA = 0.8
 DEFAULT_NLE_STEPS = 100_000
 REORTH_EVERY = 10_000
 _ORTHO_DRIFT_TOL = 1e-10
+_EYE = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,13 @@ def exponents_from_rho(rho: np.ndarray, t: float) -> np.ndarray:
     """Componentwise rho / t, sorted descending."""
     if t <= 0:
         raise ValueError(f"time horizon must be positive, got {t}")
-    return np.sort(np.asarray(rho, dtype=float) / t)[::-1]
+    lambdas = np.asarray(rho, dtype=float) / t
+    lambdas.sort()  # np.sort's order, without its copy
+    return lambdas[::-1]
 
 
 def _reorthogonalize(q: np.ndarray) -> np.ndarray:
-    if smallmat.frobenius(q.T @ q - np.eye(3)) <= _ORTHO_DRIFT_TOL:
+    if smallmat.frobenius(q.T @ q - _EYE) <= _ORTHO_DRIFT_TOL:
         return q
     return qr_decompose(q)[0]
 
@@ -208,7 +214,7 @@ def _frame_increment(s: SystemDef, dt: float):
     of ``_kernel_args(s, dt)`` and follows ``frame_increment`` of
     ``_kernel.c`` expression for expression."""
     _, r, _, dt, _, a00, a11, a12, a21, a22, *_, e00, e01, e11, e22 = (
-        _kernel_args(s, dt).tolist())
+        _kernel_args(s, dt)[0].tolist())
 
     def increment(q, x0, x1, x2, dw):
         m00, m11 = e00 + a00 * dw, e11 + a11 * dw
@@ -256,19 +262,10 @@ def _rotate(q, s0: float, s1: float, s2: float):
     )
 
 
-def run_nle(
-    s: SystemDef,
-    x0: np.ndarray,
-    path: WienerPath,
-    dt: float,
-    n_steps: int = DEFAULT_NLE_STEPS,
-    eta: float = DEFAULT_ETA,
-    *,
-    scheme: Scheme = Scheme.EULER_MARUYAMA,
-    sample_every: int = 100,
-    path_offset: int = 0,
-    allow_convention_mismatch: bool = False,
-) -> NleResult:
+def run_nle(s: SystemDef, x0: np.ndarray, path: WienerPath, dt: float,
+            n_steps: int = DEFAULT_NLE_STEPS, eta: float = DEFAULT_ETA, *,
+            scheme: Scheme = Scheme.EULER_MARUYAMA, sample_every: int = 100,
+            path_offset: int = 0, allow_convention_mismatch: bool = False) -> NleResult:
     """Co-evolve the base state x and the frame state (Q, rho).
 
     The base trajectory starts from x0 (normally the spin-up end state) and
@@ -283,54 +280,53 @@ def run_nle(
     _check_sizes(n_steps, sample_every)
     inc = path.window(path_offset, n_steps)
     _check_eta(eta)
-    IntegratorConfig(
-        scheme=scheme,
-        dt=dt,
-        n_steps=1,
-        allow_convention_mismatch=allow_convention_mismatch,
-    ).check(s)
-    x = _state(x0)
-    q, rho = np.eye(3).ravel(), np.zeros(3)
+    _check_dt(dt)
+    _check_convention(scheme, s, allow_convention_mismatch)
+    state = _state(x0, 15)  # x, Q = I and rho = 0 in one buffer, at one address
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
     heun = scheme is Scheme.HEUN
     kernel = integrator._kernel()
     if kernel is not None:
-        args = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
+        block = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
+        base, dw, samples = _address(state), inc.ctypes.data, _address(series)
     for lo in range(0, n_steps, REORTH_EVERY):
         hi = min(lo + REORTH_EVERY, n_steps)
         if kernel is None:
-            failed = _python_frame_loop(s, dt, heun, x, q, rho, inc, lo, hi, sample_every,
-                                        series)
+            failed = _python_frame_loop(s, dt, heun, state, inc, lo, hi, sample_every, series)
         else:
-            failed = kernel.frame_loop(args.ctypes.data, heun, x.ctypes.data, q.ctypes.data,
-                                       rho.ctypes.data, inc.ctypes.data, lo, hi, sample_every,
-                                       series.ctypes.data)
+            failed = kernel.frame_loop(block[1], heun, base, base + 24, base + 96, dw, lo, hi,
+                                       sample_every, samples)
         if failed >= 0:
-            raise BlowUpError(failed, x)
+            raise BlowUpError(failed, state[:3].copy())
         if hi % REORTH_EVERY == 0:
-            q[:] = _reorthogonalize(q.reshape(3, 3)).ravel()
+            state[3:12] = _reorthogonalize(state[3:12].reshape(3, 3)).ravel()
+    rho, q = state[12:], state[3:12].reshape(3, 3)
     if n_steps % sample_every:
-        series[-1] = n_steps * dt, *rho
-    w_terminal = float(np.sum(inc))
-    return _nle_result(s, q.reshape(3, 3), rho, series, n_steps, dt, w_terminal)
+        series[-1, 0], series[-1, 1:] = n_steps * dt, rho
+    t_final, w_terminal = n_steps * dt, float(inc.sum())
+    lambdas = exponents_from_rho(rho, t_final)
+    total = float(lambdas.sum())
+    return NleResult(lambdas=lambdas, sum=total, rho_series=series, restarts=n_steps,
+                     trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
+                     t_final=t_final, w_terminal=w_terminal,
+                     ortho_drift=smallmat.frobenius(q.T @ q - _EYE))
 
 
-def _python_frame_loop(s: SystemDef, dt: float, heun: bool, x: np.ndarray, q: np.ndarray,
-                       rho: np.ndarray, inc: np.ndarray, lo: int, hi: int, every: int,
-                       series: np.ndarray) -> int:
-    """The kernel's ``frame_loop`` as a plain loop over the reference
-    closures: the base step of ``_float_steps``, ``_frame_increment`` and
-    ``_rotate``.  A Heun step takes the increment at (x, Q) and at
-    (p, Q cayley(S)), with p the predictor, then rho += (d + e) / 2 and
-    Q <- Q cayley((S + T) / 2)."""
+def _python_frame_loop(s: SystemDef, dt: float, heun: bool, state: np.ndarray,
+                       inc: np.ndarray, lo: int, hi: int, every: int, series: np.ndarray) -> int:
+    """The kernel's ``frame_loop`` on the buffer state = (x, Q, rho) as a
+    plain loop over the reference closures: the base step of
+    ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun step
+    takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
+    predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2)."""
     (euler_step, heun_step), increment = _float_steps(s, dt), _frame_increment(s, dt)
-    y, f = tuple(x.tolist()), tuple(q.tolist())
-    r0, r1, r2 = rho.tolist()
+    values = state.tolist()
+    y, f, (r0, r1, r2) = tuple(values[:3]), tuple(values[3:12]), values[12:]
     for i, dw in enumerate(inc[lo:hi].tolist(), lo):
         try:
             p, y_next = heun_step(*y, dw) if heun else (None, euler_step(*y, dw))
         except BlowUpError as err:
-            x[:] = err.state
+            state[:3] = err.state
             return i
         d0, d1, d2, s0, s1, s2 = increment(f, *y, dw)
         if heun:
@@ -342,29 +338,5 @@ def _python_frame_loop(s: SystemDef, dt: float, heun: bool, x: np.ndarray, q: np
         f, y = _rotate(f, s0, s1, s2), y_next
         if (i + 1) % every == 0:
             series[(i + 1) // every - 1] = (i + 1) * dt, r0, r1, r2
-    x[:], q[:], rho[:] = y, f, (r0, r1, r2)
+    state[:] = *y, *f, r0, r1, r2
     return -1
-
-
-def _nle_result(
-    s: SystemDef,
-    q: np.ndarray,
-    rho: np.ndarray,
-    rho_series: np.ndarray,
-    n_steps: int,
-    dt: float,
-    w_terminal: float,
-) -> NleResult:
-    t_final = n_steps * dt
-    lambdas = exponents_from_rho(rho, t_final)
-    total = float(np.sum(lambdas))
-    return NleResult(
-        lambdas=lambdas,
-        sum=total,
-        trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
-        rho_series=rho_series,
-        restarts=n_steps,
-        t_final=t_final,
-        w_terminal=w_terminal,
-        ortho_drift=smallmat.frobenius(q.T @ q - np.eye(3)),
-    )

@@ -30,7 +30,6 @@ from .integrator import (
     BlowUpError,
     ConventionMismatchError,
     IntegratorConfig,
-    _phase,
     simulate,
 )
 from .models import fd_lorenz, theoretical_sum
@@ -194,16 +193,16 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
                 fh.write((fmt * (hi - lo) % tuple(values)).encode())
 
 
-def _check_memory(cfg: RunConfig, held: int, **flags: int) -> None:
-    """Refuse, before anything is allocated, a run whose Wiener path, of
-    8 (spin-up + nle) bytes, and ``held`` bytes more would exceed the
-    machine's physical memory, naming the size flags; no check where
-    sysconf does not report that memory."""
+def _check_memory(cfg: RunConfig, held: int, paths: int = 1, **flags: int) -> None:
+    """Refuse, before anything is allocated, a run whose ``paths`` Wiener
+    paths, of 8 (spin-up + nle) bytes each, and ``held`` bytes more would
+    exceed the machine's physical memory, naming the size flags; no check
+    where sysconf does not report that memory."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    need = 8 * (cfg.spin_up_steps + cfg.nle_steps) + held
+    need = 8 * (cfg.spin_up_steps + cfg.nle_steps) * paths + held
     if 0 < memory < need:
         sizes = {"spin-up-steps": cfg.spin_up_steps, "nle-steps": cfg.nle_steps, **flags}
         raise ConfigError(", ".join(f"--{flag} {n}" for flag, n in sizes.items())
@@ -220,8 +219,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_memory(cfg, 24 * (cfg.nle_steps + 1))  # the trajectory
     s, path, x0, icfg, _ = analysis.spun_up(cfg)
     traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
-    with _phase("trajectory", s, cfg.seed):
+    try:
         traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
+    except BlowUpError as err:
+        raise err.within("trajectory", s, cfg.seed) from None
     out = _out_path(cfg, "trajectory.csv", args.output)
     _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: np.column_stack(
         (np.arange(lo, hi) * cfg.dt, traj[lo:hi])))
@@ -302,11 +303,14 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             "sweep runs Euler-Maruyama in paper mode only; drop --scheme "
             "and --convention-mode"
         )
-    _check_memory(cfg, _series_bytes(cfg) + 8 * args.count, count=args.count)
-    betas = np.linspace(args.beta_min, args.beta_max, args.count)
-    mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
     cores = _usable_cores()
     jobs = min(args.jobs or cores, cores)  # a thread per row at once, no more than the cores
+    # each running row holds two rho series and, in fresh mode, its own path
+    running = min(jobs, args.count)
+    _check_memory(cfg, 2 * running * _series_bytes(cfg) + 8 * args.count,
+                  1 if fixed else running, jobs=jobs, count=args.count)
+    betas = np.linspace(args.beta_min, args.beta_max, args.count)
+    mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
     sweep_cfg = SweepConfig(
         params=cfg.params(),
         dt=cfg.dt,

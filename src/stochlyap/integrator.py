@@ -21,8 +21,10 @@ command into one library in the package's ``__pycache__``
 (``_kernel-<hash>.so``, keyed by the sources and the command; a build
 deletes the older libraries there) and loaded with ctypes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
-(Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and
-~2.0 us in Python.
+(Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and ~2.0 us in
+Python.  Per call, ``spin_up`` spends ~5.6 us around its kernel call, from
+~6.7 us before ``_kernel_args`` cached the block's address and ``_address``
+read the state's through its buffer.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import ctypes
 import functools
 import hashlib
 import os
-import sys
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -48,7 +49,7 @@ from .models import (
     jacobian_correction,
     jacobian_diffusion,
 )
-from .wiener import WienerPath
+from .wiener import WienerPath, _check_dt
 
 __all__ = [
     "Scheme",
@@ -68,6 +69,8 @@ DEFAULT_SPIN_UP_STEPS = 50_000
 SPIN_UP_STATE = np.array([0.0, 1.0, 0.0])
 
 _STATE_BOUND = 1e100
+# a run's state buffer (x, Q, rho) before x is set: Q = I and rho = 0
+_START = np.array([0.0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
 
 # The step kernel's sources, the loops in C and the CSV formatter in C++17,
 # and where they are built on first use into one library: the package's own
@@ -87,7 +90,8 @@ class Scheme(Enum):
 class BlowUpError(RuntimeError):
     """A state failed the bound max|x| <= 1e100 (NaN fails it too).
 
-    ``context`` names the phase and trajectory, as set by ``within``.
+    ``within`` names the phase and trajectory in ``context`` and in the
+    fields ``phase``, ``system`` (the noise kind), ``beta`` and ``seed``.
     """
 
     def __init__(self, step_index: int, state: np.ndarray, context: str = ""):
@@ -96,32 +100,34 @@ class BlowUpError(RuntimeError):
         self.step_index = step_index
         self.state = state
         self.context = context
+        self.phase = self.system = self.beta = self.seed = None
 
     def within(self, phase: str, s: SystemDef, seed: int) -> "BlowUpError":
         """This error, naming the phase and the trajectory's system, beta and seed."""
         where = f"the {phase} ({s.kind.value}, beta={s.beta}, seed={seed})"
-        return BlowUpError(self.step_index, self.state, where)
+        err = BlowUpError(self.step_index, self.state, where)
+        err.phase, err.system, err.beta, err.seed = phase, s.kind.value, s.beta, seed
+        return err
 
     def __reduce__(self):
         # pickled by its fields: the default would pass __init__ the message alone
-        return type(self), (self.step_index, self.state, self.context)
-
-
-@contextmanager
-def _phase(phase: str, s: SystemDef, seed: int):
-    """Name the phase, system, beta and seed in a blow-up inside the block."""
-    try:
-        yield
-    except BlowUpError as err:
-        raise err.within(phase, s, seed) from None
+        return type(self), (self.step_index, self.state, self.context), self.__dict__
 
 
 class ConventionMismatchError(ValueError):
     """Scheme and system convention disagree and no override was given."""
 
 
-def _required_convention(scheme: Scheme) -> Convention:
-    return Convention.ITO if scheme is Scheme.EULER_MARUYAMA else Convention.STRATONOVICH
+def _check_convention(scheme: Scheme, s: SystemDef, allow_mismatch: bool) -> None:
+    """The convention rule: Euler-Maruyama takes an Ito system and Heun a
+    Stratonovich one, unless the mismatch is allowed or s has no noise."""
+    need = Convention.ITO if scheme is Scheme.EULER_MARUYAMA else Convention.STRATONOVICH
+    if allow_mismatch or s.kind is NoiseKind.NONE or s.beta == 0.0 or s.convention is need:
+        return
+    raise ConventionMismatchError(
+        f"{scheme.value} expects a {need.value} system, got {s.convention.value}; convert "
+        "the system or set allow_convention_mismatch=True to integrate the coefficients "
+        "literally")
 
 
 @dataclass(frozen=True)
@@ -132,38 +138,25 @@ class IntegratorConfig:
     allow_convention_mismatch: bool = False
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.dt):
-            raise ValueError(f"dt must be finite, got {self.dt}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.dt < sys.float_info.min:
-            raise ValueError(f"dt must be a normal float, >= {sys.float_info.min!r}, got {self.dt}")
+        _check_dt(self.dt)
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
     def check(self, s: SystemDef) -> None:
-        if self.allow_convention_mismatch or s.kind is NoiseKind.NONE or s.beta == 0.0:
-            return
-        if s.convention is not _required_convention(self.scheme):
-            raise ConventionMismatchError(
-                f"{self.scheme.value} expects a "
-                f"{_required_convention(self.scheme).value} system, got "
-                f"{s.convention.value}; convert the system or set "
-                "allow_convention_mismatch=True to integrate the coefficients "
-                "literally"
-            )
+        _check_convention(self.scheme, s, self.allow_convention_mismatch)
 
 
 @functools.lru_cache(maxsize=32)
-def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
-    """The ``Sys`` block of s, every constant that the step kernel and the
-    closures ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r,
-    b, dt, the bound; Df1 and the drift correction's factor sign * (1/2) Df1
-    at (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at
-    (0,0), (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the
-    Lorenz Jacobian plus the convention correction k.  Both noises leave the
-    other entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero:
-    the steps skip them."""
+def _kernel_args(s: SystemDef, dt: float) -> tuple[np.ndarray, int]:
+    """The ``Sys`` block of s and its address, held by a caller while the
+    kernel runs: every constant that the step kernel and the closures
+    ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r, b, dt,
+    the bound; Df1 and the drift correction's factor sign * (1/2) Df1 at
+    (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at (0,0),
+    (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the Lorenz
+    Jacobian plus the convention correction k.  Both noises leave the other
+    entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero: the
+    steps skip them."""
     p = s.params
     j1 = jacobian_diffusion(s).take([0, 4, 5, 7, 8])
     (k00, k01, _), (_, k11, _), (_, _, k22) = jacobian_correction(s).tolist()
@@ -171,7 +164,7 @@ def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
                      (-p.sigma + k00) * dt, (p.sigma + k01) * dt, (-1.0 + k11) * dt,
                      (-p.b + k22) * dt])
     args.flags.writeable = False  # shared through the cache; the kernel takes a const Sys *
-    return args
+    return args, args.ctypes.data
 
 
 @functools.lru_cache(maxsize=32)
@@ -186,7 +179,7 @@ def _float_steps(s: SystemDef, dt: float):
     index -1.
     """
     sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22, *_ = (
-        _kernel_args(s, dt).tolist())
+        _kernel_args(s, dt)[0].tolist())
 
     def coefficients(x0, x1, x2):
         g0 = a00 * x0
@@ -227,12 +220,20 @@ def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.nd
     return np.array(euler(*x, dW) if cfg.scheme is Scheme.EULER_MARUYAMA else heun(*x, dW)[1])
 
 
-def _state(x) -> np.ndarray:
-    """A copy of the state x as the kernel reads it, three float64 in a row."""
-    x = np.array(x, dtype=float)
+def _state(x, size: int = 3) -> np.ndarray:
+    """A copy of the state x as the kernel reads it, three float64 in a row,
+    then Q = I and rho = 0 up to size values (15: ``cayley.run_nle``'s)."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError(f"a state has 3 components, got shape {x.shape}")
-    return x
+    state = _START[:size].copy()
+    state[:3] = x
+    return state
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the writable C-contiguous array a, faster than a.ctypes.data."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def _load_kernel():
@@ -287,18 +288,21 @@ def _kernel():
 
 def _python_base_loop(s: SystemDef, dt: float, heun: bool, x: np.ndarray,
                       inc: np.ndarray, out) -> int:
-    """The kernel's ``base_loop`` as a plain loop over ``_float_steps``."""
+    """The kernel's ``base_loop`` as a plain loop over ``_float_steps``,
+    storing into out 1024 states at a time: memory stays flat."""
     euler_step, heun_step = _float_steps(s, dt)
-    y, states = tuple(x.tolist()), []
-    for i, dw in enumerate(inc.tolist()):
-        try:
-            y = heun_step(*y, dw)[1] if heun else euler_step(*y, dw)
-        except BlowUpError as err:
-            x[:] = err.state
-            return i
-        states.append(y)
-    if out is not None and states:
-        out[:] = states
+    y = tuple(x.tolist())
+    for lo in range(0, len(inc), 1024):
+        states = []
+        for i, dw in enumerate(inc[lo:lo + 1024].tolist(), lo):
+            try:
+                y = heun_step(*y, dw)[1] if heun else euler_step(*y, dw)
+            except BlowUpError as err:
+                x[:] = err.state
+                return i
+            states.append(y)
+        if out is not None:
+            out[lo:lo + 1024] = states
     x[:] = y
     return -1
 
@@ -317,8 +321,8 @@ def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset:
     if kernel is None:
         failed = _python_base_loop(s, cfg.dt, heun, x, inc, out)
     else:
-        args = _kernel_args(s, cfg.dt)  # held: the kernel reads it through a pointer
-        failed = kernel.base_loop(args.ctypes.data, heun, x.ctypes.data, inc.ctypes.data,
+        block = _kernel_args(s, cfg.dt)  # held: the kernel reads it through a pointer
+        failed = kernel.base_loop(block[1], heun, _address(x), inc.ctypes.data,
                                   len(inc), None if out is None else out.ctypes.data)
     if failed >= 0:
         raise BlowUpError(failed, x)

@@ -11,11 +11,13 @@ noises are linear, which makes that correction exact.
 The Lorenz field and its Jacobian are each one component formula; the
 Jacobian is evaluated at one state (``jacobian_drift``) or over a stack of
 states (``jacobian_drift_batch``).  ``theoretical_sum`` is the
-paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the Jacobians.
+paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the traces
+of the Jacobians, which ``_traces`` computes once per system.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -193,6 +195,14 @@ def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
     return jac.reshape(-1, 3, 3)
 
 
+@functools.lru_cache(maxsize=256)  # the SALT and FD systems of a 100-row sweep
+def _traces(s: SystemDef) -> tuple[float, float]:
+    """tr Df0, convention correction included, and tr Df1 of s: both are
+    state-independent, so they are computed once per system."""
+    return (float(np.trace(jacobian_drift(s, np.zeros(3)))),
+            float(np.trace(jacobian_diffusion(s))))
+
+
 def theoretical_sum(s: SystemDef, w_t: float, t: float) -> float:
     """The exponent sum over a horizon t along a path with W_t = w_t: the
     trace identity tr Df0 + tr Df1 * w_t / t of the declared coefficients.
@@ -204,8 +214,7 @@ def theoretical_sum(s: SystemDef, w_t: float, t: float) -> float:
     """
     if t <= 0:
         raise ValueError(f"time horizon must be positive, got {t}")
-    tr0 = float(np.trace(jacobian_drift(s, np.zeros(3))))
-    tr1 = float(np.trace(jacobian_diffusion(s)))
+    tr0, tr1 = _traces(s)
     return tr0 + tr1 * w_t / t
 
 

@@ -6,6 +6,7 @@ inverse and the Cayley transform are closed-form 3x3 formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class CayleyDomainError(ValueError):
 def frobenius(m: np.ndarray) -> float:
     """Frobenius norm, the canonical matrix norm throughout the package."""
     m = np.asarray(m, dtype=float)
-    return float(np.sqrt(np.sum(m * m)))
+    return math.sqrt((m * m).sum())
 
 
 @dataclass(frozen=True)

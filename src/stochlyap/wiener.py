@@ -7,6 +7,7 @@ increments, so comparisons across systems see the identical realisation.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -56,16 +57,21 @@ class WienerPath:
         return self.increments[offset:offset + n]
 
 
+def _check_dt(dt: float) -> None:
+    """Refuse a step size that is not finite, not positive or subnormal."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt < sys.float_info.min:
+        raise ValueError(f"dt must be a normal float, >= {sys.float_info.min!r}, got {dt}")
+
+
 def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
     """Draw a seeded Brownian increment path of ``n_steps`` steps of size ``dt``."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not np.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt < sys.float_info.min:
-        raise ValueError(f"dt must be a normal float, >= {sys.float_info.min!r}, got {dt}")
+    _check_dt(dt)
     increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)
     return WienerPath(seed=seed, dt=dt, increments=increments)
 

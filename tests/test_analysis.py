@@ -34,8 +34,10 @@ from stochlyap.models import (
     convert_convention,
     deterministic_lorenz,
     fd_lorenz,
+    jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
+    jacobian_drift_batch,
     salt_lorenz,
 )
 from stochlyap.wiener import generate_path
@@ -80,6 +82,62 @@ class TestTheoreticalSum:
         assert theoretical_sum(s, 12.3, 100.0) == pytest.approx(TRACE - 0.81, abs=1e-14)
 
 
+# the five system forms as functions of beta
+SYSTEM_FORMS = {
+    "deterministic": lambda beta: deterministic_lorenz(),
+    "salt": lambda beta: salt_lorenz(beta=beta),
+    "fd": lambda beta: fd_lorenz(beta=beta),
+    "salt-ito": lambda beta: convert_convention(salt_lorenz(beta=beta), Convention.ITO),
+    "fd-strict": lambda beta: convert_convention(fd_lorenz(beta=beta), Convention.STRATONOVICH),
+}
+
+
+class TestCachedTraces:
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("form", sorted(SYSTEM_FORMS))
+    def test_equal_the_jacobians_traces(self, form, beta):
+        s = SYSTEM_FORMS[form](beta)
+        for w_t, t in [(0.37, 2.0), (-1.25, 0.1), (0.0, 100.0)]:
+            want = (float(np.trace(jacobian_drift(s, np.zeros(3))))
+                    + float(np.trace(jacobian_diffusion(s))) * w_t / t)
+            assert theoretical_sum(s, w_t, t) == want  # computed, then read from the cache
+            assert theoretical_sum(s, w_t, t) == want
+
+    def test_overflowing_beta_raises_every_call(self):
+        s = convert_convention(fd_lorenz(beta=1e200), Convention.STRATONOVICH)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"beta = 1e\+200 is too large"):
+                theoretical_sum(s, 0.0, 1.0)
+
+
+def bits(result):
+    """Every field of an NleResult as bytes: equal bits, not just equal values."""
+    return [np.asarray(getattr(result, f.name)).tobytes()
+            for f in dataclasses.fields(result)]
+
+
+class TestRunOneEqualsItsPhases:
+    """The lean run path: ``run_one`` equals ``spin_up`` and then ``run_nle``
+    called on a fresh path and a fresh state, on each kernel path."""
+
+    @pytest.mark.parametrize("scheme, mode", [("euler-maruyama", "paper"),
+                                              ("heun", "stratonovich-strict")],
+                             ids=["em", "heun-strict"])
+    @pytest.mark.parametrize("system", ["deterministic", "salt", "fd"])
+    def test_bit_for_bit(self, system, scheme, mode, kernel):
+        spec = RunSpec(system=system, beta=0.4, seed=9, scheme=scheme, convention_mode=mode,
+                       spin_up_steps=400, nle_steps=10_300, sample_every=64)
+        got, _ = run_one(spec)
+        s, icfg = spec.system_def(), spec.integrator_config()
+        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
+        x0 = np.array(spin_up(s, path, icfg).tolist())
+        want = run_nle(s, x0, path, spec.dt, spec.nle_steps, scheme=icfg.scheme,
+                       sample_every=spec.sample_every, path_offset=spec.spin_up_steps,
+                       allow_convention_mismatch=icfg.allow_convention_mismatch)
+        assert bits(got) == bits(want)
+        assert np.array_equal(x0, spin_up(s, path, icfg))  # run_nle left x0 alone
+
+
 def loop_oracle(s, traj, path, offset):
     """The oracle as a per-step loop over the pre-step states."""
     n, dt = len(traj) - 1, path.dt
@@ -108,6 +166,21 @@ class TestLiouvilleOracle:
         want = loop_oracle(s, traj, short_path, 500)
         got = liouville_oracle(s, traj, short_path, 500)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("form", sorted(SYSTEM_FORMS))
+    def test_bit_for_bit_the_jacobian_stack(self, form, short_path):
+        # the oracle's former formula: the Jacobian at every pre-step state
+        s = SYSTEM_FORMS[form](0.3)
+        traj = simulate(s, np.array([1.0, 1.0, 1.0]), short_path,
+                        IntegratorConfig(n_steps=20_000 - 700, allow_convention_mismatch=True),
+                        offset=700)
+        n, dt = len(traj) - 1, short_path.dt
+        stack = jacobian_drift_batch(s.params, traj[:n]) + jacobian_correction(s)
+        tr0 = np.trace(stack, axis1=1, axis2=2)
+        tr1 = float(np.trace(jacobian_diffusion(s)))
+        want = (float(np.sum(tr0 * dt))
+                + tr1 * float(np.sum(short_path.window(700, n)))) / (n * dt)
+        assert liouville_oracle(s, traj, short_path, 700) == want
 
     def test_deterministic_equals_trace(self, short_path):
         s = deterministic_lorenz()
@@ -368,10 +441,13 @@ class TestSweep:
         assert err.step_index == 10
         assert err.context == f"the {phase} (salt, beta=0.1, seed=4)"
         assert f"step 10 of the {phase}" in str(err)
-        # the error survives pickling
+        assert (err.phase, err.system, err.beta, err.seed) == (phase, "salt", 0.1, 4)
+        # the error survives pickling, fields and all
         again = pickle.loads(pickle.dumps(err))
         assert str(again) == str(err)
         assert (again.step_index, again.context) == (err.step_index, err.context)
+        assert (again.phase, again.system, again.beta, again.seed) == (phase, "salt", 0.1, 4)
+        np.testing.assert_array_equal(again.state, err.state)
 
     @given(
         sigma=st.floats(1.0, 20.0), r=st.floats(0.5, 50.0), b=st.floats(0.5, 5.0),

@@ -365,6 +365,16 @@ def assert_body_matches_closures(s, x0, path, dt, n_steps, path_offset=0,
     assert np.array_equal(res.rho_series, series)
     assert np.array_equal(res.lambdas, exponents_from_rho(series[-1, 1:], n_steps * dt))
     assert res.ortho_drift == frobenius(q.T @ q - np.eye(3))
+    # every other field, by the numpy formulas the engine once spelled out
+    t, w = n_steps * dt, float(np.sum(path.window(path_offset, n_steps)))
+    assert np.array_equal(res.lambdas, np.sort(series[-1, 1:] / t)[::-1])
+    assert res.sum == float(np.sum(res.lambdas))
+    d = q.T @ q - np.eye(3)
+    assert res.ortho_drift == float(np.sqrt(np.sum(d * d)))
+    assert (res.t_final, res.w_terminal, res.restarts) == (t, w, n_steps)
+    theory = (float(np.trace(jacobian_drift(s, np.zeros(3))))
+              + float(np.trace(jacobian_diffusion(s))) * w / t)
+    assert res.trace_residual == abs(res.sum - theory)
 
 
 FORMS = [

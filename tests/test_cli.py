@@ -439,6 +439,22 @@ def test_memory_check_reads_sysconf(tmp_path, capsys, monkeypatch):
     assert run(argv, capsys)[0] == EXIT_OK
 
 
+def test_memory_check_counts_a_path_per_running_fresh_row(tmp_path, capsys, monkeypatch):
+    # one path, 8 * 1100 bytes, fits in three pages; two do not.  Each running
+    # row also holds two rho series of 32 * 10 bytes, and the sweep 8 bytes a beta
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 3, "SC_PAGE_SIZE": 4096}.get)
+    argv = ["sweep", "--count", "2", "--spin-up-steps", "100", "--nle-steps", "1000",
+            "--outdir", str(tmp_path)]
+    code, _, err = run(argv + ["--mode", "fresh", "--jobs", "2"], capsys)
+    assert code == EXIT_CONFIG
+    assert ("--spin-up-steps 100, --nle-steps 1000, --jobs 2, --count 2 would hold "
+            "18,896 bytes, more than the 12,288 bytes") in err
+    for mode, jobs in (("fresh", "1"), ("fixed", "2")):  # one path at a time
+        code, _, err = run(argv + ["--mode", mode, "--jobs", jobs], capsys)
+        assert code == EXIT_OK, err
+
+
 # The (system, scheme, convention mode) runs the convention rule refuses
 REFUSED = {("salt", "euler-maruyama", "stratonovich-strict"),
            ("fd", "euler-maruyama", "stratonovich-strict"),
@@ -685,6 +701,20 @@ class TestSweep:
                             "--outdir", str(tmp_path)] + SMALL, capsys)
         assert code == EXIT_OK, err
         assert jobs == [want]
+
+
+    @pytest.mark.parametrize("mode", ["fixed", "fresh"])
+    def test_rows_equal_at_one_and_two_jobs(self, mode, tmp_path, capsys, monkeypatch,
+                                            kernel):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep-{jobs}.csv"
+            code, _, err = run(["sweep", "--count", "5", "--mode", mode, "--jobs", jobs,
+                                "--output", str(out)] + SMALL, capsys)
+            assert code == EXIT_OK, err
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestReproduce:

@@ -273,6 +273,23 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(s, SPIN_UP_STATE, path, cfg(n_steps=11))
 
+    def test_python_loop_memory_stays_flat(self, monkeypatch):
+        # the trajectory's array takes 4.8 MB; the loop stores it 1024 states
+        # at a time instead of holding every state as a tuple
+        n = 200_000
+        s, c = salt_lorenz(beta=0.5), cfg(n_steps=n, mismatch=True)
+        path = generate_path(5, n, 0.001)
+        want = simulate(s, SPIN_UP_STATE, path, c)  # on the step kernel
+        monkeypatch.setattr(integrator, "_kernel", lambda: None)
+        tracemalloc.start()
+        try:
+            got = simulate(s, SPIN_UP_STATE, path, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 24 * (n + 1)
+        assert np.array_equal(got, want)
+
 
 class TestSpinUp:
     def test_keeps_no_trajectory(self):
