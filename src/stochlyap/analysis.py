@@ -168,7 +168,7 @@ def liouville_oracle(
     inc = path.window(path_offset, n)
     dt = path.dt
     tr0, tr1 = _traces(s)  # trace(Df0) does not depend on x_k: no Jacobian per state
-    return (float(np.sum(np.full(n, tr0) * dt)) + tr1 * float(np.sum(inc))) / (n * dt)
+    return (float(np.sum(np.full(n, tr0 * dt))) + tr1 * float(np.sum(inc))) / (n * dt)
 
 
 def lyapunov_function(p: LorenzParams, x: np.ndarray) -> float | np.ndarray:

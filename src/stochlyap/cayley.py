@@ -34,9 +34,11 @@ constants, in its evaluation order, so the results are the same bit for
 bit.  Per step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc
 12.2): ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled,
 ~4.5 us and ~8.7 us in Python, at any sampling interval.  Per run, outside
-the kernel calls (``analysis.run_one`` at 1 + 1 steps): ~38 us, from ~74 us
-when each run built an ``IntegratorConfig``, three state arrays, an address
-for each and the Jacobians of ``theoretical_sum``.
+the kernel calls (``analysis.run_one`` at 1 + 1 steps, same VM): ~54 us,
+from ~86 us, when each run has a new beta, as a sweep's rows do; ~41 us,
+from ~71 us, when one spec repeats.  The runs before built an
+``IntegratorConfig``, three state arrays and the Jacobians of
+``theoretical_sum``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from . import integrator, smallmat
 from .integrator import (
     BlowUpError,
     Scheme,
-    _address,
     _check_convention,
     _float_steps,
     _kernel_args,
@@ -89,6 +90,7 @@ DEFAULT_NLE_STEPS = 100_000
 REORTH_EVERY = 10_000
 _ORTHO_DRIFT_TOL = 1e-10
 _EYE = np.eye(3)
+_START = np.array([0.0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])  # (x, Q, rho): Q = I, rho = 0
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def _frame_increment(s: SystemDef, dt: float):
     of ``_kernel_args(s, dt)`` and follows ``frame_increment`` of
     ``_kernel.c`` expression for expression."""
     _, r, _, dt, _, a00, a11, a12, a21, a22, *_, e00, e01, e11, e22 = (
-        _kernel_args(s, dt)[0].tolist())
+        _kernel_args(s, dt).tolist())
 
     def increment(q, x0, x1, x2, dw):
         m00, m11 = e00 + a00 * dw, e11 + a11 * dw
@@ -262,10 +264,19 @@ def _rotate(q, s0: float, s1: float, s2: float):
     )
 
 
-def run_nle(s: SystemDef, x0: np.ndarray, path: WienerPath, dt: float,
-            n_steps: int = DEFAULT_NLE_STEPS, eta: float = DEFAULT_ETA, *,
-            scheme: Scheme = Scheme.EULER_MARUYAMA, sample_every: int = 100,
-            path_offset: int = 0, allow_convention_mismatch: bool = False) -> NleResult:
+def run_nle(
+    s: SystemDef,
+    x0: np.ndarray,
+    path: WienerPath,
+    dt: float,
+    n_steps: int = DEFAULT_NLE_STEPS,
+    eta: float = DEFAULT_ETA,
+    *,
+    scheme: Scheme = Scheme.EULER_MARUYAMA,
+    sample_every: int = 100,
+    path_offset: int = 0,
+    allow_convention_mismatch: bool = False,
+) -> NleResult:
     """Co-evolve the base state x and the frame state (Q, rho).
 
     The base trajectory starts from x0 (normally the spin-up end state) and
@@ -282,20 +293,22 @@ def run_nle(s: SystemDef, x0: np.ndarray, path: WienerPath, dt: float,
     _check_eta(eta)
     _check_dt(dt)
     _check_convention(scheme, s, allow_convention_mismatch)
-    state = _state(x0, 15)  # x, Q = I and rho = 0 in one buffer, at one address
+    state = _START.copy()  # x, Q and rho in one buffer, at one address
+    state[:3] = _state(x0)
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
     heun = scheme is Scheme.HEUN
     kernel = integrator._kernel()
     if kernel is not None:
-        block = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
-        base, dw, samples = _address(state), inc.ctypes.data, _address(series)
+        args = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
+        base = state.ctypes.data
     for lo in range(0, n_steps, REORTH_EVERY):
         hi = min(lo + REORTH_EVERY, n_steps)
         if kernel is None:
             failed = _python_frame_loop(s, dt, heun, state, inc, lo, hi, sample_every, series)
         else:
-            failed = kernel.frame_loop(block[1], heun, base, base + 24, base + 96, dw, lo, hi,
-                                       sample_every, samples)
+            failed = kernel.frame_loop(args.ctypes.data, heun, base, base + 24, base + 96,
+                                       inc.ctypes.data, lo, hi, sample_every,
+                                       series.ctypes.data)
         if failed >= 0:
             raise BlowUpError(failed, state[:3].copy())
         if hi % REORTH_EVERY == 0:
@@ -306,10 +319,16 @@ def run_nle(s: SystemDef, x0: np.ndarray, path: WienerPath, dt: float,
     t_final, w_terminal = n_steps * dt, float(inc.sum())
     lambdas = exponents_from_rho(rho, t_final)
     total = float(lambdas.sum())
-    return NleResult(lambdas=lambdas, sum=total, rho_series=series, restarts=n_steps,
-                     trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
-                     t_final=t_final, w_terminal=w_terminal,
-                     ortho_drift=smallmat.frobenius(q.T @ q - _EYE))
+    return NleResult(
+        lambdas=lambdas,
+        sum=total,
+        trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
+        rho_series=series,
+        restarts=n_steps,
+        t_final=t_final,
+        w_terminal=w_terminal,
+        ortho_drift=smallmat.frobenius(q.T @ q - _EYE),
+    )
 
 
 def _python_frame_loop(s: SystemDef, dt: float, heun: bool, state: np.ndarray,

@@ -151,13 +151,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _metadata_lines(cfg: RunConfig) -> list[str]:
-    return [
-        f"# config-hash = {cfg.config_hash()}",
-        f"# generator-id = {GENERATOR_ID}",
-    ]
-
-
 def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     if override:
         return Path(override)
@@ -180,7 +173,8 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
     if kernel is not None:
         text = np.empty(1024 * cols * 25, np.uint8)  # a value takes <= 25 bytes
     with open(out, "wb") as fh:
-        fh.write(("".join(line + "\n" for line in _metadata_lines(cfg)) + header + "\n").encode())
+        fh.write(f"# config-hash = {cfg.config_hash()}\n# generator-id = {GENERATOR_ID}\n"
+                 f"{header}\n".encode())
         for lo in range(0, n, 1024):  # in blocks: memory stays flat
             hi = min(lo + 1024, n)
             block = rows(lo, hi)

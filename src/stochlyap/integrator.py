@@ -22,9 +22,9 @@ command into one library in the package's ``__pycache__``
 deletes the older libraries there) and loaded with ctypes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
 (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and ~2.0 us in
-Python.  Per call, ``spin_up`` spends ~5.6 us around its kernel call, from
-~6.7 us before ``_kernel_args`` cached the block's address and ``_address``
-read the state's through its buffer.
+Python.  Per call, ``spin_up`` spends ~8-12 us of Python around its kernel
+call (1 step; the VM's speed varies), as it did before ``cayley.run_nle``
+took one state buffer; ``cayley`` gives a run's whole fixed cost.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ DEFAULT_SPIN_UP_STEPS = 50_000
 SPIN_UP_STATE = np.array([0.0, 1.0, 0.0])
 
 _STATE_BOUND = 1e100
-# a run's state buffer (x, Q, rho) before x is set: Q = I and rho = 0
-_START = np.array([0.0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
 
 # The step kernel's sources, the loops in C and the CSV formatter in C++17,
 # and where they are built on first use into one library: the package's own
@@ -125,9 +123,12 @@ def _check_convention(scheme: Scheme, s: SystemDef, allow_mismatch: bool) -> Non
     if allow_mismatch or s.kind is NoiseKind.NONE or s.beta == 0.0 or s.convention is need:
         return
     raise ConventionMismatchError(
-        f"{scheme.value} expects a {need.value} system, got {s.convention.value}; convert "
-        "the system or set allow_convention_mismatch=True to integrate the coefficients "
-        "literally")
+        f"{scheme.value} expects a "
+        f"{need.value} system, got "
+        f"{s.convention.value}; convert the system or set "
+        "allow_convention_mismatch=True to integrate the coefficients "
+        "literally"
+    )
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,15 @@ class IntegratorConfig:
 
 
 @functools.lru_cache(maxsize=32)
-def _kernel_args(s: SystemDef, dt: float) -> tuple[np.ndarray, int]:
-    """The ``Sys`` block of s and its address, held by a caller while the
-    kernel runs: every constant that the step kernel and the closures
-    ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r, b, dt,
-    the bound; Df1 and the drift correction's factor sign * (1/2) Df1 at
-    (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at (0,0),
-    (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the Lorenz
-    Jacobian plus the convention correction k.  Both noises leave the other
-    entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero: the
-    steps skip them."""
+def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
+    """The ``Sys`` block of s, every constant that the step kernel and the
+    closures ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r,
+    b, dt, the bound; Df1 and the drift correction's factor sign * (1/2) Df1
+    at (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at
+    (0,0), (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the
+    Lorenz Jacobian plus the convention correction k.  Both noises leave the
+    other entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero:
+    the steps skip them."""
     p = s.params
     j1 = jacobian_diffusion(s).take([0, 4, 5, 7, 8])
     (k00, k01, _), (_, k11, _), (_, _, k22) = jacobian_correction(s).tolist()
@@ -164,7 +164,7 @@ def _kernel_args(s: SystemDef, dt: float) -> tuple[np.ndarray, int]:
                      (-p.sigma + k00) * dt, (p.sigma + k01) * dt, (-1.0 + k11) * dt,
                      (-p.b + k22) * dt])
     args.flags.writeable = False  # shared through the cache; the kernel takes a const Sys *
-    return args, args.ctypes.data
+    return args
 
 
 @functools.lru_cache(maxsize=32)
@@ -179,7 +179,7 @@ def _float_steps(s: SystemDef, dt: float):
     index -1.
     """
     sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22, *_ = (
-        _kernel_args(s, dt)[0].tolist())
+        _kernel_args(s, dt).tolist())
 
     def coefficients(x0, x1, x2):
         g0 = a00 * x0
@@ -220,20 +220,12 @@ def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.nd
     return np.array(euler(*x, dW) if cfg.scheme is Scheme.EULER_MARUYAMA else heun(*x, dW)[1])
 
 
-def _state(x, size: int = 3) -> np.ndarray:
-    """A copy of the state x as the kernel reads it, three float64 in a row,
-    then Q = I and rho = 0 up to size values (15: ``cayley.run_nle``'s)."""
-    x = np.asarray(x, dtype=float)
+def _state(x) -> np.ndarray:
+    """A copy of the state x as the kernel reads it, three float64 in a row."""
+    x = np.array(x, dtype=float)
     if x.shape != (3,):
         raise ValueError(f"a state has 3 components, got shape {x.shape}")
-    state = _START[:size].copy()
-    state[:3] = x
-    return state
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the writable C-contiguous array a, faster than a.ctypes.data."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return x
 
 
 def _load_kernel():
@@ -321,8 +313,8 @@ def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset:
     if kernel is None:
         failed = _python_base_loop(s, cfg.dt, heun, x, inc, out)
     else:
-        block = _kernel_args(s, cfg.dt)  # held: the kernel reads it through a pointer
-        failed = kernel.base_loop(block[1], heun, _address(x), inc.ctypes.data,
+        args = _kernel_args(s, cfg.dt)  # held: the kernel reads it through a pointer
+        failed = kernel.base_loop(args.ctypes.data, heun, x.ctypes.data, inc.ctypes.data,
                                   len(inc), None if out is None else out.ctypes.data)
     if failed >= 0:
         raise BlowUpError(failed, x)

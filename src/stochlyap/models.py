@@ -11,13 +11,12 @@ noises are linear, which makes that correction exact.
 The Lorenz field and its Jacobian are each one component formula; the
 Jacobian is evaluated at one state (``jacobian_drift``) or over a stack of
 states (``jacobian_drift_batch``).  ``theoretical_sum`` is the
-paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the traces
-of the Jacobians, which ``_traces`` computes once per system.
+paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the
+diagonals of the Jacobians (``_traces``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -195,12 +194,17 @@ def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
     return jac.reshape(-1, 3, 3)
 
 
-@functools.lru_cache(maxsize=256)  # the SALT and FD systems of a 100-row sweep
 def _traces(s: SystemDef) -> tuple[float, float]:
-    """tr Df0, convention correction included, and tr Df1 of s: both are
-    state-independent, so they are computed once per system."""
-    return (float(np.trace(jacobian_drift(s, np.zeros(3)))),
-            float(np.trace(jacobian_diffusion(s))))
+    """tr Df0, convention correction included, and tr Df1 of s, both
+    state-independent, from the diagonal entries alone and summed in
+    np.trace's order, (d0 + d1) + d2: the bits of the traces of
+    ``jacobian_drift(s, 0)`` and ``jacobian_diffusion(s)``."""
+    (d0, _, _), (_, d1, _), (_, _, d2) = _lorenz_jacobian(s.params, 0.0, 0.0, 0.0)
+    if _correction_sign(s) != 0.0:
+        (k0, _, _), (_, k1, _), (_, _, k2) = jacobian_correction(s).tolist()
+        d0, d1, d2 = d0 + k0, d1 + k1, d2 + k2
+    b = float(s.beta) if s.kind is NoiseKind.FD else 0.0  # Df1 = beta I, or traceless
+    return d0 + d1 + d2, b + b + b
 
 
 def theoretical_sum(s: SystemDef, w_t: float, t: float) -> float:

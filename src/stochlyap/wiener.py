@@ -72,9 +72,5 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_dt(dt)
-    increments = np.sqrt(dt) * _generator(seed).standard_normal(n_steps)
+    increments = np.sqrt(dt) * np.random.Generator(np.random.Philox(seed)).standard_normal(n_steps)
     return WienerPath(seed=seed, dt=dt, increments=increments)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))

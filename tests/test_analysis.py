@@ -92,16 +92,29 @@ SYSTEM_FORMS = {
 }
 
 
-class TestCachedTraces:
+def jacobians_sum(s, w_t, t):
+    return (float(np.trace(jacobian_drift(s, np.zeros(3))))
+            + float(np.trace(jacobian_diffusion(s))) * w_t / t)
+
+
+class TestDiagonalTraces:
+    """``theoretical_sum`` sums the Jacobians' diagonal entries: the bits of np.trace."""
+
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("form", sorted(SYSTEM_FORMS))
     def test_equal_the_jacobians_traces(self, form, beta):
         s = SYSTEM_FORMS[form](beta)
         for w_t, t in [(0.37, 2.0), (-1.25, 0.1), (0.0, 100.0)]:
-            want = (float(np.trace(jacobian_drift(s, np.zeros(3))))
-                    + float(np.trace(jacobian_diffusion(s))) * w_t / t)
-            assert theoretical_sum(s, w_t, t) == want  # computed, then read from the cache
-            assert theoretical_sum(s, w_t, t) == want
+            assert theoretical_sum(s, w_t, t) == jacobians_sum(s, w_t, t)
+
+    @pytest.mark.parametrize("form", sorted(SYSTEM_FORMS))
+    def test_bit_for_bit_over_random_parameters(self, form):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            params = LorenzParams(*(10.0 ** rng.uniform(-2, 2, 3)).tolist())
+            beta = float(10.0 ** rng.uniform(-3, 1.5))
+            s = dataclasses.replace(SYSTEM_FORMS[form](beta), params=params)
+            assert theoretical_sum(s, 0.37, 2.0) == jacobians_sum(s, 0.37, 2.0)
 
     def test_overflowing_beta_raises_every_call(self):
         s = convert_convention(fd_lorenz(beta=1e200), Convention.STRATONOVICH)
