@@ -14,6 +14,12 @@
 #include <cstdint>
 #include <cstring>
 
+#ifdef __GNUC__
+#define INLINE inline __attribute__((always_inline))
+#else
+#define INLINE inline
+#endif
+
 namespace {
 
 char *put(char *out, const char *s, long n)
@@ -22,92 +28,122 @@ char *put(char *out, const char *s, long n)
     return out + n;
 }
 
-/* the n digits at d (readable to d + n + 16) times 10^(e + 1 - n), -4 <= e < 16,
-   positionally at out, built in s by fixed-width copies; returns its end */
+/* the n digits at d (readable to d + 32) times 10^(e + 1 - n), -4 <= e < 16,
+   positionally at out by fixed-width copies (out has 40 bytes of room);
+   returns its end */
 char *positional(const char *d, long n, int e, char *out)
 {
-    char s[48];
     if (e < 0) { /* "0.", -e - 1 zeros, the digits */
-        std::memcpy(s, "0.000", 5);
-        std::memcpy(s + 1 - e, d, 17);
-        return put(out, s, n + 1 - e);
+        std::memcpy(out, "0.000", 5);
+        std::memcpy(out + 1 - e, d, 17);
+        return out + n + 1 - e;
     }
-    std::memcpy(s, d, 16);
+    std::memcpy(out, d, 16);
     if (e + 1 < n) { /* e + 1 digits, the point, the others */
-        s[e + 1] = '.';
-        std::memcpy(s + e + 2, d + e + 1, 16);
-        return put(out, s, n + 1);
+        out[e + 1] = '.';
+        std::memcpy(out + e + 2, d + e + 1, 16);
+        return out + n + 1;
     }
-    std::memset(s + n, '0', 16); /* the digits, e + 1 - n zeros, ".0" */
-    std::memcpy(s + e + 1, ".0", 2);
-    return put(out, s, e + 3);
+    std::memset(out + n, '0', 16); /* the digits, e + 1 - n zeros, ".0" */
+    std::memcpy(out + e + 1, ".0", 2);
+    return out + e + 3;
 }
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
-struct Tens { /* 10^0 ... 10^20 */
-    u128 v[21];
-    constexpr Tens() : v() { for (int i = 0; i < 21; ++i) v[i] = i ? 10 * v[i - 1] : 1; }
+struct Fives { /* 2 * 5^0 ... 2 * 5^20 */
+    uint64_t v[21];
+    constexpr Fives() : v() { for (int i = 0; i < 21; ++i) v[i] = i ? 5 * v[i - 1] : 2; }
 };
-constexpr Tens ten;
+constexpr Fives five;
 
 /* the doubles nearest 10^-4 ... 10^16: those below 1 lie above the powers,
    so for a double x, x >= decade[k + 4] exactly when x >= 10^k */
 const double decade[] = {1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6,
                          1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16};
 
-/* the 8 digits of v < 10^8 at out: v splits into halves of 4 digits, 2, 1,
-   side by side in the lanes of one word, the first digit in its lowest byte */
-void digits8(uint64_t v, char *out)
+/* the 8 digits of v < 10^8 as the bytes of a word, the first digit in its
+   lowest byte: v splits into halves of 4 digits, 2, 1, side by side */
+INLINE uint64_t digits8(uint64_t v)
 {
     uint64_t hi = v * 0xD1B71759 >> 45;
     uint64_t x = (v << 32) - (hi * 10000 << 32) + hi;
     uint64_t q = (x * 10486 >> 20) & 0x7F0000007F;
     uint64_t y = (x << 16) - (q * 100 << 16) + q;
     uint64_t r = (y * 103 >> 10) & 0x000F000F000F000F;
-    uint64_t z = (y << 8) - (r * 10 << 8) + r + 0x3030303030303030;
-    if (__BYTE_ORDER__ == __ORDER_BIG_ENDIAN__)
-        z = __builtin_bswap64(z);
-    std::memcpy(out, &z, 8);
+    return (y << 8) - (r * 10 << 8) + r;
 }
 
-/* repr(x) for 1e-4 <= x < 1e16 at out, from the shortest digits that
-   round-trip, of those the closest to x, ties to even; returns its end */
-char *shortest(double x, char *out)
+/* the 16 characters of w, the first in its lowest byte, at out */
+INLINE void put16(u128 w, char *out)
+{
+    uint64_t half[2] = {(uint64_t)w, (uint64_t)(w >> 64)};
+    if (__BYTE_ORDER__ == __ORDER_BIG_ENDIAN__)
+        half[0] = __builtin_bswap64(half[0]), half[1] = __builtin_bswap64(half[1]);
+    std::memcpy(out, half, 16);
+}
+
+/* repr(x) for 1e-4 <= x < 1e16 at out (40 bytes of room), from the shortest
+   digits that round-trip, of those the closest to x, ties to even; returns its end */
+INLINE char *shortest(double x, char *out)
 {
     uint64_t bits = __builtin_bit_cast(uint64_t, x);
-    int be = bits >> 52, sh = 1077 - be; /* x = 4m / 2^sh, 1 <= sh <= 68 */
+    int be = bits >> 52;
     uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52, odd = m & 1;
     int e = ((be - 1023) * 78913) >> 18; /* floor(log10 2^(be - 1023)) */
     e += x >= decade[e + 5];
-    u128 unit = ten.v[16 - e], X = 4 * m * unit; /* X / 2^sh in [10^16, 10^17) */
-    /* [L, H]: the integers that round to x, within 2 units of X / 2^sh (1 below
+    /* x 10^(16 - e) = X / 2^50, in [10^16, 10^17): c, and f / 2^50 */
+    uint64_t unit = five.v[16 - e] << (be - 1012 - e); /* < 2^53 */
+    u128 X = (u128)(4 * m) * unit;
+    uint64_t c = X >> 50, f = (uint64_t)X & ((1ull << 50) - 1);
+    /* [L, H]: the integers that round to x, within 2 units of X / 2^50 (1 below
        where m = 2^52), the ends only where m is even; at most 22 apart */
-    uint64_t L = (X - (m == 1ull << 52 ? unit : 2 * unit) + ((u128)1 << sh) - 1 + odd) >> sh,
-             H = (X + 2 * unit - odd) >> sh, c = X >> sh;
-    int k = 0; /* the digits dropped */
-    if ((L + 99) / 100 <= H / 100) { /* the one multiple of 100 in [L, H] */
-        c = (L + 99) / 100, k = 2;
-        auto strip = [&](uint64_t t, int j) { if (c % t == 0) c /= t, k += j; };
-        strip(100000000, 8), strip(10000, 4), strip(100, 2), strip(10, 1);
+    int64_t below = unit << (m != 1ull << 52);
+    uint64_t L = c + ((int64_t)(f + (1ull << 50) - 1 + odd - below) >> 50),
+             H = c + ((f + 2 * unit - odd) >> 50), r = H % 100;
+    if (r <= H - L) { /* the one multiple of 100 in [L, H] */
+        c = H - r;
     } else { /* drop a digit where [L, H] holds a multiple of 10; round half even into it */
-        if ((L + 9) / 10 <= H / 10)
-            c /= 10, L = (L + 9) / 10, H /= 10, k = 1;
-        u128 rest = X - ((u128)(c * (uint64_t)ten.v[k]) << sh);
-        c += rest + (c & 1) > ten.v[k] << (sh - 1);
-        c = c < L ? L : c > H ? H : c;
+        bool k = r % 10 <= H - L;
+        uint64_t t = k ? 10 : 1, d = k ? c / 10 : c;
+        L = k ? (L + 9) / 10 : L, H = k ? H / 10 : H;
+        d += f + ((c - d * t) << 50) + (d & 1) > t << 49;
+        c = (d < L ? L : d > H ? H : d) * t;
     }
-    char buf[48] = {};
-    digits8(c / 10000000000000000, buf);
-    digits8(c / 100000000 % 100000000, buf + 8);
-    digits8(c % 100000000, buf + 16);
-    return positional(buf + 7 + k, 17 - k, e, out);
+    /* c has 17 digits, lead and then the 16 of w; repr drops its trailing zeros */
+    uint64_t q = c / 100000000, lead = c / 10000000000000000;
+    uint64_t hi = digits8(q - lead * 100000000), lo = digits8(c - q * 100000000);
+    int zeros = lo ? __builtin_clzll(lo) >> 3 : hi ? 8 + (__builtin_clzll(hi) >> 3) : 16;
+    int n = 17 - zeros;
+    u128 w = (u128)(lo + 0x3030303030303030) << 64 | (hi + 0x3030303030303030);
+    if (e < 0) { /* "0.", -e - 1 zeros, the digits */
+        std::memcpy(out, "0.000", 5);
+        out += 1 - e;
+    }
+    *out = '0' + lead;
+    put16(w, out + 1);
+    if (e < 0)
+        return out + n;
+    if (e + 1 < n) { /* e + 1 digits, the point, the others */
+        out[e + 1] = '.';
+        put16(w >> 8 * e, out + e + 2);
+        return out + n + 1;
+    }
+    std::memcpy(out + e + 1, ".0", 2); /* the digits, zeros to the point, ".0" */
+    return out + e + 3;
 }
 #endif
 
-/* repr(x) at out; returns its end */
-char *repr(double x, char *out)
+/* repr(x) at out (40 bytes of room); returns its end */
+INLINE char *repr(double x, char *out)
 {
+#ifdef __SIZEOF_INT128__
+    double a = std::fabs(x);
+    if (a >= 1e-4 && a < 1e16) {
+        *out = '-';
+        return shortest(a, out + std::signbit(x));
+    }
+#endif
     if (std::isnan(x))
         return put(out, "nan", 3);
     if (std::signbit(x))
@@ -115,10 +151,6 @@ char *repr(double x, char *out)
     x = std::fabs(x);
     if (std::isinf(x))
         return put(out, "inf", 3);
-#ifdef __SIZEOF_INT128__
-    if (x >= 1e-4 && x < 1e16)
-        return shortest(x, out);
-#endif
     char buf[48] = {};
     int e = 0;
     const char *end = std::to_chars(buf, buf + 32, x, std::chars_format::scientific).ptr;
@@ -135,16 +167,20 @@ char *repr(double x, char *out)
 
 } // namespace
 
-/* rows x cols doubles from v, row-major, as comma-separated,
-   newline-terminated rows at out; returns the bytes written, at most
-   25 * rows * cols */
-extern "C" long repr_rows(const double *v, long rows, long cols, char *out)
+/* rows of cols doubles from v, row-major, as comma-separated,
+   newline-terminated rows at out, each row i led, where dt is not 0, by
+   (first + i) * dt; returns the bytes written, at most 25 a value.  The
+   values are written into a local buffer and copied out in stretches. */
+extern "C" long repr_rows(const double *v, long rows, long cols, long first, double dt,
+                          char *out)
 {
-    char *p = out;
+    char stage[1024], *p = stage, *o = out;
     for (long i = 0; i < rows; ++i)
-        for (long j = 0; j < cols; ++j) {
-            p = repr(*v++, p);
+        for (long j = -(dt != 0); j < cols; ++j) { /* j = -1: the index column */
+            p = repr(j < 0 ? (double)(first + i) * dt : *v++, p);
             *p++ = j + 1 < cols ? ',' : '\n';
+            if (p > stage + sizeof stage - 64)
+                o = put(o, stage, p - stage), p = stage;
         }
-    return p - out;
+    return put(o, stage, p - stage) - out;
 }

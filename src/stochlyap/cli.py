@@ -159,14 +159,15 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     return out / name
 
 
-def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
+def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows, dt: float = 0.0) -> None:
     """Write the metadata lines, the header and n data rows to out, 1024 rows
     at a time, each value as its repr: for a float the shortest digits that
-    round-trip.  rows(lo, hi) gives rows lo to hi - 1, either as a float
-    array of shape (hi - lo, columns), which the step kernel's ``repr_rows``
-    formats where it is loaded, or as one flat list of values (sweep.csv,
-    whose seed column is an int), which %-formatting writes.  Both give the
-    same bytes."""
+    round-trip.  rows(lo, hi) gives rows lo to hi - 1, either as a C-ordered
+    float array of shape (hi - lo, columns), which the step kernel's
+    ``repr_rows`` formats where it is loaded, or as one flat list of values
+    (sweep.csv, whose seed column is an int), which %-formatting writes.
+    Where dt is not 0, row i starts with t = i * dt and rows(lo, hi) gives the
+    columns after it.  Both ways give the same bytes."""
     cols = header.count(",") + 1
     fmt = ",".join(["%r"] * cols) + "\n"
     kernel = integrator._kernel()
@@ -180,11 +181,28 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows) -> None:
             block = rows(lo, hi)
             if kernel is not None and isinstance(block, np.ndarray):
                 block = np.ascontiguousarray(block, dtype=float)
-                size = kernel.repr_rows(block.ctypes.data, hi - lo, cols, text.ctypes.data)
+                if block.shape != (hi - lo, cols - (dt != 0)):  # what the kernel reads and writes
+                    raise RuntimeError(f"{out.name}: rows {lo}-{hi} have shape {block.shape}")
+                size = kernel.repr_rows(block.ctypes.data, hi - lo, block.shape[1], lo, dt,
+                                        text.ctypes.data)
                 fh.write(text[:size])
             else:
-                values = block.ravel().tolist() if isinstance(block, np.ndarray) else block
-                fh.write((fmt * (hi - lo) % tuple(values)).encode())
+                if isinstance(block, np.ndarray):
+                    block = [v for i, row in enumerate(block.tolist(), lo)
+                             for v in ((i * dt, *row) if dt else row)]
+                fh.write((fmt * (hi - lo) % tuple(block)).encode())
+
+
+def _say(*lines: str) -> None:
+    """Print lines to stdout.  A closed stdout does not fail a run, whose
+    files are written before it says anything: the lines are dropped, and
+    stdout is pointed at os.devnull so that the exit flush cannot raise."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _check_memory(cfg: RunConfig, held: int, paths: int = 1, **flags: int) -> None:
@@ -218,13 +236,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except BlowUpError as err:
         raise err.within("trajectory", s, cfg.seed) from None
     out = _out_path(cfg, "trajectory.csv", args.output)
-    _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: np.column_stack(
-        (np.arange(lo, hi) * cfg.dt, traj[lo:hi])))
-    print(f"wrote {out} ({traj.shape[0]} states)")
-    print(
-        "terminal state: "
-        f"x={traj[-1][0]:.6f} y={traj[-1][1]:.6f} z={traj[-1][2]:.6f}"
-    )
+    _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: traj[lo:hi], cfg.dt)
+    _say(f"wrote {out} ({traj.shape[0]} states)",
+         f"terminal state: x={traj[-1][0]:.6f} y={traj[-1][1]:.6f} z={traj[-1][2]:.6f}")
     return EXIT_OK
 
 
@@ -258,15 +272,11 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     json_out = _out_path(cfg, "nle_summary.json", args.json_output)
     json_out.write_text(json.dumps(summary, indent=2) + "\n")
 
-    print(f"system: {cfg.system}  beta={cfg.beta if cfg.system != 'deterministic' else 0.0}")
-    print(
-        "lambda1 = {0:.4f}  lambda2 = {1:.4f}  lambda3 = {2:.4f}".format(
-            *res.lambdas
-        )
-    )
-    print(f"sum = {res.sum:.4f}  theoretical = {theory:.4f}")
-    print(f"restarts = {res.restarts}  trace residual = {res.trace_residual:.3e}")
-    print(f"wrote {conv_out} and {json_out}")
+    _say(f"system: {cfg.system}  beta={cfg.beta if cfg.system != 'deterministic' else 0.0}",
+         "lambda1 = {0:.4f}  lambda2 = {1:.4f}  lambda3 = {2:.4f}".format(*res.lambdas),
+         f"sum = {res.sum:.4f}  theoretical = {theory:.4f}",
+         f"restarts = {res.restarts}  trace residual = {res.trace_residual:.3e}",
+         f"wrote {conv_out} and {json_out}")
     return EXIT_OK
 
 
@@ -321,15 +331,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
                lambda lo, hi: [v for row in rows[lo:hi] for v in (
                    row.beta, row.seed, row.sum_salt, row.sum_fd, row.w_T_over_T,
                    theoretical_sum(fd_lorenz(cfg.params(), row.beta), row.w_T_over_T, 1.0))])
-    print(f"wrote {out} ({len(rows)} rows)")
+    _say(f"wrote {out} ({len(rows)} rows)")
     if fixed:
         fit = fit_fd_sum(rows)
         expected = 3.0 * rows[0].w_T_over_T
-        print(
-            f"fd-sum regression: slope = {fit.slope:.6f} "
-            f"(theory 3*W_T/T = {expected:.6f}), "
-            f"intercept = {fit.intercept:.6f}, R^2 = {fit.r_squared:.6f}"
-        )
+        _say(f"fd-sum regression: slope = {fit.slope:.6f} "
+             f"(theory 3*W_T/T = {expected:.6f}), "
+             f"intercept = {fit.intercept:.6f}, R^2 = {fit.r_squared:.6f}")
     return EXIT_OK
 
 
@@ -417,9 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if getattr(args, "print_config", False):
-            for line in cfg.lines():
-                print(line)
-            print(f"config_hash = {cfg.config_hash()}")
+            _say(*cfg.lines(), f"config_hash = {cfg.config_hash()}")
             return EXIT_OK
         return args.func(cfg, args)
     except (BlowUpError, SingularMatrixError) as err:

@@ -16,10 +16,14 @@ step by step instead.  The kernel also holds the CSV float formatter of
 1e-4 <= |x| < 1e16, where the compiler has that type (GCC and Clang on
 64-bit targets), and C++17 ``std::to_chars`` for every other value, or for
 every value without it; both write the bytes of repr, as ``%r`` does
-without the kernel.  On first use both sources are built with one ``cc``
-command into one library in the package's ``__pycache__``
-(``_kernel-<hash>.so``, keyed by the sources and the command; a build
-deletes the older libraries there) and loaded with ctypes.
+without the kernel.  It writes a trajectory's t column from the row index,
+(first + i) * dt.  On the 60,003 x 4 values of the benchmark's three
+trajectories it takes ~29 ns a value (2-vCPU VM, gcc 12.2), ~38 ns before
+its products took a fixed 2^50 scale and its rows a local buffer.  On first
+use both sources are built with one ``cc`` command into one library in the
+package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and
+the command; a build deletes the older libraries there) and loaded with
+ctypes.
 Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
 (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and ~2.0 us in
 Python.  Per call, ``spin_up`` spends ~8-12 us of Python around its kernel
@@ -265,7 +269,7 @@ def _load_kernel():
     ptr, long = ctypes.c_void_p, ctypes.c_long
     kernel.base_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, long, ptr]
     kernel.frame_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, long, long, long, ptr]
-    kernel.repr_rows.argtypes = [ptr, long, long, ptr]
+    kernel.repr_rows.argtypes = [ptr, long, long, long, ctypes.c_double, ptr]
     kernel.base_loop.restype = kernel.frame_loop.restype = kernel.repr_rows.restype = long
     return kernel
 

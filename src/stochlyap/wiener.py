@@ -72,5 +72,6 @@ def generate_path(seed: int, n_steps: int, dt: float) -> WienerPath:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_dt(dt)
-    increments = np.sqrt(dt) * np.random.Generator(np.random.Philox(seed)).standard_normal(n_steps)
+    increments = np.random.Generator(np.random.Philox(seed)).standard_normal(n_steps)
+    increments *= np.sqrt(dt)  # in place: the bits of np.sqrt(dt) * increments
     return WienerPath(seed=seed, dt=dt, increments=increments)

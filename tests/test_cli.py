@@ -2,8 +2,12 @@ import argparse
 import functools
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stochlyap import analysis, cli, integrator
@@ -547,6 +551,13 @@ class TestSimulate:
         assert out.read_text().splitlines()[3:] == [
             csv_row(i * dt, *state) for i, state in enumerate(traj.tolist())]
 
+    def test_a_block_of_the_wrong_width_is_refused(self, tmp_path):
+        # the kernel reads and writes by the block's shape: x, y, z and t make 4 columns
+        assert integrator._kernel() is not None, "the step kernel did not build"
+        with pytest.raises(RuntimeError, match=r"rows 0-2 have shape \(2, 4\)"):
+            cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", 2,
+                           lambda lo, hi: np.zeros((hi - lo, 4)), 0.001)
+
     def test_bit_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["simulate", "--system", "salt", "--output", str(a)] + SMALL, capsys)
@@ -728,3 +739,36 @@ class TestReproduce:
         data = json.loads((tmp_path / "s.json").read_text())
         # sigma=16, r=45.92, b=4 gives the trace -(16 + 1 + 4)
         assert data["sum"] == pytest.approx(-21.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "salt"],
+    ["reproduce", "table2"],
+    ["sweep", "--count", "3", "--jobs", "1"],
+    ["nle", "--print-config"],
+], ids=["simulate", "reproduce-table2", "sweep", "print-config"])
+def test_a_closed_stdout_is_not_a_failed_run(argv, tmp_path):
+    # the run's stdout is a pipe whose reading end is closed before it starts
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def outputs(name, stdout):
+        outdir = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "stochlyap.cli", *argv, *SMALL,
+                               "--outdir", str(outdir)], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+        files = {f.name: f.read_bytes() for f in outdir.glob("*")}
+        if "nle_summary.json" in files:
+            summary = json.loads(files["nle_summary.json"])
+            del summary["seconds"], summary["engine_steps_per_s"]
+            files["nle_summary.json"] = summary
+        return proc.returncode, proc.stderr, files
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = outputs("closed", write)
+    finally:
+        os.close(write)
+    assert closed == outputs("open", subprocess.PIPE)
+    assert closed[:2] == (EXIT_OK, b"")

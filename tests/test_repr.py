@@ -13,23 +13,27 @@ from stochlyap import integrator
 GUARD = 64  # bytes past the formatter's bound of 25 a value, left untouched
 
 
-def repr_rows(values, cols=1):
-    """values, cols to a row, as the kernel formats them."""
+def repr_rows(values, cols=1, first=0, dt=0.0):
+    """values, cols to a row, as the kernel formats them; where dt is not 0,
+    each row i led by (first + i) * dt."""
     kernel = integrator._kernel()
     assert kernel is not None, "the step kernel did not build"
     v = np.ascontiguousarray(np.asarray(values, dtype=float).reshape(-1, cols))
-    text = np.full(25 * v.size + GUARD, 0xFF, np.uint8)
-    size = kernel.repr_rows(v.ctypes.data, v.shape[0], cols, text.ctypes.data)
-    assert size <= 25 * v.size and (text[size:] == 0xFF).all()
+    bound = 25 * v.shape[0] * (cols + (dt != 0))
+    text = np.full(bound + GUARD, 0xFF, np.uint8)
+    size = kernel.repr_rows(v.ctypes.data, v.shape[0], cols, first, dt, text.ctypes.data)
+    assert size <= bound and (text[size:] == 0xFF).all()
     return text[:size].tobytes().decode("ascii")
 
 
-def mismatch(values, cols=1):
+def mismatch(values, cols=1, first=0, dt=0.0):
     """The first row that repr_rows writes other than ",".join(map(repr, row)),
-    as (index, written, repr), or None; the text ends with a newline."""
+    row led by (first + i) * dt where dt is not 0, as (index, written, repr),
+    or None; the text ends with a newline."""
     rows = np.asarray(values, dtype=float).reshape(-1, cols)
-    got = repr_rows(rows, cols).split("\n")
-    want = [",".join(map(repr, row)) for row in rows.tolist()] + [""]
+    got = repr_rows(rows, cols, first, dt).split("\n")
+    want = [",".join(map(repr, [(first + i) * dt] * (dt != 0) + row))
+            for i, row in enumerate(rows.tolist())] + [""]
     pairs = enumerate(itertools.zip_longest(got, want))
     return next(((i, g, w) for i, (g, w) in pairs if g != w), None)
 
@@ -91,9 +95,45 @@ def test_decimals_of_every_length_and_exponent():
     assert mismatch(values) is None
 
 
-@pytest.mark.parametrize("dt", [1e-3, 3e-3, 1e-4, 0.05])
+@pytest.mark.parametrize("dt", [1e-3, 3e-3, 1e-4, 0.05, 1 / 3])
 def test_the_time_column_simulate_writes(dt):
     assert mismatch(np.arange(100_000) * dt) is None
+
+
+# simulate's rows: the t column from the row index, (first + i) * dt, then x, y, z;
+# first + i stays below 2^53, where a float holds every integer
+@pytest.mark.parametrize("dt", [1e-3, 3e-3, 1e-4, 0.05, 1 / 3])
+@pytest.mark.parametrize("first", [0, 1, 99_328, 2**53 - 1025])
+@pytest.mark.parametrize("rows", [0, 1023, 1024, 1025])
+def test_the_index_column(rows, first, dt):
+    states = np.random.default_rng(rows).standard_normal((rows, 3)) * 20.0
+    assert mismatch(states, 3, first, dt) is None
+
+
+def significant_digits(x):
+    """The number of digits in repr(x), leading and trailing zeros aside."""
+    mantissa = repr(abs(x)).split("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def test_sixteen_and_seventeen_digits_at_every_decade_edge():
+    # the formatter picks 16 or 17 digits without a branch; of the 60 doubles
+    # on either side of each power of ten from 1e-4 to 1e16, those with 16
+    # or 17 digits (the doubles just below a power need at most 16)
+    values = []
+    for k in range(-4, 17):
+        counts = set()
+        for way in (0.0, math.inf):
+            x, side = float(f"1e{k}"), []
+            for _ in range(60):
+                x = math.nextafter(x, way)
+                if significant_digits(x) in (16, 17):
+                    side.append(x)
+                    counts.add(significant_digits(x))
+            assert side, (k, way)
+            values += side
+        assert counts == {16, 17}, k
+    assert mismatch(values + [-v for v in values]) is None
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),

@@ -13,6 +13,14 @@ def test_determinism_bit_exact():
     np.testing.assert_array_equal(a.increments, b.increments)
 
 
+@pytest.mark.parametrize("n, dt", [(3_000, 0.001), (21_000, 0.003), (150_000, 1e-4)])
+def test_increments_are_the_pinned_generator_times_sqrt_dt(n, dt):
+    # GENERATOR_ID's draws, bit for bit: scaling in place changes no bit
+    draws = np.random.Generator(np.random.Philox(11)).standard_normal(n)
+    want = np.sqrt(dt) * draws
+    assert generate_path(11, n, dt).increments.tobytes() == want.tobytes()
+
+
 def test_different_seeds_differ():
     a = generate_path(7, 1000, 0.001)
     b = generate_path(8, 1000, 0.001)
