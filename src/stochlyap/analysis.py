@@ -4,17 +4,18 @@
 under the spec's one convention rule, for every command and sweep row.
 Also the exponent-sum identity ``theoretical_sum`` (from ``models``), the
 Liouville trace oracle, the Lorenz boundedness diagnostics, noise-amplitude
-sweeps and convergence series.  A sweep row is a SALT and then an FD
-``run_one`` on one path; up to ``SweepConfig.jobs`` rows run at once on
-threads, in parallel inside the step kernel's loops, which release the
-interpreter lock (without the kernel, one at a time).  The kernel is loaded
-before the threads start, so a cold cache builds it once.
+sweeps and convergence series.  ``sweep`` runs a spec over a grid of
+amplitudes: a row is a SALT and then an FD ``run_one`` of the spec on one
+path; up to ``jobs`` rows run at once on threads, in parallel inside the
+step kernel's loops, which release the interpreter lock (without the
+kernel, one at a time).  The kernel is loaded before the threads start, so
+a cold cache builds it once.  ``sweep_beta`` is ``sweep`` from a
+``SweepConfig``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -63,6 +64,7 @@ __all__ = [
     "liouville_oracle",
     "lyapunov_function",
     "ellipsoid_residual",
+    "sweep",
     "sweep_beta",
     "fit_fd_sum",
     "convergence_series",
@@ -226,35 +228,50 @@ class SweepConfig:
     nle_steps: int = DEFAULT_NLE_STEPS
     eta: float = DEFAULT_ETA  # validated by sweep_beta; does not change its output
     sample_every: int = 100
-    jobs: int = 1  # rows run at once on threads; 1 runs them on the calling thread
+    jobs: int = 1  # rows run at once on threads
 
 
-def _sweep_row(beta: float, seed: int, path: WienerPath | None, spec: RunSpec) -> SweepRow:
-    """One row: a SALT and then an FD run of spec at beta and seed, on path,
-    or on the path of seed when path is None."""
-    salt_spec = replace(spec, system="salt", beta=beta, seed=seed)
-    path = _draw_path(salt_spec) if path is None else path
-    salt, _ = run_one(salt_spec, path)
-    fd, _ = run_one(replace(salt_spec, system="fd"), path)
-    return SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
-                    w_T_over_T=fd.w_terminal / fd.t_final)
+def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[SweepRow]:
+    """SALT and FD runs of spec over noise amplitudes: row i is a SALT and
+    then an FD ``run_one`` at betas[i], on the path of spec.seed drawn once
+    (fixed) or on that of seed spec.seed + i drawn in the row (fresh).  The
+    convention rule is checked before any path is drawn.  Up to ``jobs`` rows
+    run at once on threads; rows come back ordered by beta.  A blow-up raises
+    the first failing row's error in the order of betas, SALT before FD,
+    whatever ``jobs``, and no later row starts after it."""
+    betas = [float(beta) for beta in betas]
+    icfg = spec.integrator_config()  # dt finite and > 0, spin-up >= 0
+    for system in ("salt", "fd"):  # the rule refuses a mismatch at every beta > 0
+        icfg.check(replace(spec, system=system, beta=max(betas)).system_def())
+    path = _draw_path(spec) if fixed else None
+    failed = []  # the indices of the rows that raised
+
+    def run_row(i: int, beta: float) -> SweepRow | None:
+        if failed and i > min(failed):
+            return None  # never read: an earlier row raises first
+        salt_spec = replace(spec, system="salt", beta=beta,
+                            seed=spec.seed if fixed else spec.seed + i)
+        try:
+            row_path = _draw_path(salt_spec) if path is None else path
+            salt, _ = run_one(salt_spec, row_path)
+            fd, _ = run_one(replace(salt_spec, system="fd"), row_path)
+        except Exception:
+            failed.append(i)
+            raise
+        return SweepRow(beta=beta, seed=salt_spec.seed, sum_salt=salt.sum, sum_fd=fd.sum,
+                        w_T_over_T=fd.w_terminal / fd.t_final)
+
+    _kernel()  # built here, not once per thread
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(jobs, len(betas))) as pool:
+        rows = list(pool.map(run_row, range(len(betas)), betas))
+    return sorted(rows, key=lambda row: row.beta)
 
 
-def sweep_beta(
-    betas: np.ndarray,
-    mode: SweepMode,
-    base_seed: int,
-    cfg: SweepConfig | None = None,
-) -> list[SweepRow]:
-    """Run SALT and FD exponent computations over a grid of noise amplitudes.
-
-    FIXED_PATH draws the base_seed realisation once and every amplitude
-    reads it; the fresh mode derives seed base_seed + index per amplitude,
-    and each row draws its own stream.  Up to ``cfg.jobs`` rows run at once
-    on threads (with one job or one row, on the calling thread).  Rows come
-    back ordered by beta.  A blow-up raises the first failing row's error,
-    in the order of ``betas``, SALT before FD, whatever ``cfg.jobs``.
-    """
+def sweep_beta(betas: np.ndarray, mode: SweepMode, base_seed: int,
+               cfg: SweepConfig | None = None) -> list[SweepRow]:
+    """``sweep`` of the default ``RunSpec`` at cfg's settings and seed
+    base_seed, after checking betas, jobs, eta and every size a run reads;
+    kept for the benchmark's traced replay and the tests."""
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("betas must be nonempty")
@@ -269,19 +286,7 @@ def sweep_beta(
     spec = RunSpec(sigma=cfg.params.sigma, r=cfg.params.r, b=cfg.params.b, seed=base_seed,
                    dt=cfg.dt, spin_up_steps=cfg.spin_up_steps, nle_steps=cfg.nle_steps,
                    eta=cfg.eta, sample_every=cfg.sample_every)
-    spec.integrator_config()  # dt finite and > 0, spin-up >= 0
-    fixed = mode is SweepMode.FIXED_PATH
-    path = _draw_path(spec) if fixed else None
-    seeds = [base_seed if fixed else base_seed + i for i in range(betas.size)]
-    run_row = functools.partial(_sweep_row, path=path, spec=spec)
-    jobs = min(cfg.jobs, betas.size)
-    if jobs > 1:
-        _kernel()  # built here, not once per thread
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, betas.tolist(), seeds))
-    else:
-        rows = list(map(run_row, betas.tolist(), seeds))
-    return sorted(rows, key=lambda row: row.beta)
+    return sweep(spec, betas, mode is SweepMode.FIXED_PATH, cfg.jobs)
 
 
 @dataclass(frozen=True)
@@ -292,18 +297,24 @@ class RegressionSummary:
 
 
 def fit_fd_sum(rows: list[SweepRow]) -> RegressionSummary:
-    """Least-squares fit of the FD exponent sum against the noise amplitude."""
+    """Least-squares fit of the FD exponent sum against the noise amplitude,
+    made on u = (beta - beta_min) / (beta_max - beta_min) in [0, 1], where
+    the fit's column scaling holds for any width of range, and mapped back;
+    R^2 is computed on u.  The map is exact for the range [0, 1]."""
     if len({row.beta for row in rows}) < 2:
         raise ValueError(
             f"the fit needs at least two distinct beta values, got {len(rows)} rows"
         )
     beta = np.array([row.beta for row in rows])
+    lo = float(beta.min())
+    width = float(beta.max()) - lo
+    u = (beta - lo) / width
     y = np.array([row.sum_fd for row in rows])
-    slope, intercept = np.polyfit(beta, y, 1)
-    resid = y - (slope * beta + intercept)
+    slope, intercept = map(float, np.polyfit(u, y, 1))
+    resid = y - (slope * u + intercept)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RegressionSummary(float(slope), float(intercept), r2)
+    return RegressionSummary(slope / width, intercept - slope * lo / width, r2)
 
 
 def convergence_series(result: NleResult) -> np.ndarray:

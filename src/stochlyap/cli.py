@@ -3,7 +3,8 @@ sweep noise amplitudes and reproduce the pinned reference experiments.
 
 Configuration is a flat ``key = value`` file overridden by command-line
 flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
-directory, run by ``analysis.run_one`` (``spun_up`` for ``simulate``).
+directory, run by ``analysis.run_one`` (``spun_up`` for ``simulate``), or
+passed as it is to ``analysis.sweep``, whose rows are ``run_one`` calls.
 Every output file carries a metadata header with the resolved config hash
 and the noise generator id, so runs are replayable.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, integrator
-from .analysis import SweepConfig, SweepMode, fit_fd_sum, sweep_beta
+from .analysis import fit_fd_sum, sweep
 from .cayley import _check_eta
 from .integrator import (
     BlowUpError,
@@ -32,7 +33,7 @@ from .integrator import (
     IntegratorConfig,
     simulate,
 )
-from .models import fd_lorenz, theoretical_sum
+from .models import theoretical_sum
 from .smallmat import SingularMatrixError
 from .wiener import GENERATOR_ID
 
@@ -159,16 +160,15 @@ def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
     return out / name
 
 
-def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows, dt: float = 0.0) -> None:
-    """Write the metadata lines, the header and n data rows to out, 1024 rows
+def _write_csv(out: Path, cfg: RunConfig, header: str, rows, dt: float = 0.0) -> None:
+    """Write the metadata lines, the header and the rows to out, 1024 rows
     at a time, each value as its repr: for a float the shortest digits that
-    round-trip.  rows(lo, hi) gives rows lo to hi - 1, either as a C-ordered
-    float array of shape (hi - lo, columns), which the step kernel's
-    ``repr_rows`` formats where it is loaded, or as one flat list of values
-    (sweep.csv, whose seed column is an int), which %-formatting writes.
-    Where dt is not 0, row i starts with t = i * dt and rows(lo, hi) gives the
-    columns after it.  Both ways give the same bytes."""
-    cols = header.count(",") + 1
+    round-trip.  rows is either a float array of shape (rows, columns), which
+    the step kernel's ``repr_rows`` formats where it is loaded, or a list of
+    row tuples (sweep.csv, whose seed column is an int), which %-formatting
+    writes.  Where dt is not 0, row i starts with t = i * dt and rows holds
+    the columns after it.  Both ways give the same bytes."""
+    n, cols = len(rows), header.count(",") + 1
     fmt = ",".join(["%r"] * cols) + "\n"
     kernel = integrator._kernel()
     if kernel is not None:
@@ -178,7 +178,7 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows, dt: float =
                  f"{header}\n".encode())
         for lo in range(0, n, 1024):  # in blocks: memory stays flat
             hi = min(lo + 1024, n)
-            block = rows(lo, hi)
+            block = rows[lo:hi]
             if kernel is not None and isinstance(block, np.ndarray):
                 block = np.ascontiguousarray(block, dtype=float)
                 if block.shape != (hi - lo, cols - (dt != 0)):  # what the kernel reads and writes
@@ -188,9 +188,9 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, n: int, rows, dt: float =
                 fh.write(text[:size])
             else:
                 if isinstance(block, np.ndarray):
-                    block = [v for i, row in enumerate(block.tolist(), lo)
-                             for v in ((i * dt, *row) if dt else row)]
-                fh.write((fmt * (hi - lo) % tuple(block)).encode())
+                    block = [(i * dt, *row) if dt else row
+                             for i, row in enumerate(block.tolist(), lo)]
+                fh.write((fmt * (hi - lo) % tuple(v for row in block for v in row)).encode())
 
 
 def _say(*lines: str) -> None:
@@ -236,7 +236,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except BlowUpError as err:
         raise err.within("trajectory", s, cfg.seed) from None
     out = _out_path(cfg, "trajectory.csv", args.output)
-    _write_csv(out, cfg, "t,x,y,z", len(traj), lambda lo, hi: traj[lo:hi], cfg.dt)
+    _write_csv(out, cfg, "t,x,y,z", traj, cfg.dt)
     _say(f"wrote {out} ({traj.shape[0]} states)",
          f"terminal state: x={traj[-1][0]:.6f} y={traj[-1][1]:.6f} z={traj[-1][2]:.6f}")
     return EXIT_OK
@@ -251,8 +251,7 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     conv = analysis.convergence_series(res)
     conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
     table = np.column_stack((conv, conv[:, 1] + conv[:, 2] + conv[:, 3]))  # sum = l1 + l2 + l3
-    _write_csv(conv_out, cfg, "t,lambda1,lambda2,lambda3,sum", len(table),
-               lambda lo, hi: table[lo:hi])
+    _write_csv(conv_out, cfg, "t,lambda1,lambda2,lambda3,sum", table)
 
     summary = {
         "lambdas": [float(v) for v in res.lambdas],
@@ -302,41 +301,25 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
-    if cfg.scheme != "euler-maruyama" or cfg.convention_mode != "paper":
-        raise ConfigError(
-            "sweep runs Euler-Maruyama in paper mode only; drop --scheme "
-            "and --convention-mode"
-        )
     cores = _usable_cores()
     jobs = min(args.jobs or cores, cores)  # a thread per row at once, no more than the cores
     # each running row holds two rho series and, in fresh mode, its own path
     running = min(jobs, args.count)
     _check_memory(cfg, 2 * running * _series_bytes(cfg) + 8 * args.count,
                   1 if fixed else running, jobs=jobs, count=args.count)
-    betas = np.linspace(args.beta_min, args.beta_max, args.count)
-    mode = SweepMode.FIXED_PATH if fixed else SweepMode.FRESH_PATH_PER_BETA
-    sweep_cfg = SweepConfig(
-        params=cfg.params(),
-        dt=cfg.dt,
-        spin_up_steps=cfg.spin_up_steps,
-        nle_steps=cfg.nle_steps,
-        eta=cfg.eta,
-        sample_every=cfg.sample_every,
-        jobs=jobs,
-    )
-    rows = sweep_beta(betas, mode, cfg.seed, sweep_cfg)
+    rows = sweep(cfg, np.linspace(args.beta_min, args.beta_max, args.count), fixed, jobs)
     out = _out_path(cfg, "sweep.csv", args.output)
-    # the identity reads the path through W_T/T only
-    _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum", len(rows),
-               lambda lo, hi: [v for row in rows[lo:hi] for v in (
-                   row.beta, row.seed, row.sum_salt, row.sum_fd, row.w_T_over_T,
-                   theoretical_sum(fd_lorenz(cfg.params(), row.beta), row.w_T_over_T, 1.0))])
+    # the identity of each row's FD run, which reads the path through W_T/T only
+    _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum", [
+        (*dataclasses.astuple(row), theoretical_sum(
+            dataclasses.replace(cfg, system="fd", beta=row.beta).system_def(),
+            row.w_T_over_T, 1.0))
+        for row in rows])
     _say(f"wrote {out} ({len(rows)} rows)")
-    if fixed:
+    if fixed and cfg.convention_mode == "paper":  # the line tests paper mode's 3 W_T/T law
         fit = fit_fd_sum(rows)
-        expected = 3.0 * rows[0].w_T_over_T
         _say(f"fd-sum regression: slope = {fit.slope:.6f} "
-             f"(theory 3*W_T/T = {expected:.6f}), "
+             f"(theory 3*W_T/T = {3.0 * rows[0].w_T_over_T:.6f}), "
              f"intercept = {fit.intercept:.6f}, R^2 = {fit.r_squared:.6f}")
     return EXIT_OK
 

@@ -8,16 +8,13 @@ Ito and multiplies every variable, so its noise Jacobian has trace 3*beta.
 Conversion between conventions shifts the drift by +-(1/2) (Df1) f1; both
 noises are linear, which makes that correction exact.
 
-The Lorenz field and its Jacobian are each one component formula; the
-Jacobian is evaluated at one state (``jacobian_drift``) or over a stack of
-states (``jacobian_drift_batch``).  ``theoretical_sum`` is the
-paper's exponent-sum identity tr Df0 + tr Df1 W_T/T, read from the
-diagonals of the Jacobians (``_traces``).
+The Lorenz field and its Jacobian are each one component formula.
+``theoretical_sum`` is the paper's exponent-sum identity tr Df0 + tr Df1
+W_T/T, read from the diagonals of the Jacobians (``_traces``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -36,7 +33,6 @@ __all__ = [
     "diffusion",
     "jacobian_drift",
     "jacobian_diffusion",
-    "jacobian_drift_batch",
     "jacobian_correction",
     "theoretical_sum",
     "convert_convention",
@@ -182,16 +178,6 @@ def jacobian_drift(s: SystemDef, x: np.ndarray) -> np.ndarray:
     if _correction_sign(s) != 0.0:
         jac = jac + jacobian_correction(s)
     return jac
-
-
-def jacobian_drift_batch(p: LorenzParams, x: np.ndarray) -> np.ndarray:
-    """The Lorenz Jacobian at each row of x, shape (B, 3, 3): ``jacobian_drift``
-    of a system with parameters p in its native convention, row for row."""
-    jac = np.empty((x.shape[0], 9))
-    rows = _lorenz_jacobian(p, x[:, 0], x[:, 1], x[:, 2])
-    for k, entry in enumerate(itertools.chain(*rows)):
-        jac[:, k] = entry
-    return jac.reshape(-1, 3, 3)
 
 
 def _traces(s: SystemDef) -> tuple[float, float]:

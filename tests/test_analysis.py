@@ -34,10 +34,8 @@ from stochlyap.models import (
     convert_convention,
     deterministic_lorenz,
     fd_lorenz,
-    jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
-    jacobian_drift_batch,
     salt_lorenz,
 )
 from stochlyap.wiener import generate_path
@@ -188,7 +186,7 @@ class TestLiouvilleOracle:
                         IntegratorConfig(n_steps=20_000 - 700, allow_convention_mismatch=True),
                         offset=700)
         n, dt = len(traj) - 1, short_path.dt
-        stack = jacobian_drift_batch(s.params, traj[:n]) + jacobian_correction(s)
+        stack = np.array([jacobian_drift(s, x) for x in traj[:n]])
         tr0 = np.trace(stack, axis1=1, axis2=2)
         tr1 = float(np.trace(jacobian_diffusion(s)))
         want = (float(np.sum(tr0 * dt))

@@ -287,7 +287,7 @@ class TestConfigResolution:
             (["--count", "3", "--jobs", "-1"], "--jobs"),
             (["--count", "3", "--beta-min", "0.4", "--beta-max", "0.4"], "--beta-min"),
             (["--count", "3", "--beta-min", "-0.5"], "--beta-min"),
-            (["--count", "3", "--scheme", "heun"], "--scheme"),
+            (["--count", "3", "--scheme", "heun"], "--convention-mode"),
         ):
             code, _, err = run(["sweep", "--outdir", str(tmp_path)] + argv + SMALL, capsys)
             assert code == EXIT_CONFIG, (argv, err)
@@ -555,8 +555,7 @@ class TestSimulate:
         # the kernel reads and writes by the block's shape: x, y, z and t make 4 columns
         assert integrator._kernel() is not None, "the step kernel did not build"
         with pytest.raises(RuntimeError, match=r"rows 0-2 have shape \(2, 4\)"):
-            cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", 2,
-                           lambda lo, hi: np.zeros((hi - lo, 4)), 0.001)
+            cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", np.zeros((2, 4)), 0.001)
 
     def test_bit_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -668,7 +667,7 @@ class TestSweep:
 
     def test_rows_are_reprs(self, tmp_path, capsys, monkeypatch, kernel):
         rows = [SweepRow(0.1, 7, -13.5 - 1 / 3, -13.25, 0.3), SweepRow(0.7, 7, -14.0, -13.0, 0.3)]
-        monkeypatch.setattr(cli, "sweep_beta", lambda betas, mode, seed, cfg: rows)
+        monkeypatch.setattr(cli, "sweep", lambda spec, betas, fixed, jobs: rows)
         out = tmp_path / "sweep.csv"
         code, _, err = run(["sweep", "--count", "2", "--mode", "fixed", "--jobs", "1",
                             "--output", str(out)] + SMALL, capsys)
@@ -690,11 +689,11 @@ class TestSweep:
                                 raising=False)
         jobs = []
 
-        def sweep_beta(betas, mode, seed, cfg):
-            jobs.append(cfg.jobs)
-            return [SweepRow(float(b), seed, -13.0, -13.0 + b, 0.0) for b in betas]
+        def sweep(spec, betas, fixed, n_jobs):
+            jobs.append(n_jobs)
+            return [SweepRow(float(b), spec.seed, -13.0, -13.0 + b, 0.0) for b in betas]
 
-        monkeypatch.setattr(cli, "sweep_beta", sweep_beta)
+        monkeypatch.setattr(cli, "sweep", sweep)
         code, _, err = run(["sweep", "--count", "2", "--mode", "fixed", "--jobs", "0",
                             "--outdir", str(tmp_path)] + SMALL, capsys)
         assert code == EXIT_OK, err
@@ -705,9 +704,9 @@ class TestSweep:
     def test_jobs_are_capped_at_the_usable_cores(self, flag, want, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-        jobs, real = [], cli.sweep_beta
-        monkeypatch.setattr(cli, "sweep_beta", lambda betas, mode, seed, cfg:
-                            jobs.append(cfg.jobs) or real(betas, mode, seed, cfg))
+        jobs, real = [], cli.sweep
+        monkeypatch.setattr(cli, "sweep", lambda spec, betas, fixed, n_jobs:
+                            jobs.append(n_jobs) or real(spec, betas, fixed, n_jobs))
         code, _, err = run(["sweep", "--count", "4", "--jobs", flag,
                             "--outdir", str(tmp_path)] + SMALL, capsys)
         assert code == EXIT_OK, err
@@ -726,6 +725,73 @@ class TestSweep:
             assert code == EXIT_OK, err
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+    def test_the_driver_runs_the_resolved_config(self, tmp_path, capsys, monkeypatch):
+        specs, real = [], cli.sweep
+        monkeypatch.setattr(cli, "sweep", lambda spec, *a: specs.append(spec) or real(spec, *a))
+        code, _, err = run(["sweep", "--count", "2", "--jobs", "1", "--dt", "0.002",
+                            "--sample-every", "7", "--scheme", "heun", "--convention-mode",
+                            "stratonovich-strict", "--spin-up-steps", "200", "--nle-steps", "500",
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_OK, err
+        assert specs == [RunConfig(dt=0.002, sample_every=7, scheme="heun",
+                                   convention_mode="stratonovich-strict", spin_up_steps=200,
+                                   nle_steps=500, outdir=str(tmp_path))]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_strict_heun_sums(self, jobs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run(["sweep", "--count", "3", "--mode", "fixed", "--jobs", jobs,
+                                 "--scheme", "heun", "--convention-mode", "stratonovich-strict",
+                                 "--output", str(out)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert "fd-sum regression" not in stdout  # the line tests paper mode's law
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[3:]]
+        assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+        trace = -(10 + 1 + 8 / 3)
+        for beta, _, sum_salt, sum_fd, w_over_t, theory in rows:
+            assert sum_salt == pytest.approx(trace, rel=1e-10)
+            assert sum_fd == pytest.approx(theory, abs=1e-10)
+            # the Stratonovich FD drift's correction adds -3 beta^2 / 2
+            assert theory == pytest.approx(trace + 3 * beta * w_over_t - 1.5 * beta**2,
+                                           abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["fixed", "fresh"])
+    def test_paper_mode_heun_is_refused_before_any_path(self, mode, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append(a))
+        code, _, err = run(["sweep", "--count", "3", "--mode", mode, "--scheme", "heun",
+                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err and "--convention-mode stratonovich-strict" in err
+        assert calls == [] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mode", ["fixed", "fresh"])
+    def test_rows_equal_sweep_beta_rows(self, mode, tmp_path, capsys, monkeypatch):
+        rows = returns_of(monkeypatch, "sweep")
+        code, _, err = run(["sweep", "--count", "4", "--mode", mode, "--jobs", "1",
+                            "--seed", "5", "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        cfg = analysis.SweepConfig(spin_up_steps=200, nle_steps=500, sample_every=50)
+        assert rows == [analysis.sweep_beta(np.linspace(0.0, 1.0, 4), analysis.SweepMode(mode),
+                                            5, cfg)]
+
+    @pytest.mark.parametrize("beta_min, beta_max", [("0", "1e-300"),
+                                                    ("0.5", "0.50000000000000011")])
+    def test_a_narrow_beta_range_fits_quietly(self, beta_min, beta_max, tmp_path):
+        # a subprocess, to see what LAPACK writes to the stdout file descriptor
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "stochlyap.cli", "sweep", "--count", "3",
+                               "--mode", "fixed", "--beta-min", beta_min, "--beta-max", beta_max,
+                               *SMALL, "--outdir", str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "DLASCL" not in proc.stdout and "On entry" not in proc.stdout
+        assert "fd-sum regression: slope = " in proc.stdout
 
 
 class TestReproduce:

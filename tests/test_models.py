@@ -14,7 +14,6 @@ from stochlyap.models import (
     jacobian_correction,
     jacobian_diffusion,
     jacobian_drift,
-    jacobian_drift_batch,
     salt_lorenz,
 )
 
@@ -187,16 +186,6 @@ class TestCorrectionOverflow:
     def test_native_convention_needs_no_square(self):
         np.testing.assert_array_equal(jacobian_correction(fd_lorenz(beta=1e200)),
                                       np.zeros((3, 3)))
-
-
-class TestBatch:
-    @pytest.mark.parametrize("params", [STD, LorenzParams(16.0, 45.92, 4.0)])
-    def test_rows_equal_scalar_bit_for_bit(self, params, rng):
-        x = rng.normal(scale=20.0, size=(7, 3))
-        j0 = jacobian_drift_batch(params, x)
-        for s in (deterministic_lorenz(params), salt_lorenz(params), fd_lorenz(params)):
-            for k in range(len(x)):
-                np.testing.assert_array_equal(j0[k], jacobian_drift(s, x[k]))
 
 
 class TestConventionConversion:
