@@ -1,11 +1,12 @@
 /* The step kernel of stochlyap: the base step of the state x under
    Euler-Maruyama or Heun, and the frame step of (Q, rho), on one system's
-   constants, the Sys block that integrator._kernel_args fills.  The Python
-   closures integrator._float_steps, cayley._frame_increment and
-   cayley._rotate read the same block and skip the same structural zeros of
-   the noise, expression for expression, so that, built with
-   -ffp-contract=off, the results equal theirs bit for bit.  Matrices are
-   3x3, flat and row-major. */
+   constants, the Sys block that integrator._kernel_args fills.  Its entry
+   points take their arrays by address (integrator._Array).  Their Python
+   twin, integrator._PythonKernel, takes the same arguments; its closures
+   (integrator._float_steps and _rotate) read the same block and skip the
+   same structural zeros of the noise, expression for expression, so that,
+   built with -ffp-contract=off, the results equal theirs bit for bit.
+   Matrices are 3x3, flat and row-major. */
 
 #include <string.h>
 
@@ -111,14 +112,15 @@ long base_loop(const Sys *s, int heun, double *x, const double *dw, long n,
     return i < n ? i : -1;
 }
 
-/* Exponent steps lo..hi-1 of (x, q, rho) along dw: the base step, and the
-   frame step at (x, q); Heun takes the mean of the increments at (x, q) and
-   at (p, q cayley(S)).  After step i with (i + 1) % every == 0, row
-   (i + 1) / every - 1 of samples gets (t, rho).  Returns as base_loop, and
-   steps copies of x, q and rho likewise. */
-long frame_loop(const Sys *s, int heun, double *x, double *q, double *rho,
-                const double *dw, long lo, long hi, long every, double *samples)
+/* Exponent steps lo..hi-1 of the state (x, q, rho), 15 doubles in a row,
+   along dw: the base step, and the frame step at (x, q); Heun takes the mean
+   of the increments at (x, q) and at (p, q cayley(S)).  After step i with
+   (i + 1) % every == 0, row (i + 1) / every - 1 of samples gets (t, rho).
+   Returns as base_loop, and steps copies of x, q and rho likewise. */
+long frame_loop(const Sys *s, int heun, double *state, const double *dw, long lo, long hi,
+                long every, double *samples)
 {
+    double *x = state, *q = state + 3, *rho = state + 12;
     double xl[3], ql[9], rl[3], p[3], y[3], d[3], t[3], e[3], v[3], u[9];
     long i;
     int k;

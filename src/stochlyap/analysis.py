@@ -7,8 +7,8 @@ Liouville trace oracle, the Lorenz boundedness diagnostics, noise-amplitude
 sweeps and convergence series.  ``sweep`` runs a spec over a grid of
 amplitudes: a row is a SALT and then an FD ``run_one`` of the spec on one
 path; up to ``jobs`` rows run at once on threads, in parallel inside the
-step kernel's loops, which release the interpreter lock (without the
-kernel, one at a time).  The kernel is loaded before the threads start, so
+step kernel's loops, which release the interpreter lock (on its Python
+twin, one at a time).  The kernel is loaded before the threads start, so
 a cold cache builds it once.  ``sweep_beta`` is ``sweep`` from a
 ``SweepConfig``.
 """

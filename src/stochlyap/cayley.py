@@ -22,23 +22,18 @@ K advances through dK = (I - K) S (I - K)^T by Cayley composition, and once
 restarts from zero.  Composition is exact, so the kernel is this stepper
 with a restart after every step and eta does not change the exponents.
 
-``run_nle`` runs the frame loop of the step kernel ``_kernel.c``, next to
-the base loop (see ``integrator``): per step, the base step, then the
-diagonal and strict lower triangle of Q^T M Q and the rotation of Q by the
-closed-form Cayley entries of ``smallmat``.  One kernel call covers the
-steps between re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and
-samples rho itself; x, Q and rho share one buffer, at one address.  Where
-the kernel cannot be built, the same loop runs in Python on the closures
-``_frame_increment`` and ``_rotate``: the frame step on the kernel's
-constants, in its evaluation order, so the results are the same bit for
-bit.  Per step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc
-12.2): ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled,
-~4.5 us and ~8.7 us in Python, at any sampling interval.  Per run, outside
-the kernel calls (``analysis.run_one`` at 1 + 1 steps, same VM): ~54 us,
-from ~86 us, when each run has a new beta, as a sweep's rows do; ~41 us,
-from ~71 us, when one spec repeats.  The runs before built an
-``IntegratorConfig``, three state arrays and the Jacobians of
-``theoretical_sum``.
+``run_nle`` runs the frame loop of the step kernel (see ``integrator``),
+next to its base loop: per step, the base step, then the diagonal and
+strict lower triangle of Q^T M Q and the rotation of Q by the closed-form
+Cayley entries of ``smallmat``.  One kernel call covers the steps between
+re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and samples rho
+itself; x, Q and rho share one buffer, which the call takes whole.  Per
+step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
+~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled, ~4.5 us
+and ~8.7 us on the kernel's Python twin, at any sampling interval.  Per
+run, outside the kernel calls (``analysis.run_one`` at 1 + 1 steps, same
+VM): ~54 us when each run has a new beta, as a sweep's rows do, and ~41 us
+when one spec repeats.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from .integrator import (
     BlowUpError,
     Scheme,
     _check_convention,
-    _float_steps,
     _kernel_args,
     _state,
 )
@@ -66,7 +60,6 @@ from .smallmat import (
     LOWER_FLAT,
     CayleyDomainError,
     SkewMat3,
-    _cayley_entries,
     cayley,
     inverse,
     qr_decompose,
@@ -207,63 +200,6 @@ def _reorthogonalize(q: np.ndarray) -> np.ndarray:
     return qr_decompose(q)[0]
 
 
-def _frame_increment(s: SystemDef, dt: float):
-    """The frame kernel's increment on Python floats: a map
-    (q, x0, x1, x2, dW) -> (drho0, drho1, drho2, s0, s1, s2) of the flat
-    row-major frame q and the base state, as ``_increment_at`` with
-    M = Df0(x) dt + Df1 dW: the diagonal of A = Q^T M Q, then -(1/2) times
-    its strict lower triangle (1,0), (2,0), (2,1).  It reads the constants
-    of ``_kernel_args(s, dt)`` and follows ``frame_increment`` of
-    ``_kernel.c`` expression for expression."""
-    _, r, _, dt, _, a00, a11, a12, a21, a22, *_, e00, e01, e11, e22 = (
-        _kernel_args(s, dt).tolist())
-
-    def increment(q, x0, x1, x2, dw):
-        m00, m11 = e00 + a00 * dw, e11 + a11 * dw
-        m10, m12 = (r - x2) * dt, -x0 * dt + a12 * dw
-        m20, m21 = x1 * dt, x0 * dt + a21 * dw
-        m22 = e22 + a22 * dw
-        q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
-        n00 = m00 * q00 + e01 * q10  # N = M Q
-        n01 = m00 * q01 + e01 * q11
-        n02 = m00 * q02 + e01 * q12
-        n10 = m10 * q00 + m11 * q10 + m12 * q20
-        n11 = m10 * q01 + m11 * q11 + m12 * q21
-        n12 = m10 * q02 + m11 * q12 + m12 * q22
-        n20 = m20 * q00 + m21 * q10 + m22 * q20
-        n21 = m20 * q01 + m21 * q11 + m22 * q21
-        n22 = m20 * q02 + m21 * q12 + m22 * q22
-        return (  # entries of A = Q^T N
-            q00 * n00 + q10 * n10 + q20 * n20,
-            q01 * n01 + q11 * n11 + q21 * n21,
-            q02 * n02 + q12 * n12 + q22 * n22,
-            -0.5 * (q01 * n00 + q11 * n10 + q21 * n20),
-            -0.5 * (q02 * n00 + q12 * n10 + q22 * n20),
-            -0.5 * (q02 * n01 + q12 * n11 + q22 * n21),
-        )
-
-    return increment
-
-
-def _rotate(q, s0: float, s1: float, s2: float):
-    """The flat frame q times cayley(SkewMat3((s0, s1, s2))), on Python
-    floats, with the entries of ``smallmat._cayley_entries``."""
-    num, den = _cayley_entries(s0, s1, s2)
-    c00, c01, c02, c10, c11, c12, c20, c21, c22 = (v / den for row in num for v in row)
-    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
-    return (
-        q00 * c00 + q01 * c10 + q02 * c20,
-        q00 * c01 + q01 * c11 + q02 * c21,
-        q00 * c02 + q01 * c12 + q02 * c22,
-        q10 * c00 + q11 * c10 + q12 * c20,
-        q10 * c01 + q11 * c11 + q12 * c21,
-        q10 * c02 + q11 * c12 + q12 * c22,
-        q20 * c00 + q21 * c10 + q22 * c20,
-        q20 * c01 + q21 * c11 + q22 * c21,
-        q20 * c02 + q21 * c12 + q22 * c22,
-    )
-
-
 def run_nle(
     s: SystemDef,
     x0: np.ndarray,
@@ -296,19 +232,10 @@ def run_nle(
     state = _START.copy()  # x, Q and rho in one buffer, at one address
     state[:3] = _state(x0)
     series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
-    heun = scheme is Scheme.HEUN
-    kernel = integrator._kernel()
-    if kernel is not None:
-        args = _kernel_args(s, dt)  # held: the kernel reads it through a pointer
-        base = state.ctypes.data
+    kernel, args, heun = integrator._kernel(), _kernel_args(s, dt), scheme is Scheme.HEUN
     for lo in range(0, n_steps, REORTH_EVERY):
         hi = min(lo + REORTH_EVERY, n_steps)
-        if kernel is None:
-            failed = _python_frame_loop(s, dt, heun, state, inc, lo, hi, sample_every, series)
-        else:
-            failed = kernel.frame_loop(args.ctypes.data, heun, base, base + 24, base + 96,
-                                       inc.ctypes.data, lo, hi, sample_every,
-                                       series.ctypes.data)
+        failed = kernel.frame_loop(args, heun, state, inc, lo, hi, sample_every, series)
         if failed >= 0:
             raise BlowUpError(failed, state[:3].copy())
         if hi % REORTH_EVERY == 0:
@@ -329,33 +256,3 @@ def run_nle(
         w_terminal=w_terminal,
         ortho_drift=smallmat.frobenius(q.T @ q - _EYE),
     )
-
-
-def _python_frame_loop(s: SystemDef, dt: float, heun: bool, state: np.ndarray,
-                       inc: np.ndarray, lo: int, hi: int, every: int, series: np.ndarray) -> int:
-    """The kernel's ``frame_loop`` on the buffer state = (x, Q, rho) as a
-    plain loop over the reference closures: the base step of
-    ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun step
-    takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
-    predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2)."""
-    (euler_step, heun_step), increment = _float_steps(s, dt), _frame_increment(s, dt)
-    values = state.tolist()
-    y, f, (r0, r1, r2) = tuple(values[:3]), tuple(values[3:12]), values[12:]
-    for i, dw in enumerate(inc[lo:hi].tolist(), lo):
-        try:
-            p, y_next = heun_step(*y, dw) if heun else (None, euler_step(*y, dw))
-        except BlowUpError as err:
-            state[:3] = err.state
-            return i
-        d0, d1, d2, s0, s1, s2 = increment(f, *y, dw)
-        if heun:
-            e0, e1, e2, t0, t1, t2 = increment(_rotate(f, s0, s1, s2), *p, dw)
-            r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
-            s0, s1, s2 = 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2)
-        else:
-            r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
-        f, y = _rotate(f, s0, s1, s2), y_next
-        if (i + 1) % every == 0:
-            series[(i + 1) // every - 1] = (i + 1) * dt, r0, r1, r2
-    state[:] = *y, *f, r0, r1, r2
-    return -1

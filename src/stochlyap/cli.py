@@ -164,32 +164,25 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, rows, dt: float = 0.0) ->
     """Write the metadata lines, the header and the rows to out, 1024 rows
     at a time, each value as its repr: for a float the shortest digits that
     round-trip.  rows is either a float array of shape (rows, columns), which
-    the step kernel's ``repr_rows`` formats where it is loaded, or a list of
-    row tuples (sweep.csv, whose seed column is an int), which %-formatting
-    writes.  Where dt is not 0, row i starts with t = i * dt and rows holds
-    the columns after it.  Both ways give the same bytes."""
+    the step kernel's ``repr_rows`` formats, or a list of row tuples
+    (sweep.csv, whose seed column is an int), which %-formatting writes.
+    Where dt is not 0, row i starts with t = i * dt and rows holds the
+    columns after it.  Both ways give the same bytes."""
     n, cols = len(rows), header.count(",") + 1
     fmt = ",".join(["%r"] * cols) + "\n"
-    kernel = integrator._kernel()
-    if kernel is not None:
-        text = np.empty(1024 * cols * 25, np.uint8)  # a value takes <= 25 bytes
+    kernel, text = integrator._kernel(), np.empty(1024 * cols * 25, np.uint8)  # <= 25 a value
     with open(out, "wb") as fh:
         fh.write(f"# config-hash = {cfg.config_hash()}\n# generator-id = {GENERATOR_ID}\n"
                  f"{header}\n".encode())
         for lo in range(0, n, 1024):  # in blocks: memory stays flat
             hi = min(lo + 1024, n)
             block = rows[lo:hi]
-            if kernel is not None and isinstance(block, np.ndarray):
+            if isinstance(block, np.ndarray):
                 block = np.ascontiguousarray(block, dtype=float)
                 if block.shape != (hi - lo, cols - (dt != 0)):  # what the kernel reads and writes
                     raise RuntimeError(f"{out.name}: rows {lo}-{hi} have shape {block.shape}")
-                size = kernel.repr_rows(block.ctypes.data, hi - lo, block.shape[1], lo, dt,
-                                        text.ctypes.data)
-                fh.write(text[:size])
+                fh.write(text[:kernel.repr_rows(block, hi - lo, block.shape[1], lo, dt, text)])
             else:
-                if isinstance(block, np.ndarray):
-                    block = [(i * dt, *row) if dt else row
-                             for i, row in enumerate(block.tolist(), lo)]
                 fh.write((fmt * (hi - lo) % tuple(v for row in block for v in row)).encode())
 
 
@@ -264,7 +257,7 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
         "t_final": res.t_final,
         "seconds": seconds,
         "engine_steps_per_s": cfg.nle_steps / seconds["engine"],
-        "kernel": "python" if integrator._kernel() is None else "c",
+        "kernel": "python" if isinstance(integrator._kernel(), integrator._PythonKernel) else "c",
         "generator_id": GENERATOR_ID,
         "config_hash": cfg.config_hash(),
     }
@@ -288,13 +281,15 @@ def _usable_cores() -> int:
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     fixed = args.mode == "fixed"
-    # the fixed-path regression needs two distinct amplitudes
-    min_count = 2 if fixed else 1
+    # a fixed sweep in paper mode fits a line, which tests its 3 W_T/T law and
+    # needs two distinct amplitudes; the strict FD sum has a -3 beta^2 / 2 term
+    regress = fixed and cfg.convention_mode == "paper"
+    min_count = 2 if regress else 1
     if args.count < min_count:
         raise ConfigError(
             f"--count must be >= {min_count} in {args.mode} mode, got {args.count}"
         )
-    if fixed and args.beta_min == args.beta_max:
+    if regress and args.beta_min == args.beta_max:
         raise ConfigError("--beta-min and --beta-max must differ in fixed mode")
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not (math.isfinite(value) and value >= 0):
@@ -310,17 +305,23 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = sweep(cfg, np.linspace(args.beta_min, args.beta_max, args.count), fixed, jobs)
     out = _out_path(cfg, "sweep.csv", args.output)
     # the identity of each row's FD run, which reads the path through W_T/T only
-    _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum", [
-        (*dataclasses.astuple(row), theoretical_sum(
-            dataclasses.replace(cfg, system="fd", beta=row.beta).system_def(),
-            row.w_T_over_T, 1.0))
-        for row in rows])
+    theory = [theoretical_sum(dataclasses.replace(cfg, system="fd", beta=row.beta).system_def(),
+                              row.w_T_over_T, 1.0) for row in rows]
+    _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum",
+               [(*dataclasses.astuple(row), fd) for row, fd in zip(rows, theory)])
     _say(f"wrote {out} ({len(rows)} rows)")
-    if fixed and cfg.convention_mode == "paper":  # the line tests paper mode's 3 W_T/T law
-        fit = fit_fd_sum(rows)
-        _say(f"fd-sum regression: slope = {fit.slope:.6f} "
-             f"(theory 3*W_T/T = {3.0 * rows[0].w_T_over_T:.6f}), "
-             f"intercept = {fit.intercept:.6f}, R^2 = {fit.r_squared:.6f}")
+    if regress:
+        # the identity holds but for rounding: a sum's distance from it is its rounding
+        sums = [row.sum_fd for row in rows]
+        spread, rounding = max(sums) - min(sums), max(abs(s - fd) for s, fd in zip(sums, theory))
+        if spread <= 2.0 * rounding:
+            _say(f"fd-sum regression: not fitted, the beta range is too narrow: the FD sums "
+                 f"spread by {spread:.3e}, within their rounding of {rounding:.3e}")
+        else:
+            fit = fit_fd_sum(rows)
+            _say(f"fd-sum regression: slope = {fit.slope:.6f} "
+                 f"(theory 3*W_T/T = {3.0 * rows[0].w_T_over_T:.6f}), "
+                 f"intercept = {fit.intercept:.6f}, R^2 = {fit.r_squared:.6f}")
     return EXIT_OK
 
 

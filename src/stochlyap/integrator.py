@@ -5,30 +5,26 @@ consumes Stratonovich ones.  The reference experiments apply Euler-Maruyama
 directly to the transport-noise system in its Stratonovich form; that
 mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
-``simulate`` and ``spin_up`` share one loop, ``_base_loop``, run by the
-step kernel ``_kernel.c`` on one block of constants, ``Sys``, which only
-``_kernel_args`` computes.  ``_float_steps`` is the same step on Python
-floats: it reads the same block and follows the C expression for
-expression, so the states are the same bit for bit.  ``step`` wraps it for
-one ndarray state, and where the kernel cannot be built the loop calls it
-step by step instead.  The kernel also holds the CSV float formatter of
-``cli._write_csv``, ``_repr.cc``: exact ``unsigned __int128`` arithmetic for
-1e-4 <= |x| < 1e16, where the compiler has that type (GCC and Clang on
-64-bit targets), and C++17 ``std::to_chars`` for every other value, or for
-every value without it; both write the bytes of repr, as ``%r`` does
-without the kernel.  It writes a trajectory's t column from the row index,
-(first + i) * dt.  On the 60,003 x 4 values of the benchmark's three
-trajectories it takes ~29 ns a value (2-vCPU VM, gcc 12.2), ~38 ns before
-its products took a fixed 2^50 scale and its rows a local buffer.  On first
-use both sources are built with one ``cc`` command into one library in the
-package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by the sources and
-the command; a build deletes the older libraries there) and loaded with
-ctypes.
-Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2): ~0.02-0.025 us
-(Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and ~2.0 us in
-Python.  Per call, ``spin_up`` spends ~8-12 us of Python around its kernel
-call (1 step; the VM's speed varies), as it did before ``cayley.run_nle``
-took one state buffer; ``cayley`` gives a run's whole fixed cost.
+The step kernel, ``_kernel()``, is the library built from ``_kernel.c``
+and ``_repr.cc`` or, where it cannot be built, its Python twin
+``_PythonKernel``.  Both have the entry points ``base_loop`` (``simulate``
+and ``spin_up``, through ``_base_loop``), ``frame_loop`` (``cayley.run_nle``)
+and ``repr_rows`` (``cli._write_csv``), take the same ndarrays and give the
+same results bit for bit, so no caller asks which one runs.  The loops read
+one block of constants, ``Sys``, which only ``_kernel_args`` computes.  The
+twin's arithmetic is ``_float_steps``, closures over that block that follow
+the C expression for expression, and ``_rotate``; ``step`` takes one step
+of them on an ndarray state.  ``repr_rows`` writes rows of floats as repr
+does (``_repr.cc`` says how), each row led by its t, (first + i) * dt, where
+dt is not 0: ~29 ns a value compiled on the benchmark's trajectories.
+On first use both sources are built with one ``cc`` command into one
+library in the package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by
+the sources and the command; a build deletes the older libraries there) and
+loaded with ctypes.  Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
+~0.02-0.025 us (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and
+~2.0 us in Python.  Per call, ``spin_up`` spends ~8-12 us of Python around
+its kernel call (1 step; the VM's speed varies); ``cayley`` gives a run's
+whole fixed cost.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from .models import (
     jacobian_correction,
     jacobian_diffusion,
 )
+from .smallmat import _cayley_entries
 from .wiener import WienerPath, _check_dt
 
 __all__ = [
@@ -153,14 +150,14 @@ class IntegratorConfig:
 
 @functools.lru_cache(maxsize=32)
 def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
-    """The ``Sys`` block of s, every constant that the step kernel and the
-    closures ``_float_steps`` and ``cayley._frame_increment`` read: sigma, r,
-    b, dt, the bound; Df1 and the drift correction's factor sign * (1/2) Df1
-    at (0,0), (1,1), (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at
-    (0,0), (0,1), (1,1), (2,2), where it does not depend on x, with Df0 the
-    Lorenz Jacobian plus the convention correction k.  Both noises leave the
-    other entries of Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero:
-    the steps skip them."""
+    """The ``Sys`` block of s, every constant that the step kernel and its
+    twin's closures ``_float_steps`` read: sigma, r, b, dt, the bound; Df1
+    and the drift correction's factor sign * (1/2) Df1 at (0,0), (1,1),
+    (1,2), (2,1), (2,2); and M = Df0(x) dt + Df1 dW at (0,0), (0,1), (1,1),
+    (2,2), where it does not depend on x, with Df0 the Lorenz Jacobian plus
+    the convention correction k.  Both noises leave the other entries of
+    Df1, and k at (0,2), (1,0), (1,2), (2,0), (2,1), zero: the steps skip
+    them."""
     p = s.params
     j1 = jacobian_diffusion(s).take([0, 4, 5, 7, 8])
     (k00, k01, _), (_, k11, _), (_, _, k22) = jacobian_correction(s).tolist()
@@ -171,19 +168,18 @@ def _kernel_args(s: SystemDef, dt: float) -> np.ndarray:
     return args
 
 
-@functools.lru_cache(maxsize=32)
-def _float_steps(s: SystemDef, dt: float):
-    """The base step of s on Python floats: (euler, heun), each a map
-    (x0, x1, x2, dW) -> next state; heun returns (predictor, next state).
-
-    Both read the constants of ``_kernel_args(s, dt)`` and follow
-    ``coefficients`` and ``base_step`` of ``_kernel.c`` expression for
-    expression, so the states are the kernel's bit for bit.  A next state
-    that fails the bound max|x| <= 1e100 raises ``BlowUpError`` with step
-    index -1.
-    """
-    sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22, *_ = (
-        _kernel_args(s, dt).tolist())
+def _float_steps(args: np.ndarray):
+    """The step kernel's arithmetic on Python floats, over the ``Sys`` block
+    args: (base_step, bounded, frame_increment, dt).  base_step(heun, x0, x1,
+    x2, dw) gives (p, y), the Euler-Maruyama state and the next state;
+    bounded(y0, y1, y2) tests max|y| <= 1e100, which NaN fails;
+    frame_increment(q, x0, x1, x2, dw) gives, for the flat row-major frame q,
+    the diagonal of A = Q^T M Q with M = Df0(x) dt + Df1 dW and then -(1/2)
+    times its strict lower triangle (1,0), (2,0), (2,1).  Each follows the
+    function of that name in ``_kernel.c`` expression for expression, so the
+    results are the kernel's bit for bit."""
+    (sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22,
+     e00, e01, e11, e22) = args.tolist()
 
     def coefficients(x0, x1, x2):
         g0 = a00 * x0
@@ -193,35 +189,73 @@ def _float_steps(s: SystemDef, dt: float):
                 r * x0 - x0 * x2 - x1 + (h11 * g1 + h12 * g2),
                 x0 * x1 - b * x2 + (h21 * g1 + h22 * g2), g0, g1, g2)
 
-    def checked(y0, y1, y2):
-        if abs(y0) <= bound and abs(y1) <= bound and abs(y2) <= bound:
-            return y0, y1, y2
-        raise BlowUpError(-1, np.array([y0, y1, y2]))
-
-    def euler(x0, x1, x2, dw):
+    def base_step(heun, x0, x1, x2, dw):
         f0, f1, f2, g0, g1, g2 = coefficients(x0, x1, x2)
-        return checked(x0 + f0 * dt + g0 * dw, x1 + f1 * dt + g1 * dw,
-                       x2 + f2 * dt + g2 * dw)
+        p = p0, p1, p2 = x0 + f0 * dt + g0 * dw, x1 + f1 * dt + g1 * dw, x2 + f2 * dt + g2 * dw
+        if not heun:
+            return p, p
+        v0, v1, v2, u0, u1, u2 = coefficients(p0, p1, p2)
+        return p, (x0 + 0.5 * (f0 + v0) * dt + 0.5 * (g0 + u0) * dw,
+                   x1 + 0.5 * (f1 + v1) * dt + 0.5 * (g1 + u1) * dw,
+                   x2 + 0.5 * (f2 + v2) * dt + 0.5 * (g2 + u2) * dw)
 
-    def heun(x0, x1, x2, dw):
-        f0, f1, f2, g0, g1, g2 = coefficients(x0, x1, x2)
-        p0 = x0 + f0 * dt + g0 * dw
-        p1 = x1 + f1 * dt + g1 * dw
-        p2 = x2 + f2 * dt + g2 * dw
-        h0, h1, h2, k0, k1, k2 = coefficients(p0, p1, p2)
-        return (p0, p1, p2), checked(
-            x0 + 0.5 * (f0 + h0) * dt + 0.5 * (g0 + k0) * dw,
-            x1 + 0.5 * (f1 + h1) * dt + 0.5 * (g1 + k1) * dw,
-            x2 + 0.5 * (f2 + h2) * dt + 0.5 * (g2 + k2) * dw)
+    def bounded(y0, y1, y2):
+        return -bound <= y0 <= bound and -bound <= y1 <= bound and -bound <= y2 <= bound
 
-    return euler, heun
+    def frame_increment(q, x0, x1, x2, dw):
+        m00, m11 = e00 + a00 * dw, e11 + a11 * dw
+        m10, m12 = (r - x2) * dt, -x0 * dt + a12 * dw
+        m20, m21 = x1 * dt, x0 * dt + a21 * dw
+        m22 = e22 + a22 * dw
+        q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+        n00 = m00 * q00 + e01 * q10  # N = M Q
+        n01 = m00 * q01 + e01 * q11
+        n02 = m00 * q02 + e01 * q12
+        n10 = m10 * q00 + m11 * q10 + m12 * q20
+        n11 = m10 * q01 + m11 * q11 + m12 * q21
+        n12 = m10 * q02 + m11 * q12 + m12 * q22
+        n20 = m20 * q00 + m21 * q10 + m22 * q20
+        n21 = m20 * q01 + m21 * q11 + m22 * q21
+        n22 = m20 * q02 + m21 * q12 + m22 * q22
+        return (  # entries of A = Q^T N
+            q00 * n00 + q10 * n10 + q20 * n20,
+            q01 * n01 + q11 * n11 + q21 * n21,
+            q02 * n02 + q12 * n12 + q22 * n22,
+            -0.5 * (q01 * n00 + q11 * n10 + q21 * n20),
+            -0.5 * (q02 * n00 + q12 * n10 + q22 * n20),
+            -0.5 * (q02 * n01 + q12 * n11 + q22 * n21),
+        )
+
+    return base_step, bounded, frame_increment, dt
+
+
+def _rotate(q, s0: float, s1: float, s2: float):
+    """The flat frame q times cayley(S), S skew with strict lower triangle
+    (s0, s1, s2), on Python floats: ``rotate`` of ``_kernel.c``, with the
+    entries of ``smallmat._cayley_entries``."""
+    num, den = _cayley_entries(s0, s1, s2)
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = (v / den for row in num for v in row)
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+    return (
+        q00 * c00 + q01 * c10 + q02 * c20,
+        q00 * c01 + q01 * c11 + q02 * c21,
+        q00 * c02 + q01 * c12 + q02 * c22,
+        q10 * c00 + q11 * c10 + q12 * c20,
+        q10 * c01 + q11 * c11 + q12 * c21,
+        q10 * c02 + q11 * c12 + q12 * c22,
+        q20 * c00 + q21 * c10 + q22 * c20,
+        q20 * c01 + q21 * c11 + q22 * c21,
+        q20 * c02 + q21 * c12 + q22 * c22,
+    )
 
 
 def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.ndarray:
     """One integration step of size cfg.dt consuming the increment dW."""
-    euler, heun = _float_steps(s, cfg.dt)
-    x, dW = np.asarray(x, dtype=float).tolist(), float(dW)
-    return np.array(euler(*x, dW) if cfg.scheme is Scheme.EULER_MARUYAMA else heun(*x, dW)[1])
+    base_step, bounded, _, _ = _float_steps(_kernel_args(s, cfg.dt))
+    y = base_step(cfg.scheme is Scheme.HEUN, *np.asarray(x, dtype=float).tolist(), float(dW))[1]
+    if not bounded(*y):
+        raise BlowUpError(-1, np.array(y))
+    return np.array(y)
 
 
 def _state(x) -> np.ndarray:
@@ -230,6 +264,15 @@ def _state(x) -> np.ndarray:
     if x.shape != (3,):
         raise ValueError(f"a state has 3 components, got shape {x.shape}")
     return x
+
+
+class _Array:
+    """The ctypes argument type of the kernel's arrays: the address of an
+    ndarray's data, or NULL for None."""
+
+    @staticmethod
+    def from_param(a):
+        return None if a is None else ctypes.c_void_p(a.ctypes.data)
 
 
 def _load_kernel():
@@ -266,41 +309,81 @@ def _load_kernel():
         kernel = ctypes.CDLL(str(lib))
     except OSError:
         return None
-    ptr, long = ctypes.c_void_p, ctypes.c_long
-    kernel.base_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, long, ptr]
-    kernel.frame_loop.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ptr, long, long, long, ptr]
-    kernel.repr_rows.argtypes = [ptr, long, long, long, ctypes.c_double, ptr]
+    arr, long = _Array, ctypes.c_long
+    kernel.base_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, arr]
+    kernel.frame_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, long, long, arr]
+    kernel.repr_rows.argtypes = [arr, long, long, long, ctypes.c_double, arr]
     kernel.base_loop.restype = kernel.frame_loop.restype = kernel.repr_rows.restype = long
     return kernel
 
 
+class _PythonKernel:
+    """The compiled kernel's entry points on ndarrays, in Python: the same
+    arguments, the same results and the same writes, bit for bit."""
+
+    @staticmethod
+    def base_loop(args, heun, x, dw, n, out) -> int:
+        """``base_loop`` of ``_kernel.c``, storing into out 1024 states at a
+        time: memory stays flat."""
+        base_step, bounded, _, _ = _float_steps(args)
+        y, failed = tuple(x.tolist()), -1
+        for lo in range(0, n, 1024):
+            states = []
+            for i, w in enumerate(dw[lo:min(lo + 1024, n)].tolist(), lo):
+                y = base_step(heun, *y, w)[1]
+                if not bounded(*y):
+                    failed = i
+                    break
+                states.append(y)
+            if out is not None and states:
+                out[lo:lo + len(states)] = states
+            if failed >= 0:
+                break
+        x[:] = y
+        return failed
+
+    @staticmethod
+    def frame_loop(args, heun, state, dw, lo, hi, every, samples) -> int:
+        """``frame_loop`` of ``_kernel.c`` on the buffer state = (x, Q, rho)."""
+        base_step, bounded, increment, dt = _float_steps(args)
+        values = state.tolist()
+        x, q, (r0, r1, r2) = tuple(values[:3]), tuple(values[3:12]), values[12:]
+        failed = -1
+        for i, w in enumerate(dw[lo:hi].tolist(), lo):
+            p, y = base_step(heun, *x, w)
+            if not bounded(*y):
+                x, failed = y, i
+                break
+            d0, d1, d2, s0, s1, s2 = increment(q, *x, w)
+            if heun:
+                e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), *p, w)
+                r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
+                s0, s1, s2 = 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2)
+            else:
+                r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
+            q, x = _rotate(q, s0, s1, s2), y
+            if (i + 1) % every == 0:
+                samples[(i + 1) // every - 1] = (i + 1) * dt, r0, r1, r2
+        state[:] = *x, *q, r0, r1, r2
+        return failed
+
+    @staticmethod
+    def repr_rows(v, rows, cols, first, dt, out) -> int:
+        """``repr_rows`` of ``_repr.cc``: each value as %r writes it."""
+        values = v.reshape(rows, cols).tolist()
+        if dt:
+            values = [((first + i) * dt, *row) for i, row in enumerate(values)]
+        fmt = ",".join(["%r"] * (cols + (dt != 0))) + "\n"
+        text = (fmt * rows % tuple(value for row in values for value in row)).encode()
+        out[:len(text)] = np.frombuffer(text, np.uint8)
+        return len(text)
+
+
 @functools.cache
 def _kernel():
-    """The compiled kernel, loaded once per process, or None: then the loops
-    run their Python form on the reference closures and the CSV writer
-    formats with %r."""
-    return _load_kernel()
-
-
-def _python_base_loop(s: SystemDef, dt: float, heun: bool, x: np.ndarray,
-                      inc: np.ndarray, out) -> int:
-    """The kernel's ``base_loop`` as a plain loop over ``_float_steps``,
-    storing into out 1024 states at a time: memory stays flat."""
-    euler_step, heun_step = _float_steps(s, dt)
-    y = tuple(x.tolist())
-    for lo in range(0, len(inc), 1024):
-        states = []
-        for i, dw in enumerate(inc[lo:lo + 1024].tolist(), lo):
-            try:
-                y = heun_step(*y, dw)[1] if heun else euler_step(*y, dw)
-            except BlowUpError as err:
-                x[:] = err.state
-                return i
-            states.append(y)
-        if out is not None:
-            out[lo:lo + 1024] = states
-    x[:] = y
-    return -1
+    """The step kernel, loaded once per process: the compiled library, or
+    where it cannot be built its Python twin."""
+    return _load_kernel() or _PythonKernel()
 
 
 def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset: int,
@@ -312,14 +395,8 @@ def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset:
     cfg.check(s)
     inc = path.window(offset, cfg.n_steps)
     x = _state(x)
-    heun = cfg.scheme is Scheme.HEUN
-    kernel = _kernel()
-    if kernel is None:
-        failed = _python_base_loop(s, cfg.dt, heun, x, inc, out)
-    else:
-        args = _kernel_args(s, cfg.dt)  # held: the kernel reads it through a pointer
-        failed = kernel.base_loop(args.ctypes.data, heun, x.ctypes.data, inc.ctypes.data,
-                                  len(inc), None if out is None else out.ctypes.data)
+    failed = _kernel().base_loop(_kernel_args(s, cfg.dt), cfg.scheme is Scheme.HEUN, x, inc,
+                                 len(inc), out)
     if failed >= 0:
         raise BlowUpError(failed, x)
     return x

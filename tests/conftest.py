@@ -40,12 +40,13 @@ def _reference_nle(s, x0, path, dt, n_steps, eta, path_offset=0):
 @contextlib.contextmanager
 def on_kernel(name):
     """Run the block on the compiled step kernel ("c") or, with its loader
-    patched to fail, on the Python loops over the reference closures."""
+    patched to give it, on the kernel's Python twin."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "python":
-            mp.setattr(integrator, "_kernel", lambda: None)
+            mp.setattr(integrator, "_kernel", integrator._PythonKernel)
         else:
-            assert integrator._kernel() is not None, "the step kernel did not build"
+            kernel = integrator._kernel()
+            assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
         yield name
 
 

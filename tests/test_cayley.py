@@ -9,10 +9,8 @@ import stochlyap
 from stochlyap.cayley import (
     REORTH_EVERY,
     CayleyState,
-    _frame_increment,
     _increment_at,
     _reorthogonalize,
-    _rotate,
     conjugated_jacobians,
     exponents_from_rho,
     inverse_cayley,
@@ -26,6 +24,8 @@ from stochlyap.integrator import (
     IntegratorConfig,
     Scheme,
     _float_steps,
+    _kernel_args,
+    _rotate,
     simulate,
     spin_up,
     step,
@@ -328,24 +328,24 @@ class TestRunNle:
 def closure_nle(s, x0, path, dt, n_steps, path_offset=0, sample_every=100,
                 scheme=Scheme.EULER_MARUYAMA):
     """``run_nle``'s step on the closures that mirror the step kernel: the
-    base step of ``_float_steps``, ``_frame_increment`` and ``_rotate``.  A Heun
+    base step and frame increment of ``_float_steps``, and ``_rotate``.  A Heun
     step takes the increment at (x, Q) and at (p, Q cayley(S)), with p the
     predictor, then rho += (d + e) / 2 and Q <- Q cayley((S + T) / 2).
     Returns (rho_series, final frame)."""
-    (euler, heun), increment = _float_steps(s, dt), _frame_increment(s, dt)
+    base_step, _, increment, _ = _float_steps(_kernel_args(s, dt))
     x = tuple(np.asarray(x0, dtype=float).tolist())
     q = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     r0 = r1 = r2 = 0.0
     rows = []
     for i, dw in enumerate(path.scalar()[path_offset:path_offset + n_steps].tolist()):
         if scheme is Scheme.HEUN:
-            p, x_next = heun(*x, dw)
+            p, x_next = base_step(True, *x, dw)
             d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
             e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), *p, dw)
             r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
             q = _rotate(q, 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2))
         else:
-            x_next = euler(*x, dw)
+            x_next = base_step(False, *x, dw)[1]
             d0, d1, d2, s0, s1, s2 = increment(q, *x, dw)
             r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
             q = _rotate(q, s0, s1, s2)
@@ -427,7 +427,8 @@ class TestEulerBodyMatchesClosures:
         for _ in range(50):
             q, x = random_orthogonal(rng), rng.uniform(-30.0, 30.0, 3)
             dw = float(rng.normal(0.0, 0.03))
-            got = _frame_increment(s, 0.001)(tuple(q.ravel().tolist()), *x.tolist(), dw)
+            increment = _float_steps(_kernel_args(s, 0.001))[2]
+            got = increment(tuple(q.ravel().tolist()), *x.tolist(), dw)
             s_lower, drho = _increment_at(q, jacobian_drift(s, x), jacobian_diffusion(s),
                                           0.001, dw)
             np.testing.assert_allclose(got, [*drho, *s_lower], rtol=0, atol=1e-15)
@@ -446,13 +447,12 @@ class TestEulerBodyMatchesClosures:
 def reference_blow_up(s, x0, path, scheme, dt, n):
     """(step index, state) of the first state of a ``_float_steps`` loop that
     fails the bound, or (None, end state)."""
-    euler, heun = _float_steps(s, dt)
+    base_step, bounded, _, _ = _float_steps(_kernel_args(s, dt))
     x = tuple(x0)
     for i, dw in enumerate(path.scalar()[:n].tolist()):
-        try:
-            x = euler(*x, dw) if scheme is Scheme.EULER_MARUYAMA else heun(*x, dw)[1]
-        except BlowUpError as err:
-            return i, err.state
+        x = base_step(scheme is Scheme.HEUN, *x, dw)[1]
+        if not bounded(*x):
+            return i, np.array(x)
     return None, np.array(x)
 
 

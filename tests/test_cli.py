@@ -553,7 +553,8 @@ class TestSimulate:
 
     def test_a_block_of_the_wrong_width_is_refused(self, tmp_path):
         # the kernel reads and writes by the block's shape: x, y, z and t make 4 columns
-        assert integrator._kernel() is not None, "the step kernel did not build"
+        kernel = integrator._kernel()
+        assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
         with pytest.raises(RuntimeError, match=r"rows 0-2 have shape \(2, 4\)"):
             cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", np.zeros((2, 4)), 0.001)
 
@@ -622,7 +623,7 @@ class TestNle:
         want_kernel, *want = outputs("c")
         monkeypatch.setattr(integrator, "_CC", str(tmp_path / "no-such-compiler"))
         monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
-        monkeypatch.setattr(integrator, "_kernel", functools.cache(integrator._load_kernel))
+        monkeypatch.setattr(integrator, "_kernel", functools.cache(integrator._kernel.__wrapped__))
         got_kernel, *got = outputs("python")
         if argv[0] == "nle":
             assert (want_kernel, got_kernel) == ("c", "python")
@@ -780,7 +781,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("beta_min, beta_max", [("0", "1e-300"),
                                                     ("0.5", "0.50000000000000011")])
-    def test_a_narrow_beta_range_fits_quietly(self, beta_min, beta_max, tmp_path):
+    def test_a_narrow_beta_range_is_not_fitted(self, beta_min, beta_max, tmp_path):
         # a subprocess, to see what LAPACK writes to the stdout file descriptor
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
@@ -791,7 +792,24 @@ class TestSweep:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Warning" not in proc.stderr
         assert "DLASCL" not in proc.stdout and "On entry" not in proc.stdout
-        assert "fd-sum regression: slope = " in proc.stdout
+        # the FD sums differ by their rounding alone: a line through them would fit noise
+        assert "fd-sum regression: not fitted, the beta range is too narrow" in proc.stdout
+        assert "slope" not in proc.stdout
+
+    @pytest.mark.parametrize("mode, want", [("stratonovich-strict", EXIT_OK),
+                                            ("paper", EXIT_CONFIG)])
+    def test_one_row_fixed_sweep_outside_paper_mode(self, mode, want, tmp_path, capsys):
+        # only paper mode fits the regression line, which needs two amplitudes
+        scheme = "heun" if mode == "stratonovich-strict" else "euler-maruyama"
+        code, stdout, err = run(["sweep", "--count", "1", "--mode", "fixed", "--scheme", scheme,
+                                 "--convention-mode", mode, "--outdir", str(tmp_path)] + SMALL,
+                                capsys)
+        assert code == want, err
+        if want == EXIT_OK:
+            assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3 + 1
+            assert "fd-sum regression" not in stdout
+        else:
+            assert "--count must be >= 2 in fixed mode, got 1" in err
 
 
 class TestReproduce:

@@ -1,3 +1,5 @@
+import inspect
+import re
 import tomllib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +18,7 @@ from stochlyap.integrator import (
     SPIN_UP_STATE,
     Scheme,
     _float_steps,
+    _kernel_args,
     simulate,
     spin_up,
     step,
@@ -134,7 +137,7 @@ class TestFloatStepMatchesNumpy:
         for dw in short_path.scalar()[:200]:
             x = rng.uniform(-30.0, 30.0, 3)
             assert np.array_equal(step(s, x, dw, cfg()), numpy_em(s, x, dw, 0.001))
-            pred, out = _float_steps(s, 0.001)[1](*x.tolist(), float(dw))
+            pred, out = _float_steps(_kernel_args(s, 0.001))[0](True, *x.tolist(), float(dw))
             want_pred, want_out = numpy_heun(s, x, dw, 0.001)
             assert np.array_equal(pred, want_pred) and np.array_equal(out, want_out)
             assert np.array_equal(step(s, x, dw, cfg(HEUN)), want_out)
@@ -280,7 +283,7 @@ class TestSimulate:
         s, c = salt_lorenz(beta=0.5), cfg(n_steps=n, mismatch=True)
         path = generate_path(5, n, 0.001)
         want = simulate(s, SPIN_UP_STATE, path, c)  # on the step kernel
-        monkeypatch.setattr(integrator, "_kernel", lambda: None)
+        monkeypatch.setattr(integrator, "_kernel", integrator._PythonKernel)
         tracemalloc.start()
         try:
             got = simulate(s, SPIN_UP_STATE, path, c)
@@ -398,6 +401,16 @@ class TestKernelLoader:
         monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / cache)
         assert integrator._load_kernel() is None
         assert not any((tmp_path / "cache").iterdir())
+
+    @pytest.mark.parametrize("name", ["base_loop", "frame_loop", "repr_rows"])
+    def test_entry_points_agree_on_their_parameters(self, name):
+        # ctypes passes a call of the wrong arity on without a word
+        kernel = integrator._kernel()
+        assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
+        sources = "".join(source.read_text() for source in integrator._KERNEL_SOURCES)
+        (params,) = re.findall(rf"\blong {name}\(([^)]*)\)\s*{{", sources)  # the definition
+        twin = inspect.signature(getattr(integrator._PythonKernel, name)).parameters
+        assert params.count(",") + 1 == len(getattr(kernel, name).argtypes) == len(twin)
 
     def test_package_data_ships_the_source(self):
         # a source a non-editable install lacks fails the build: it runs in Python

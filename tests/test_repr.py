@@ -1,27 +1,28 @@
-"""The step kernel's CSV formatter ``repr_rows`` against Python's repr."""
+"""The step kernel's CSV formatter ``repr_rows``, compiled and in its Python
+twin, against Python's repr."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stochlyap import integrator
 
 GUARD = 64  # bytes past the formatter's bound of 25 a value, left untouched
 
+pytestmark = pytest.mark.usefixtures("kernel")
+
 
 def repr_rows(values, cols=1, first=0, dt=0.0):
     """values, cols to a row, as the kernel formats them; where dt is not 0,
     each row i led by (first + i) * dt."""
-    kernel = integrator._kernel()
-    assert kernel is not None, "the step kernel did not build"
     v = np.ascontiguousarray(np.asarray(values, dtype=float).reshape(-1, cols))
     bound = 25 * v.shape[0] * (cols + (dt != 0))
     text = np.full(bound + GUARD, 0xFF, np.uint8)
-    size = kernel.repr_rows(v.ctypes.data, v.shape[0], cols, first, dt, text.ctypes.data)
+    size = integrator._kernel().repr_rows(v, v.shape[0], cols, first, dt, text)
     assert size <= bound and (text[size:] == 0xFF).all()
     return text[:size].tobytes().decode("ascii")
 
@@ -138,7 +139,8 @@ def test_sixteen_and_seventeen_digits_at_every_decade_edge():
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=16))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_property_floats(values):
     assert mismatch(values) is None
 
