@@ -170,7 +170,8 @@ def _write_csv(out: Path, cfg: RunConfig, header: str, rows, dt: float = 0.0) ->
     columns after it.  Both ways give the same bytes."""
     n, cols = len(rows), header.count(",") + 1
     fmt = ",".join(["%r"] * cols) + "\n"
-    kernel, text = integrator._kernel(), np.empty(1024 * cols * 25, np.uint8)  # <= 25 a value
+    if isinstance(rows, np.ndarray):
+        kernel, text = integrator._kernel(), np.empty(1024 * cols * 25, np.uint8)  # <= 25 a value
     with open(out, "wb") as fh:
         fh.write(f"# config-hash = {cfg.config_hash()}\n# generator-id = {GENERATOR_ID}\n"
                  f"{header}\n".encode())
@@ -305,10 +306,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = sweep(cfg, np.linspace(args.beta_min, args.beta_max, args.count), fixed, jobs)
     out = _out_path(cfg, "sweep.csv", args.output)
     # the identity of each row's FD run, which reads the path through W_T/T only
-    theory = [theoretical_sum(dataclasses.replace(cfg, system="fd", beta=row.beta).system_def(),
-                              row.w_T_over_T, 1.0) for row in rows]
+    fd_system = dataclasses.replace(cfg, system="fd").system_def()
+    theory = [theoretical_sum(dataclasses.replace(fd_system, beta=row.beta), row.w_T_over_T, 1.0)
+              for row in rows]
     _write_csv(out, cfg, "beta,seed,sum_salt,sum_fd,w_T_over_T,theory_fd_sum",
-               [(*dataclasses.astuple(row), fd) for row, fd in zip(rows, theory)])
+               [(row.beta, row.seed, row.sum_salt, row.sum_fd, row.w_T_over_T, fd)
+                for row, fd in zip(rows, theory)])
     _say(f"wrote {out} ({len(rows)} rows)")
     if regress:
         # the identity holds but for rounding: a sum's distance from it is its rounding

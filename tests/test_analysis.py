@@ -1,9 +1,13 @@
 import dataclasses
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -435,8 +439,8 @@ class TestSweep:
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        monkeypatch.setattr(analysis.concurrent.futures, "ThreadPoolExecutor",
-                            lambda *a, **k: calls.append("pool"))
+        monkeypatch.setattr(analysis.threading, "Thread",
+                            lambda *a, **k: calls.append("thread"))
         cfg = SweepConfig(**{"spin_up_steps": 10, "nle_steps": 10, "jobs": jobs, field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
             sweep_beta(np.array([0.1, 0.2]), SweepMode.FIXED_PATH, 1, cfg)
@@ -544,6 +548,101 @@ class TestThreadedRows:
         assert "at step 23 of the spin-up (salt, beta=0.0, seed=4)" in messages[0]
 
 
+class TestFanOut:
+    """``sweep`` runs its rows on the calling thread and at most jobs - 1
+    helper threads, and joins them before it raises."""
+
+    @staticmethod
+    def counting_threads(monkeypatch):
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *a, **k):
+                super().__init__(*a, **k)
+                made.append(self)
+
+        monkeypatch.setattr(analysis.threading, "Thread", Counted)
+        return made
+
+    @staticmethod
+    def recording_runs(monkeypatch):
+        runs = []
+        real = analysis.run_one
+
+        def run(spec, path=None):
+            runs.append((threading.current_thread(), spec.system, spec.beta))
+            return real(spec, path)
+
+        monkeypatch.setattr(analysis, "run_one", run)
+        return runs
+
+    CFG = SweepConfig(spin_up_steps=50, nle_steps=100, sample_every=10)
+    BETAS = np.array([0.5, 0.1, 0.9, 0.3, 0.7])
+
+    def test_one_job_runs_every_row_on_the_calling_thread(self, monkeypatch):
+        made = self.counting_threads(monkeypatch)
+        runs = self.recording_runs(monkeypatch)
+        rows = sweep_beta(self.BETAS, SweepMode.FIXED_PATH, 3, self.CFG)
+        assert made == []
+        assert [thread for thread, _, _ in runs] == [threading.main_thread()] * 10
+        assert [(system, beta) for _, system, beta in runs] == [
+            (system, float(beta)) for beta in self.BETAS for system in ("salt", "fd")]
+        assert [row.beta for row in rows] == sorted(self.BETAS)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    def test_at_most_jobs_minus_one_helpers(self, jobs, monkeypatch):
+        made = self.counting_threads(monkeypatch)
+        runs = self.recording_runs(monkeypatch)
+        cfg = dataclasses.replace(self.CFG, jobs=jobs)
+        rows = sweep_beta(self.BETAS, SweepMode.FRESH_PATH_PER_BETA, 3, cfg)
+        assert len(made) == min(jobs, len(self.BETAS)) - 1
+        assert not any(thread.is_alive() for thread in made)
+        assert {thread for thread, _, _ in runs} <= {threading.main_thread(), *made}
+        assert sorted(beta for _, system, beta in runs if system == "salt") == sorted(self.BETAS)
+        assert rows == sweep_beta(self.BETAS, SweepMode.FRESH_PATH_PER_BETA, 3, self.CFG)
+
+    def test_interrupt_in_the_callers_row_joins_the_helpers_first(self, monkeypatch):
+        # the helper's row waits until the caller joins it, and the caller's
+        # row raises once the helper holds a row: two rows claimed of four
+        made = self.counting_threads(monkeypatch)
+        helper_busy, joining = threading.Event(), threading.Event()
+        real_join = threading.Thread.join
+        monkeypatch.setattr(threading.Thread, "join",
+                            lambda self, *a: joining.set() or real_join(self, *a))
+        runs = []
+
+        def run(spec, path=None):
+            runs.append((threading.current_thread(), spec.system, spec.beta))
+            if threading.current_thread() is threading.main_thread():
+                assert helper_busy.wait(timeout=60)
+                raise KeyboardInterrupt
+            helper_busy.set()
+            assert joining.wait(timeout=60)
+            return SimpleNamespace(sum=0.0, w_terminal=0.0, t_final=1.0), {}
+
+        monkeypatch.setattr(analysis, "run_one", run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep_beta(np.array([0.1, 0.2, 0.3, 0.4]), SweepMode.FIXED_PATH, 3,
+                       dataclasses.replace(self.CFG, jobs=2))
+        (helper,) = made
+        assert not helper.is_alive()
+        claimed = {beta for _, system, beta in runs if system == "salt"}
+        assert len(claimed) == 2
+        assert [system for thread, system, _ in runs if thread is helper] == ["salt", "fd"]
+
+
+class TestImports:
+    def test_cli_leaves_out_futures_and_logging(self):
+        code = ("import sys, stochlyap.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(analysis.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestFitFdSum:
     def test_exact_line(self):
         rows = [
@@ -562,6 +661,12 @@ class TestFitFdSum:
         for rows in ([row], [row, row]):
             with pytest.raises(ValueError, match="two distinct beta"):
                 fit_fd_sum(rows)
+
+    def test_refuses_equal_fd_sums(self):
+        rows = [SweepRow(beta=b, seed=0, sum_salt=TRACE, sum_fd=TRACE, w_T_over_T=0.5)
+                for b in (0.0, 0.5, 1.0)]
+        with pytest.raises(ValueError, match="FD sums that vary"):
+            fit_fd_sum(rows)
 
     def test_noisy_line_r_squared(self, rng):
         beta = np.linspace(0.0, 1.0, 50)
