@@ -1,23 +1,29 @@
 """Runs, analytical oracles and experiment drivers.
 
 ``run_one`` makes the run a ``RunSpec`` states (path, spin-up, ``run_nle``)
-under the spec's one convention rule, for every command and sweep row.
-Also the exponent-sum identity ``theoretical_sum`` (from ``models``), the
-Liouville trace oracle, the Lorenz boundedness diagnostics, noise-amplitude
-sweeps and convergence series.  ``sweep`` runs a spec over a grid of
-amplitudes: a row is a SALT and then an FD ``run_one`` of the spec on one
-path.  The calling thread and up to ``jobs - 1`` helper threads take rows
-in turn, in parallel inside the step kernel's loops, which release the
+under the spec's one convention rule, for every command.  Also the
+exponent-sum identity ``theoretical_sum`` (from ``models``), the Liouville
+trace oracle, the Lorenz boundedness diagnostics, noise-amplitude sweeps
+and convergence series.  ``sweep`` runs a spec over a grid of amplitudes: a
+row is the SALT and then the FD run of the spec on one path.  The calling
+thread prepares every run and, after the kernel calls, finishes it; it and
+up to ``jobs - 1`` helper threads take rows in turn and make only their
+kernel calls, in parallel inside the step kernel's loops, which release the
 interpreter lock (on its Python twin, one at a time); ``jobs = 1`` starts
-no thread.  At 8 rows of 500 + 1,500 steps (the benchmark's sweep) two
-jobs take about as long as one; at 10 times those steps they are 1.5 to
-1.7 times as fast (2-vCPU VM).  The kernel is loaded before any helper
-starts, so a cold cache builds it once.  ``sweep_beta`` is ``sweep`` from
-a ``SweepConfig``.
+no thread.  ``stochlyap sweep`` of 8 fixed rows, in process on a 2-vCPU VM
+(median wall, CPU): at 500 + 1,500 steps a row (the benchmark's sweep),
+4.95 ms, 4.77 ms at one job and 4.67 ms, 5.83 ms at two; at 10 times those
+steps, 23.7 ms, 23.4 ms at one job and 14.5 ms, 22.7 ms at two.  The VM's
+speed varies by up to 2x over minutes; over three sessions two jobs took
+0.94-1.04 times one job's wall time at the benchmark's size and 0.59-0.64
+times at 10 times it.  The kernel is loaded before any helper starts, so a
+cold cache builds it once.  ``sweep_beta`` is ``sweep`` from a
+``SweepConfig``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -29,8 +35,8 @@ from .cayley import (
     DEFAULT_ETA,
     DEFAULT_NLE_STEPS,
     NleResult,
-    _check_eta,
-    _check_sizes,
+    finish_nle,
+    prepare_nle,
     run_nle,
 )
 from .integrator import (
@@ -38,6 +44,7 @@ from .integrator import (
     DEFAULT_SPIN_UP_STEPS,
     BlowUpError,
     IntegratorConfig,
+    Run,
     Scheme,
     _kernel,
     spin_up,
@@ -118,10 +125,6 @@ class RunSpec:
                                 allow_convention_mismatch=paper_em)
 
 
-def _draw_path(spec: RunSpec) -> WienerPath:
-    return generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
-
-
 def spun_up(spec: RunSpec, path: WienerPath | None = None):
     """The system, path (drawn unless given), spin-up end state and
     integrator config of spec's run, with the wall seconds of its ``path``
@@ -129,7 +132,8 @@ def spun_up(spec: RunSpec, path: WienerPath | None = None):
     s = spec.system_def()
     icfg = spec.integrator_config()
     t0 = time.perf_counter()
-    path = _draw_path(spec) if path is None else path
+    if path is None:
+        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
     t1 = time.perf_counter()
     try:
         x0 = spin_up(s, path, icfg)
@@ -229,28 +233,49 @@ class SweepConfig:
     dt: float = DEFAULT_DT
     spin_up_steps: int = DEFAULT_SPIN_UP_STEPS
     nle_steps: int = DEFAULT_NLE_STEPS
-    eta: float = DEFAULT_ETA  # validated by sweep_beta; does not change its output
+    eta: float = DEFAULT_ETA  # validated by sweep; does not change its output
     sample_every: int = 100
     jobs: int = 1  # threads taking rows, the caller's included
 
 
+def _finish(run: Run, seed: int) -> NleResult:
+    """The result of a run that ``advance`` made, or its blow-up naming the
+    phase, system, beta and seed."""
+    try:
+        return finish_nle(run)
+    except BlowUpError as err:
+        raise err.within(run.phase, run.s, seed) from None
+
+
 def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[SweepRow]:
     """SALT and FD runs of spec over noise amplitudes: row i is a SALT and
-    then an FD ``run_one`` at betas[i], on the path of spec.seed drawn once
-    (fixed) or on that of seed spec.seed + i drawn in the row (fresh).  The
-    convention rule is checked before any path is drawn.  The calling thread
-    and min(jobs, rows) - 1 helper threads claim rows in index order, one at
-    a time, and rows come back ordered by beta.  A failed row stops every
-    thread from claiming another; the helpers are joined, also when the
-    caller's own row raises (a KeyboardInterrupt, say), and then the error
-    of the first failing row in the order of betas, SALT before FD, is
-    raised, whatever ``jobs``: every earlier row was claimed and has run."""
+    then an FD run of spec at betas[i], the run ``run_one`` makes, on the
+    path of spec.seed drawn once (fixed) or on that of seed spec.seed + i
+    (fresh).  The calling thread prepares every run, so every check is made
+    before any path is drawn or thread started.  It and min(jobs, rows) - 1
+    helper threads then claim rows in index order, one at a time, and make
+    only the row's kernel calls (``Run.advance``), drawing its path first in
+    fresh mode, so at most ``jobs`` paths are live.  A failed row stops
+    every thread from claiming another; the helpers are joined, also when
+    the caller's own row raises (a KeyboardInterrupt, say), and then the
+    caller finishes the runs in the order of betas, SALT before FD.  So the
+    error of the first failing row is raised, whatever ``jobs``: every
+    earlier row was claimed and has run.  Rows come back ordered by beta."""
     betas = [float(beta) for beta in betas]
-    icfg = spec.integrator_config()  # dt finite and > 0, spin-up >= 0
-    for system in ("salt", "fd"):  # the rule refuses a mismatch at every beta > 0
-        icfg.check(replace(spec, system=system, beta=max(betas)).system_def())
-    path = _draw_path(spec) if fixed else None
-    rows: list[SweepRow | None] = [None] * len(betas)
+    if not betas:
+        raise ValueError("betas must be nonempty")
+    if not all(math.isfinite(beta) and beta >= 0 for beta in betas):
+        raise ValueError("betas must be finite and nonnegative")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    seeds = [spec.seed if fixed else spec.seed + i for i in range(len(betas))]
+    # each run's system is spec's at its beta, and its config is spec's
+    icfg = spec.integrator_config()
+    systems = [replace(spec, system=system, beta=0.0).system_def() for system in ("salt", "fd")]
+    runs = [[prepare_nle(replace(s, beta=beta), icfg, spec.nle_steps, spec.eta, spec.sample_every)
+             for s in systems] for beta in betas]
+    n = spec.spin_up_steps + spec.nle_steps
+    path = generate_path(spec.seed, n, spec.dt) if fixed else None
     errors: dict[int, Exception] = {}  # by row index
     stop, lock = threading.Event(), threading.Lock()
     indices = iter(range(len(betas)))
@@ -263,16 +288,18 @@ def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[Swee
         with lock:  # the stop check and the claim as one step
             return None if stop.is_set() else next(indices, None)
 
+    def advance_row(i: int) -> None:
+        row_path = path if fixed else generate_path(seeds[i], n, spec.dt)
+        for run in runs[i]:
+            run.advance(row_path)
+            if run.failed >= 0:
+                halt()
+                return
+
     def work() -> None:
         while (i := claim()) is not None:
-            salt_spec = replace(spec, system="salt", beta=betas[i],
-                                seed=spec.seed if fixed else spec.seed + i)
             try:
-                row_path = _draw_path(salt_spec) if path is None else path
-                salt, _ = run_one(salt_spec, row_path)
-                fd, _ = run_one(replace(salt_spec, system="fd"), row_path)
-                rows[i] = SweepRow(beta=betas[i], seed=salt_spec.seed, sum_salt=salt.sum,
-                                   sum_fd=fd.sum, w_T_over_T=fd.w_terminal / fd.t_final)
+                advance_row(i)
             except Exception as err:
                 errors[i] = err
                 halt()
@@ -289,27 +316,21 @@ def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[Swee
         halt()
         for helper in helpers:
             helper.join()
-    if errors:
-        raise errors[min(errors)]
+    rows = []
+    for i, (beta, seed) in enumerate(zip(betas, seeds)):
+        if i in errors:
+            raise errors[i]
+        salt, fd = (_finish(run, seed) for run in runs[i])
+        rows.append(SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
+                             w_T_over_T=fd.w_terminal / fd.t_final))
     return sorted(rows, key=lambda row: row.beta)
 
 
 def sweep_beta(betas: np.ndarray, mode: SweepMode, base_seed: int,
                cfg: SweepConfig | None = None) -> list[SweepRow]:
     """``sweep`` of the default ``RunSpec`` at cfg's settings and seed
-    base_seed, after checking betas, jobs, eta and every size a run reads;
-    kept for the benchmark's traced replay and the tests."""
-    betas = np.asarray(betas, dtype=float)
-    if betas.size == 0:
-        raise ValueError("betas must be nonempty")
-    if not np.all(np.isfinite(betas) & (betas >= 0)):
-        raise ValueError("betas must be finite and nonnegative")
+    base_seed; kept for the benchmark's traced replay and the tests."""
     cfg = cfg or SweepConfig()
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
-    _check_eta(cfg.eta)
-    # every size a run reads, before any path, spin-up or thread
-    _check_sizes(cfg.nle_steps, cfg.sample_every)
     spec = RunSpec(sigma=cfg.params.sigma, r=cfg.params.r, b=cfg.params.b, seed=base_seed,
                    dt=cfg.dt, spin_up_steps=cfg.spin_up_steps, nle_steps=cfg.nle_steps,
                    eta=cfg.eta, sample_every=cfg.sample_every)

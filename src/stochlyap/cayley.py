@@ -30,10 +30,16 @@ re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and samples rho
 itself; x, Q and rho share one buffer, which the call takes whole.  Per
 step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
 ~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled, ~4.5 us
-and ~8.7 us on the kernel's Python twin, at any sampling interval.  Per
-run, outside the kernel calls (``analysis.run_one`` at 1 + 1 steps, same
-VM): ~54 us when each run has a new beta, as a sweep's rows do, and ~41 us
-when one spec repeats.
+and ~8.7 us on the kernel's Python twin, at any sampling interval.
+
+A run is ``prepare_nle``, ``Run.advance`` and ``finish_nle``.  Their Python,
+outside the kernel's loops, per run at 1 + 1 steps (same VM, whose speed
+varies by up to 2x; medians of one session): prepare ~16 us when each run
+has a new beta, as a sweep's do, and ~4 us when the system repeats;
+advance ~18 us, mostly ctypes taking the ndarrays' addresses; finish
+~12 us.  ``analysis.run_one``, a spin-up run and then an exponent-phase
+run, each with its system and config built from the spec, ~53 us when one
+spec repeats.
 """
 
 from __future__ import annotations
@@ -42,13 +48,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import integrator, smallmat
-from .integrator import (
-    BlowUpError,
+from . import smallmat
+from .integrator import (  # REORTH_EVERY and _reorthogonalize: run_nle's loop, named here too
+    _EYE,
+    REORTH_EVERY,
+    SPIN_UP_STATE,
+    IntegratorConfig,
+    Run,
     Scheme,
-    _check_convention,
-    _kernel_args,
-    _state,
+    _reorthogonalize,
 )
 from .models import (
     SystemDef,
@@ -64,7 +72,7 @@ from .smallmat import (
     inverse,
     qr_decompose,
 )
-from .wiener import WienerPath, _check_dt
+from .wiener import WienerPath
 
 __all__ = [
     "CayleyState",
@@ -80,10 +88,6 @@ __all__ = [
 
 DEFAULT_ETA = 0.8
 DEFAULT_NLE_STEPS = 100_000
-REORTH_EVERY = 10_000
-_ORTHO_DRIFT_TOL = 1e-10
-_EYE = np.eye(3)
-_START = np.array([0.0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])  # (x, Q, rho): Q = I, rho = 0
 
 
 @dataclass(frozen=True)
@@ -194,10 +198,36 @@ def exponents_from_rho(rho: np.ndarray, t: float) -> np.ndarray:
     return lambdas[::-1]
 
 
-def _reorthogonalize(q: np.ndarray) -> np.ndarray:
-    if smallmat.frobenius(q.T @ q - _EYE) <= _ORTHO_DRIFT_TOL:
-        return q
-    return qr_decompose(q)[0]
+def prepare_nle(s: SystemDef, cfg: IntegratorConfig, n_steps: int, eta: float = DEFAULT_ETA,
+                sample_every: int = 100, x0=SPIN_UP_STATE, offset: int = 0) -> Run:
+    """The prepared ``Run`` of an exponent computation of n_steps steps
+    after cfg's spin-up, after the checks of every size and of eta."""
+    _check_sizes(n_steps, sample_every)
+    _check_eta(eta)
+    return Run(s, cfg, x0, offset, n_steps, sample_every)
+
+
+def finish_nle(run: Run) -> NleResult:
+    """The exponents and diagnostics of a run that ``advance`` made, or the
+    ``BlowUpError`` of its failing step (``Run.end_state``)."""
+    run.end_state()
+    n, state, series = run.n_steps, run.state, run.series
+    rho, q = state[12:], state[3:12].reshape(3, 3)
+    t_final = n * run.dt
+    if n % run.sample_every:
+        series[-1, 0], series[-1, 1:] = t_final, rho
+    lambdas = exponents_from_rho(rho, t_final)
+    total = float(lambdas.sum())
+    return NleResult(
+        lambdas=lambdas,
+        sum=total,
+        trace_residual=abs(total - theoretical_sum(run.s, run.w_terminal, t_final)),
+        rho_series=series,
+        restarts=n,
+        t_final=t_final,
+        w_terminal=run.w_terminal,
+        ortho_drift=smallmat.frobenius(q.T @ q - _EYE),
+    )
 
 
 def run_nle(
@@ -222,37 +252,10 @@ def run_nle(
     mode both are corrected at the predictor point for Stratonovich
     consistency.  The kernel is the K/eta reference stepper with a restart
     after every step, so ``eta`` is validated but does not change the output.
-    Both steps run in the step kernel, one call per ``REORTH_EVERY`` steps.
+    Both steps run in the step kernel, one call per ``REORTH_EVERY`` steps:
+    ``prepare_nle`` with no spin-up, ``Run.advance`` and ``finish_nle``.
     """
-    _check_sizes(n_steps, sample_every)
-    inc = path.window(path_offset, n_steps)
-    _check_eta(eta)
-    _check_dt(dt)
-    _check_convention(scheme, s, allow_convention_mismatch)
-    state = _START.copy()  # x, Q and rho in one buffer, at one address
-    state[:3] = _state(x0)
-    series = np.empty(((n_steps + sample_every - 1) // sample_every, 4))
-    kernel, args, heun = integrator._kernel(), _kernel_args(s, dt), scheme is Scheme.HEUN
-    for lo in range(0, n_steps, REORTH_EVERY):
-        hi = min(lo + REORTH_EVERY, n_steps)
-        failed = kernel.frame_loop(args, heun, state, inc, lo, hi, sample_every, series)
-        if failed >= 0:
-            raise BlowUpError(failed, state[:3].copy())
-        if hi % REORTH_EVERY == 0:
-            state[3:12] = _reorthogonalize(state[3:12].reshape(3, 3)).ravel()
-    rho, q = state[12:], state[3:12].reshape(3, 3)
-    if n_steps % sample_every:
-        series[-1, 0], series[-1, 1:] = n_steps * dt, rho
-    t_final, w_terminal = n_steps * dt, float(inc.sum())
-    lambdas = exponents_from_rho(rho, t_final)
-    total = float(lambdas.sum())
-    return NleResult(
-        lambdas=lambdas,
-        sum=total,
-        trace_residual=abs(total - theoretical_sum(s, w_terminal, t_final)),
-        rho_series=series,
-        restarts=n_steps,
-        t_final=t_final,
-        w_terminal=w_terminal,
-        ortho_drift=smallmat.frobenius(q.T @ q - _EYE),
-    )
+    cfg = IntegratorConfig(scheme, dt, 0, allow_convention_mismatch)
+    run = prepare_nle(s, cfg, n_steps, eta, sample_every, x0, path_offset)
+    run.advance(path)
+    return finish_nle(run)

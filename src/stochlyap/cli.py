@@ -4,7 +4,7 @@ sweep noise amplitudes and reproduce the pinned reference experiments.
 Configuration is a flat ``key = value`` file overridden by command-line
 flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
 directory, run by ``analysis.run_one`` (``spun_up`` for ``simulate``), or
-passed as it is to ``analysis.sweep``, whose rows are ``run_one`` calls.
+passed as it is to ``analysis.sweep``, whose rows are the runs ``run_one`` makes.
 Every output file carries a metadata header with the resolved config hash
 and the noise generator id, so runs are replayable.
 """
@@ -299,10 +299,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
     cores = _usable_cores()
     jobs = min(args.jobs or cores, cores)  # a thread per row at once, no more than the cores
-    # each running row holds two rho series and, in fresh mode, its own path
-    running = min(jobs, args.count)
-    _check_memory(cfg, 2 * running * _series_bytes(cfg) + 8 * args.count,
-                  1 if fixed else running, jobs=jobs, count=args.count)
+    # every row's two runs hold their rho series from the start, and in fresh
+    # mode each running row holds its own path
+    _check_memory(cfg, 2 * args.count * _series_bytes(cfg) + 8 * args.count,
+                  1 if fixed else min(jobs, args.count), jobs=jobs, count=args.count)
     rows = sweep(cfg, np.linspace(args.beta_min, args.beta_max, args.count), fixed, jobs)
     out = _out_path(cfg, "sweep.csv", args.output)
     # the identity of each row's FD run, which reads the path through W_T/T only

@@ -7,10 +7,10 @@ mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
 The step kernel, ``_kernel()``, is the library built from ``_kernel.c``
 and ``_repr.cc`` or, where it cannot be built, its Python twin
-``_PythonKernel``.  Both have the entry points ``base_loop`` (``simulate``
-and ``spin_up``, through ``_base_loop``), ``frame_loop`` (``cayley.run_nle``)
-and ``repr_rows`` (``cli._write_csv``), take the same ndarrays and give the
-same results bit for bit, so no caller asks which one runs.  The loops read
+``_PythonKernel``.  Both have the entry points ``base_loop`` and
+``frame_loop`` (``Run.advance``) and ``repr_rows`` (``cli._write_csv``),
+take the same ndarrays and give the same results bit for bit, so no caller
+asks which one runs.  The loops read
 one block of constants, ``Sys``, which only ``_kernel_args`` computes.  The
 twin's arithmetic is ``_float_steps``, closures over that block that follow
 the C expression for expression, and ``_rotate``; ``step`` takes one step
@@ -22,8 +22,15 @@ library in the package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by
 the sources and the command; a build deletes the older libraries there) and
 loaded with ctypes.  Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
 ~0.02-0.025 us (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and
-~2.0 us in Python.  Per call, ``spin_up`` spends ~8-12 us of Python around
-its kernel call (1 step; the VM's speed varies); ``cayley`` gives a run's
+~2.0 us in Python.
+
+Every run is a ``Run`` in three pieces: prepared (the checks, the ``Sys``
+block and the buffers), advanced (its kernel calls, which record a state
+failing the bound instead of raising) and finished.  ``simulate`` and
+``spin_up`` are one each, ``cayley.run_nle`` is another, and a sweep
+prepares and finishes its runs on the calling thread and advances them on
+others.  Per call, ``spin_up`` spends ~12-26 us of Python around its kernel
+call (1 step; the VM's speed varies by up to 2x); ``cayley`` gives a run's
 whole fixed cost.
 """
 
@@ -49,7 +56,7 @@ from .models import (
     jacobian_correction,
     jacobian_diffusion,
 )
-from .smallmat import _cayley_entries
+from .smallmat import _cayley_entries, frobenius, qr_decompose
 from .wiener import WienerPath, _check_dt
 
 __all__ = [
@@ -57,6 +64,7 @@ __all__ = [
     "BlowUpError",
     "ConventionMismatchError",
     "IntegratorConfig",
+    "Run",
     "DEFAULT_SPIN_UP_STEPS",
     "DEFAULT_DT",
     "SPIN_UP_STATE",
@@ -258,14 +266,6 @@ def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.nd
     return np.array(y)
 
 
-def _state(x) -> np.ndarray:
-    """A copy of the state x as the kernel reads it, three float64 in a row."""
-    x = np.array(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"a state has 3 components, got shape {x.shape}")
-    return x
-
-
 class _Array:
     """The ctypes argument type of the kernel's arrays: the address of an
     ndarray's data, or NULL for None."""
@@ -386,20 +386,80 @@ def _kernel():
     return _load_kernel() or _PythonKernel()
 
 
-def _base_loop(s: SystemDef, cfg: IntegratorConfig, x, path: WienerPath, offset: int,
-               out=None) -> np.ndarray:
-    """cfg's step of s, cfg.n_steps times from the state x on the path
-    increments from offset; returns the end state.  The C-ordered (n, 3)
-    array out, when given, receives the state after step i in row i.  A
-    state failing the bound raises ``BlowUpError`` naming step i."""
-    cfg.check(s)
-    inc = path.window(offset, cfg.n_steps)
-    x = _state(x)
-    failed = _kernel().base_loop(_kernel_args(s, cfg.dt), cfg.scheme is Scheme.HEUN, x, inc,
-                                 len(inc), out)
-    if failed >= 0:
-        raise BlowUpError(failed, x)
-    return x
+REORTH_EVERY = 10_000
+_ORTHO_DRIFT_TOL = 1e-10
+_EYE = np.eye(3)
+_START = np.array([0.0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])  # (x, Q, rho): Q = I, rho = 0
+
+
+def _reorthogonalize(q: np.ndarray) -> np.ndarray:
+    if frobenius(q.T @ q - _EYE) <= _ORTHO_DRIFT_TOL:
+        return q
+    return qr_decompose(q)[0]
+
+
+class Run:
+    """One run of the step kernel, in three pieces that every caller
+    composes, so that one thread can prepare and finish runs whose kernel
+    calls are made on others.  The run takes cfg's step of s cfg.n_steps
+    times from the state x0, on the path increments from offset (the
+    spin-up; with out, a trajectory whose state after step i goes to row i
+    of out), and then co-evolves x with the frame state (Q, rho) for
+    n_steps more steps (the exponent phase), sampling rho every
+    sample_every steps into ``series``.
+
+    - prepare, the constructor: the convention rule, the ``Sys`` block and
+      the (x, Q, rho) buffer ``state`` and the rho series;
+    - kernel, ``advance``: the kernel calls;
+    - finish: ``end_state``, or ``cayley``'s exponents."""
+
+    def __init__(self, s: SystemDef, cfg: IntegratorConfig, x0=SPIN_UP_STATE, offset: int = 0,
+                 n_steps: int = 0, sample_every: int = 1, out: np.ndarray | None = None):
+        cfg.check(s)
+        self.s, self.dt, self.heun = s, cfg.dt, cfg.scheme is Scheme.HEUN
+        self.args = _kernel_args(s, cfg.dt)
+        self.offset, self.spin_up_steps, self.out = offset, cfg.n_steps, out
+        self.n_steps, self.sample_every = n_steps, sample_every
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (3,):  # the kernel reads three float64 in a row
+            raise ValueError(f"a state has 3 components, got shape {x0.shape}")
+        self.state = _START.copy()  # x, Q and rho in one buffer, at one address
+        self.state[:3] = x0
+        self.series = np.empty((-(-n_steps // sample_every), 4))
+        self.failed, self.phase, self.w_terminal = -1, "", 0.0
+
+    def advance(self, path: WienerPath) -> None:
+        """The run's kernel calls on path: ``base_loop`` for the spin-up,
+        then ``frame_loop`` once per ``REORTH_EVERY`` steps, with Q
+        re-orthogonalised after each full call.  A state failing the bound
+        ends the run and is recorded, not raised: ``failed`` is its step
+        within ``phase``, "spin-up" or "exponent phase".  ``w_terminal`` is
+        W_T, the sum of the exponent phase's increments."""
+        kernel, state, spin = _kernel(), self.state, self.spin_up_steps
+        inc = path.window(self.offset, spin + self.n_steps)
+        if spin:  # none in run_nle's runs: skip the call's ctypes conversions
+            self.failed = kernel.base_loop(self.args, self.heun, state[:3], inc, spin, self.out)
+            if self.failed >= 0:
+                self.phase = "spin-up"
+                return
+        inc = inc[spin:]
+        for lo in range(0, self.n_steps, REORTH_EVERY):
+            hi = min(lo + REORTH_EVERY, self.n_steps)
+            self.failed = kernel.frame_loop(self.args, self.heun, state, inc, lo, hi,
+                                            self.sample_every, self.series)
+            if self.failed >= 0:
+                self.phase = "exponent phase"
+                return
+            if hi % REORTH_EVERY == 0:
+                state[3:12] = _reorthogonalize(state[3:12].reshape(3, 3)).ravel()
+        self.w_terminal = float(inc.sum())
+
+    def end_state(self) -> np.ndarray:
+        """The finish: a copy of x at the end of the run, or the
+        ``BlowUpError`` of the step that failed the bound."""
+        if self.failed >= 0:
+            raise BlowUpError(self.failed, self.state[:3].copy())
+        return self.state[:3].copy()
 
 
 def simulate(
@@ -412,7 +472,9 @@ def simulate(
     """Integrate n_steps steps; returns the (n_steps + 1, 3) state sequence."""
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = x0
-    _base_loop(s, cfg, out[0], path, offset, out[1:])
+    run = Run(s, cfg, out[0], offset, out=out[1:])
+    run.advance(path)
+    run.end_state()
     return out
 
 
@@ -424,4 +486,6 @@ def spin_up(s: SystemDef, path: WienerPath, cfg: IntegratorConfig) -> np.ndarray
     ``simulate(s, SPIN_UP_STATE, path, cfg)[-1]`` without keeping the
     states on the way.
     """
-    return _base_loop(s, cfg, SPIN_UP_STATE, path, 0)
+    run = Run(s, cfg)
+    run.advance(path)
+    return run.end_state()

@@ -5,16 +5,16 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochlyap import analysis
+from stochlyap import analysis, cayley, integrator
 from stochlyap.analysis import (
     RegressionSummary,
     RunSpec,
@@ -27,6 +27,7 @@ from stochlyap.analysis import (
     liouville_oracle,
     lyapunov_function,
     run_one,
+    sweep,
     sweep_beta,
     theoretical_sum,
 )
@@ -391,6 +392,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="eta"):
             sweep_beta(np.array([0.1]), SweepMode.FIXED_PATH, 1, SweepConfig(eta=1.0))
 
+    def test_sweep_checks_betas_and_jobs_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append("path"))
+        monkeypatch.setattr(analysis.Run, "__init__", lambda *a: calls.append("prepare"))
+        monkeypatch.setattr(analysis.threading, "Thread", lambda *a, **k: calls.append("thread"))
+        spec = RunSpec(spin_up_steps=10, nle_steps=10)
+        with pytest.raises(ValueError, match="^betas must be nonempty$"):
+            sweep(spec, [], True, 1)
+        for betas in ([-0.1], [0.2, np.nan], np.array([np.inf])):
+            with pytest.raises(ValueError, match="^betas must be finite and nonnegative$"):
+                sweep(spec, betas, False, 2)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+                sweep(spec, [0.1], True, jobs)
+        assert calls == []
+
     @pytest.mark.parametrize("mode", list(SweepMode))
     def test_rows_match_scalar_runs(self, mode, kernel):
         # each row is a SALT and an FD run on its own path, the very calls of
@@ -567,13 +584,13 @@ class TestFanOut:
     @staticmethod
     def recording_runs(monkeypatch):
         runs = []
-        real = analysis.run_one
+        real = analysis.Run.advance
 
-        def run(spec, path=None):
-            runs.append((threading.current_thread(), spec.system, spec.beta))
-            return real(spec, path)
+        def advance(run, path):
+            runs.append((threading.current_thread(), run.s.kind.value, run.s.beta))
+            return real(run, path)
 
-        monkeypatch.setattr(analysis, "run_one", run)
+        monkeypatch.setattr(analysis.Run, "advance", advance)
         return runs
 
     CFG = SweepConfig(spin_up_steps=50, nle_steps=100, sample_every=10)
@@ -611,16 +628,15 @@ class TestFanOut:
                             lambda self, *a: joining.set() or real_join(self, *a))
         runs = []
 
-        def run(spec, path=None):
-            runs.append((threading.current_thread(), spec.system, spec.beta))
+        def advance(run, path):
+            runs.append((threading.current_thread(), run.s.kind.value, run.s.beta))
             if threading.current_thread() is threading.main_thread():
                 assert helper_busy.wait(timeout=60)
                 raise KeyboardInterrupt
             helper_busy.set()
             assert joining.wait(timeout=60)
-            return SimpleNamespace(sum=0.0, w_terminal=0.0, t_final=1.0), {}
 
-        monkeypatch.setattr(analysis, "run_one", run)
+        monkeypatch.setattr(analysis.Run, "advance", advance)
         with pytest.raises(KeyboardInterrupt):
             sweep_beta(np.array([0.1, 0.2, 0.3, 0.4]), SweepMode.FIXED_PATH, 3,
                        dataclasses.replace(self.CFG, jobs=2))
@@ -629,6 +645,58 @@ class TestFanOut:
         claimed = {beta for _, system, beta in runs if system == "salt"}
         assert len(claimed) == 2
         assert [system for thread, system, _ in runs if thread is helper] == ["salt", "fd"]
+
+
+class TestPreparedRuns:
+    """``sweep`` prepares and finishes every run on the calling thread; the
+    helpers make kernel calls and, in fresh mode, draw their rows' paths."""
+
+    CFG = TestFanOut.CFG
+    BETAS = TestFanOut.BETAS
+
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    def test_prepare_and_finish_run_on_the_calling_thread(self, jobs, monkeypatch):
+        want = sweep_beta(self.BETAS, SweepMode.FIXED_PATH, 3, self.CFG)
+        made = TestFanOut.counting_threads(monkeypatch)
+        calls = []
+
+        def record(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(
+                (name, threading.current_thread())) or real(*a, **k))
+
+        record(analysis.RunSpec, "system_def")
+        record(integrator, "_kernel_args")  # the Sys block
+        record(integrator.Run, "__init__")
+        record(analysis, "finish_nle")
+        record(cayley, "NleResult")
+        rows = sweep_beta(self.BETAS, SweepMode.FIXED_PATH, 3,
+                          dataclasses.replace(self.CFG, jobs=jobs))
+        assert rows == want
+        assert len(made) == min(jobs, len(self.BETAS)) - 1
+        assert sorted({name for name, _ in calls}) == [
+            "NleResult", "__init__", "_kernel_args", "finish_nle", "system_def"]
+        assert all(calls.count((name, threading.main_thread())) == 10
+                   for name in ("__init__", "finish_nle", "NleResult"))
+        assert {thread for _, thread in calls} == {threading.main_thread()}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_fresh_rows_hold_at_most_jobs_paths(self, jobs, monkeypatch):
+        # each thread drops its row's path before it draws the next one
+        paths, live = [], []
+        real = analysis.generate_path
+
+        def generate_path(*a):
+            live.append(sum(ref() is not None for ref in paths))
+            path = real(*a)
+            paths.append(weakref.ref(path))
+            return path
+
+        monkeypatch.setattr(analysis, "generate_path", generate_path)
+        sweep_beta(self.BETAS, SweepMode.FRESH_PATH_PER_BETA, 3,
+                   dataclasses.replace(self.CFG, jobs=jobs))
+        assert len(live) == len(self.BETAS)
+        assert max(live) <= jobs - 1
 
 
 class TestImports:

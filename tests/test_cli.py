@@ -374,11 +374,17 @@ class TestNumericalFailure:
     ], ids=["spin-up", "exponent-phase"])
     def test_sweep_stops_at_the_first_failing_row(self, argv, phase, want, tmp_path,
                                                   capsys, monkeypatch):
-        calls = []
-        for name in ("spin_up", "run_nle"):
-            real = getattr(analysis, name)
-            monkeypatch.setattr(analysis, name, lambda s, *a, name=name, real=real, **k:
-                                calls.append((name, s.kind.value, s.beta)) or real(s, *a, **k))
+        calls, real = [], analysis.Run.advance
+
+        def advance(run, path):
+            # a run's kernel calls: the spin-up, then the exponent phase unless
+            # the spin-up failed
+            real(run, path)
+            calls.append(("spin_up", run.s.kind.value, run.s.beta))
+            if run.phase != "spin-up":
+                calls.append(("run_nle", run.s.kind.value, run.s.beta))
+
+        monkeypatch.setattr(analysis.Run, "advance", advance)
         code, _, err = run(argv + ["--jobs", "1", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_NUMERICAL
         assert f"of the {phase} (salt, beta={want[-1][2]}, seed=" in err
@@ -457,6 +463,25 @@ def test_memory_check_counts_a_path_per_running_fresh_row(tmp_path, capsys, monk
     for mode, jobs in (("fresh", "1"), ("fixed", "2")):  # one path at a time
         code, _, err = run(argv + ["--mode", mode, "--jobs", jobs], capsys)
         assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("mode, need", [("fixed", "3,209,200"), ("fresh", "3,218,000")])
+def test_memory_check_counts_every_rows_series(mode, need, tmp_path, capsys, monkeypatch):
+    # a sweep prepares all its runs at once: 2 * 50 rho series of 32 * 1000
+    # bytes and 8 bytes a beta, with one path of 8 * 1100 bytes (fixed) or one
+    # per running row (fresh), exceed 256 pages, though one row's would not
+    calls = []
+    monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append("path"))
+    monkeypatch.setattr(analysis.threading, "Thread", lambda *a, **k: calls.append("thread"))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    code, _, err = run(["sweep", "--mode", mode, "--count", "50", "--jobs", "2",
+                        "--spin-up-steps", "100", "--nle-steps", "1000", "--sample-every", "1",
+                        "--outdir", str(tmp_path)], capsys)
+    assert code == EXIT_CONFIG
+    assert (f"--spin-up-steps 100, --nle-steps 1000, --jobs 2, --count 50 would hold "
+            f"{need} bytes, more than the 1,048,576 bytes") in err
+    assert calls == [] and not any(tmp_path.iterdir())
 
 
 # The (system, scheme, convention mode) runs the convention rule refuses
