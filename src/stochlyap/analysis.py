@@ -1,7 +1,7 @@
 """Runs, analytical oracles and experiment drivers.
 
-``run_one`` makes the run a ``RunSpec`` states (path, spin-up, ``run_nle``)
-under the spec's one convention rule, for every command.  Also the
+``run_one`` makes the run a ``RunSpec`` states under the spec's one
+convention rule: one ``Run`` of both phases, as a sweep row's.  Also the
 exponent-sum identity ``theoretical_sum`` (from ``models``), the Liouville
 trace oracle, the Lorenz boundedness diagnostics, noise-amplitude sweeps
 and convergence series.  ``sweep`` runs a spec over a grid of amplitudes: a
@@ -37,7 +37,6 @@ from .cayley import (
     NleResult,
     finish_nle,
     prepare_nle,
-    run_nle,
 )
 from .integrator import (
     DEFAULT_DT,
@@ -47,7 +46,6 @@ from .integrator import (
     Run,
     Scheme,
     _kernel,
-    spin_up,
 )
 from .models import (
     Convention,
@@ -64,7 +62,6 @@ from .wiener import WienerPath, generate_path
 
 __all__ = [
     "RunSpec",
-    "spun_up",
     "run_one",
     "SweepMode",
     "SweepRow",
@@ -125,37 +122,28 @@ class RunSpec:
                                 allow_convention_mismatch=paper_em)
 
 
-def spun_up(spec: RunSpec, path: WienerPath | None = None):
-    """The system, path (drawn unless given), spin-up end state and
-    integrator config of spec's run, with the wall seconds of its ``path``
-    and ``spin_up`` phases.  ``spin_up`` checks the convention rule."""
-    s = spec.system_def()
-    icfg = spec.integrator_config()
-    t0 = time.perf_counter()
-    if path is None:
-        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
-    t1 = time.perf_counter()
+def _finish(run: Run, seed: int) -> NleResult:
+    """The result of a run that ``advance`` made, or its blow-up naming the
+    phase, system, beta and seed."""
     try:
-        x0 = spin_up(s, path, icfg)
+        return finish_nle(run)
     except BlowUpError as err:
-        raise err.within("spin-up", s, spec.seed) from None
-    return s, path, x0, icfg, {"path": t1 - t0, "spin_up": time.perf_counter() - t1}
+        raise err.within(run.phase, run.s, seed) from None
 
 
 def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, dict]:
-    """spec's run, ``spun_up`` and then ``run_nle``, with the wall seconds
-    of its ``path``, ``spin_up`` and ``engine`` phases."""
-    s, path, x0, icfg, seconds = spun_up(spec, path)
+    """spec's run, one ``Run`` of both phases as a sweep row's: prepared,
+    with every check made, before its path is drawn (unless given),
+    advanced and finished.  Also the wall seconds of the ``path`` phase and
+    of the kernel calls of the ``spin_up`` and ``engine`` phases."""
+    run = prepare_nle(spec.system_def(), spec.integrator_config(), spec.nle_steps, spec.eta,
+                      spec.sample_every)
     t0 = time.perf_counter()
-    try:
-        res = run_nle(s, x0, path, spec.dt, spec.nle_steps, spec.eta,
-                      scheme=icfg.scheme, sample_every=spec.sample_every,
-                      path_offset=spec.spin_up_steps,
-                      allow_convention_mismatch=icfg.allow_convention_mismatch)
-    except BlowUpError as err:
-        raise err.within("exponent phase", s, spec.seed) from None
-    seconds["engine"] = time.perf_counter() - t0
-    return res, seconds
+    if path is None:
+        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
+    seconds = {"path": time.perf_counter() - t0}
+    run.advance(path)
+    return _finish(run, spec.seed), seconds | run.seconds
 
 
 def liouville_oracle(
@@ -236,15 +224,6 @@ class SweepConfig:
     eta: float = DEFAULT_ETA  # validated by sweep; does not change its output
     sample_every: int = 100
     jobs: int = 1  # threads taking rows, the caller's included
-
-
-def _finish(run: Run, seed: int) -> NleResult:
-    """The result of a run that ``advance`` made, or its blow-up naming the
-    phase, system, beta and seed."""
-    try:
-        return finish_nle(run)
-    except BlowUpError as err:
-        raise err.within(run.phase, run.s, seed) from None
 
 
 def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[SweepRow]:

@@ -37,9 +37,9 @@ outside the kernel's loops, per run at 1 + 1 steps (same VM, whose speed
 varies by up to 2x; medians of one session): prepare ~16 us when each run
 has a new beta, as a sweep's do, and ~4 us when the system repeats;
 advance ~18 us, mostly ctypes taking the ndarrays' addresses; finish
-~12 us.  ``analysis.run_one``, a spin-up run and then an exponent-phase
-run, each with its system and config built from the spec, ~53 us when one
-spec repeats.
+~12 us.  ``analysis.run_one``, one such run of both phases with its system
+and config built from the spec, ~74-117 us when one spec repeats (another
+session).
 """
 
 from __future__ import annotations
@@ -49,14 +49,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import smallmat
-from .integrator import (  # REORTH_EVERY and _reorthogonalize: run_nle's loop, named here too
+from .integrator import (
     _EYE,
-    REORTH_EVERY,
     SPIN_UP_STATE,
     IntegratorConfig,
     Run,
     Scheme,
-    _reorthogonalize,
 )
 from .models import (
     SystemDef,

@@ -3,8 +3,9 @@ sweep noise amplitudes and reproduce the pinned reference experiments.
 
 Configuration is a flat ``key = value`` file overridden by command-line
 flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
-directory, run by ``analysis.run_one`` (``spun_up`` for ``simulate``), or
-passed as it is to ``analysis.sweep``, whose rows are the runs ``run_one`` makes.
+directory, run by ``analysis.run_one`` (for ``simulate``, the spin-up and
+then the trajectory of ``integrator``), or passed as it is to
+``analysis.sweep``, whose rows are the runs ``run_one`` makes.
 Every output file carries a metadata header with the resolved config hash
 and the noise generator id, so runs are replayable.
 """
@@ -32,10 +33,11 @@ from .integrator import (
     ConventionMismatchError,
     IntegratorConfig,
     simulate,
+    spin_up,
 )
 from .models import theoretical_sum
 from .smallmat import SingularMatrixError
-from .wiener import GENERATOR_ID
+from .wiener import GENERATOR_ID, generate_path
 
 __all__ = ["RunConfig", "main"]
 
@@ -223,12 +225,15 @@ def _series_bytes(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_memory(cfg, 24 * (cfg.nle_steps + 1))  # the trajectory
-    s, path, x0, icfg, _ = analysis.spun_up(cfg)
-    traj_cfg = dataclasses.replace(icfg, n_steps=cfg.nle_steps)
+    s, icfg, phase = cfg.system_def(), cfg.integrator_config(), "spin-up"
     try:
-        traj = simulate(s, x0, path, traj_cfg, offset=cfg.spin_up_steps)
+        path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+        x0 = spin_up(s, path, icfg)
+        phase = "trajectory"
+        traj = simulate(s, x0, path, dataclasses.replace(icfg, n_steps=cfg.nle_steps),
+                        offset=cfg.spin_up_steps)
     except BlowUpError as err:
-        raise err.within("trajectory", s, cfg.seed) from None
+        raise err.within(phase, s, cfg.seed) from None
     out = _out_path(cfg, "trajectory.csv", args.output)
     _write_csv(out, cfg, "t,x,y,z", traj, cfg.dt)
     _say(f"wrote {out} ({traj.shape[0]} states)",

@@ -27,11 +27,11 @@ loaded with ctypes.  Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
 Every run is a ``Run`` in three pieces: prepared (the checks, the ``Sys``
 block and the buffers), advanced (its kernel calls, which record a state
 failing the bound instead of raising) and finished.  ``simulate`` and
-``spin_up`` are one each, ``cayley.run_nle`` is another, and a sweep
-prepares and finishes its runs on the calling thread and advances them on
-others.  Per call, ``spin_up`` spends ~12-26 us of Python around its kernel
-call (1 step; the VM's speed varies by up to 2x); ``cayley`` gives a run's
-whole fixed cost.
+``spin_up`` are one each, ``cayley.run_nle`` and ``analysis.run_one`` one
+more each, and a sweep prepares and finishes its runs on the calling thread
+and advances them on others.  Per call, ``spin_up`` spends ~12-26 us of
+Python around its kernel call (1 step; the VM's speed varies by up to 2x);
+``cayley`` gives a run's whole fixed cost.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import hashlib
 import os
 import tempfile
+import time
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -426,7 +427,7 @@ class Run:
         self.state = _START.copy()  # x, Q and rho in one buffer, at one address
         self.state[:3] = x0
         self.series = np.empty((-(-n_steps // sample_every), 4))
-        self.failed, self.phase, self.w_terminal = -1, "", 0.0
+        self.failed, self.phase, self.w_terminal, self.seconds = -1, "", 0.0, {}
 
     def advance(self, path: WienerPath) -> None:
         """The run's kernel calls on path: ``base_loop`` for the spin-up,
@@ -434,14 +435,18 @@ class Run:
         re-orthogonalised after each full call.  A state failing the bound
         ends the run and is recorded, not raised: ``failed`` is its step
         within ``phase``, "spin-up" or "exponent phase".  ``w_terminal`` is
-        W_T, the sum of the exponent phase's increments."""
+        W_T, the sum of the exponent phase's increments, and ``seconds`` the
+        wall seconds of the ``base_loop`` call ("spin_up") and of the
+        ``frame_loop`` calls with their re-orthogonalisations ("engine")."""
         kernel, state, spin = _kernel(), self.state, self.spin_up_steps
         inc = path.window(self.offset, spin + self.n_steps)
+        t0 = time.perf_counter()
         if spin:  # none in run_nle's runs: skip the call's ctypes conversions
             self.failed = kernel.base_loop(self.args, self.heun, state[:3], inc, spin, self.out)
             if self.failed >= 0:
                 self.phase = "spin-up"
                 return
+        t1 = time.perf_counter()
         inc = inc[spin:]
         for lo in range(0, self.n_steps, REORTH_EVERY):
             hi = min(lo + REORTH_EVERY, self.n_steps)
@@ -452,6 +457,7 @@ class Run:
                 return
             if hi % REORTH_EVERY == 0:
                 state[3:12] = _reorthogonalize(state[3:12].reshape(3, 3)).ravel()
+        self.seconds = {"spin_up": t1 - t0, "engine": time.perf_counter() - t1}
         self.w_terminal = float(inc.sum())
 
     def end_state(self) -> np.ndarray:

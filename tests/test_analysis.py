@@ -153,6 +153,18 @@ class TestRunOneEqualsItsPhases:
         assert bits(got) == bits(want)
         assert np.array_equal(x0, spin_up(s, path, icfg))  # run_nle left x0 alone
 
+    @pytest.mark.parametrize("change, message", [
+        ({"nle_steps": 0}, "n_steps must be >= 1, got 0"),
+        ({"eta": 1.0}, "eta must lie in (0, 1), got 1.0"),
+        ({"system": "fd", "scheme": "heun"}, "heun expects a stratonovich system, got ito"),
+    ], ids=["nle-steps", "eta", "paper-mode-heun"])
+    def test_checks_before_any_path(self, change, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_one(RunSpec(**{"spin_up_steps": 10, "nle_steps": 10, **change}))
+        assert calls == []
+
 
 def loop_oracle(s, traj, path, offset):
     """The oracle as a per-step loop over the pre-step states."""
@@ -452,9 +464,9 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checks_sizes_before_any_work(self, field, value, message, jobs, monkeypatch):
         calls = []
-        for name in ("spin_up", "generate_path"):
-            real = getattr(analysis, name)
-            monkeypatch.setattr(analysis, name,
+        for owner, name in ((analysis.Run, "advance"), (analysis, "generate_path")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
         monkeypatch.setattr(analysis.threading, "Thread",
                             lambda *a, **k: calls.append("thread"))

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 import stochlyap
 from stochlyap.cayley import (
-    REORTH_EVERY,
     CayleyState,
     _increment_at,
-    _reorthogonalize,
     conjugated_jacobians,
     exponents_from_rho,
     inverse_cayley,
@@ -19,12 +17,14 @@ from stochlyap.cayley import (
     step_k_rho,
 )
 from stochlyap.integrator import (
+    REORTH_EVERY,
     SPIN_UP_STATE,
     BlowUpError,
     IntegratorConfig,
     Scheme,
     _float_steps,
     _kernel_args,
+    _reorthogonalize,
     _rotate,
     simulate,
     spin_up,

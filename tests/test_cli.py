@@ -339,7 +339,7 @@ class TestNumericalFailure:
         def singular(*args, **kwargs):
             raise SingularMatrixError("QR diagonal entry below 1e-14")
 
-        monkeypatch.setattr(analysis, "run_nle", singular)
+        monkeypatch.setattr(analysis, "finish_nle", singular)
         code, _, err = run(["nle"] + SMALL, capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
@@ -654,6 +654,15 @@ class TestNle:
             assert (want_kernel, got_kernel) == ("c", "python")
         assert got == want and want[2]
 
+    def test_one_run_of_both_phases(self, tmp_path, capsys, monkeypatch):
+        # the spin-up and the exponent phase are one Run, as a sweep row's
+        calls, real = [], integrator.Run.__init__
+        monkeypatch.setattr(integrator.Run, "__init__",
+                            lambda run, *a, **k: calls.append(a) or real(run, *a, **k))
+        code, _, err = run(["nle", "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert len(calls) == 1
+
     def test_convergence_csv_shape(self, tmp_path, capsys):
         conv = tmp_path / "conv.csv"
         run(["nle", "--output", str(conv),
@@ -663,7 +672,7 @@ class TestNle:
         assert len(lines) == 3 + 10  # 500 steps sampled every 50
 
     def test_rows_are_shortest_round_trip_reprs(self, tmp_path, capsys, monkeypatch, kernel):
-        results = returns_of(monkeypatch, "run_nle", analysis)
+        results = returns_of(monkeypatch, "finish_nle", analysis)
         conv = tmp_path / "conv.csv"
         # 1050 rows: one block of 1024 and part of the next
         code, _, err = run(["nle", "--system", "fd", "--spin-up-steps", "100",
