@@ -1,7 +1,8 @@
 """Runs, analytical oracles and experiment drivers.
 
 ``run_one`` makes the run a ``RunSpec`` states under the spec's one
-convention rule: one ``Run`` of both phases, as a sweep row's.  Also the
+convention rule: one ``Run`` of both phases, as a sweep row's, whose
+blow-up names its phase and path (``Run.end_state``).  Also the
 exponent-sum identity ``theoretical_sum`` (from ``models``), the Liouville
 trace oracle, the Lorenz boundedness diagnostics, noise-amplitude sweeps
 and convergence series.  ``sweep`` runs a spec over a grid of amplitudes: a
@@ -41,21 +42,17 @@ from .cayley import (
 from .integrator import (
     DEFAULT_DT,
     DEFAULT_SPIN_UP_STEPS,
-    BlowUpError,
     IntegratorConfig,
-    Run,
     Scheme,
     _kernel,
 )
 from .models import (
     Convention,
     LorenzParams,
+    NoiseKind,
     SystemDef,
     _traces,
     convert_convention,
-    deterministic_lorenz,
-    fd_lorenz,
-    salt_lorenz,
     theoretical_sum,
 )
 from .wiener import WienerPath, generate_path
@@ -76,6 +73,11 @@ __all__ = [
     "fit_fd_sum",
     "convergence_series",
 ]
+
+
+# RunSpec's choice fields and their values, as the command line offers them
+CHOICES = {"system": ("deterministic", "salt", "fd"), "scheme": tuple(s.value for s in Scheme),
+           "convention_mode": ("paper", "stratonovich-strict")}
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,16 @@ class RunSpec:
     def params(self) -> LorenzParams:
         return LorenzParams(self.sigma, self.r, self.b)
 
+    def check_choices(self) -> None:
+        """Refuse a choice field's unknown value, in the command line's words."""
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+
     def system_def(self) -> SystemDef:
-        if self.system == "deterministic":
-            s = deterministic_lorenz(self.params())
-        else:
-            factory = salt_lorenz if self.system == "salt" else fd_lorenz
-            s = factory(self.params(), self.beta)
+        self.check_choices()
+        kind = NoiseKind.NONE if self.system == "deterministic" else NoiseKind(self.system)
+        s = SystemDef(self.params(), kind, 0.0 if kind is NoiseKind.NONE else self.beta)
         if self.convention_mode == "stratonovich-strict":
             s = convert_convention(s, Convention.STRATONOVICH)
         return s
@@ -122,15 +128,6 @@ class RunSpec:
                                 allow_convention_mismatch=paper_em)
 
 
-def _finish(run: Run, seed: int) -> NleResult:
-    """The result of a run that ``advance`` made, or its blow-up naming the
-    phase, system, beta and seed."""
-    try:
-        return finish_nle(run)
-    except BlowUpError as err:
-        raise err.within(run.phase, run.s, seed) from None
-
-
 def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, dict]:
     """spec's run, one ``Run`` of both phases as a sweep row's: prepared,
     with every check made, before its path is drawn (unless given),
@@ -143,7 +140,7 @@ def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, d
         path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
     seconds = {"path": time.perf_counter() - t0}
     run.advance(path)
-    return _finish(run, spec.seed), seconds | run.seconds
+    return finish_nle(run), seconds | run.seconds
 
 
 def liouville_oracle(
@@ -299,7 +296,7 @@ def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[Swee
     for i, (beta, seed) in enumerate(zip(betas, seeds)):
         if i in errors:
             raise errors[i]
-        salt, fd = (_finish(run, seed) for run in runs[i])
+        salt, fd = (finish_nle(run) for run in runs[i])
         rows.append(SweepRow(beta=beta, seed=seed, sum_salt=salt.sum, sum_fd=fd.sum,
                              w_T_over_T=fd.w_terminal / fd.t_final))
     return sorted(rows, key=lambda row: row.beta)

@@ -3,11 +3,11 @@ sweep noise amplitudes and reproduce the pinned reference experiments.
 
 Configuration is a flat ``key = value`` file overridden by command-line
 flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
-directory, run by ``analysis.run_one`` (for ``simulate``, the spin-up and
-then the trajectory of ``integrator``), or passed as it is to
-``analysis.sweep``, whose rows are the runs ``run_one`` makes.
-Every output file carries a metadata header with the resolved config hash
-and the noise generator id, so runs are replayable.
+directory, run by ``analysis.run_one`` (``simulate``: a spin-up ``Run``,
+checked before any path is drawn, then ``integrator.simulate``) or passed
+to ``analysis.sweep``, whose rows are ``run_one``'s runs; a run names its
+own blow-up.  Every output file carries a metadata header with the
+resolved config hash and the noise generator id, so runs are replayable.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .integrator import (
     ConventionMismatchError,
     IntegratorConfig,
     simulate,
-    spin_up,
 )
 from .models import theoretical_sum
 from .smallmat import SingularMatrixError
@@ -55,11 +54,9 @@ class ConfigError(ValueError):
 
 # Each RunConfig field's flag options beyond its type; validate checks the choices.
 _FLAG_OPTIONS = {
-    "system": {"choices": ["deterministic", "salt", "fd"]},
+    **{name: {"choices": list(choices)} for name, choices in analysis.CHOICES.items()},
     "eta": {"help": "restart threshold in (0, 1) of the K/eta reference stepper; the "
                     "engine restarts after every step, so eta does not change the exponents"},
-    "scheme": {"choices": ["euler-maruyama", "heun"]},
-    "convention_mode": {"choices": ["paper", "stratonovich-strict"]},
 }
 _CONVERTERS = {"int": int, "float": float}
 
@@ -71,9 +68,7 @@ class RunConfig(analysis.RunSpec):
     outdir: str = "."
 
     def validate(self) -> None:
-        for name, options in _FLAG_OPTIONS.items():
-            if "choices" in options and getattr(self, name) not in options["choices"]:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        self.check_choices()
         for name in ("sigma", "r", "b", "beta", "dt", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -225,15 +220,12 @@ def _series_bytes(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_memory(cfg, 24 * (cfg.nle_steps + 1))  # the trajectory
-    s, icfg, phase = cfg.system_def(), cfg.integrator_config(), "spin-up"
-    try:
-        path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
-        x0 = spin_up(s, path, icfg)
-        phase = "trajectory"
-        traj = simulate(s, x0, path, dataclasses.replace(icfg, n_steps=cfg.nle_steps),
-                        offset=cfg.spin_up_steps)
-    except BlowUpError as err:
-        raise err.within(phase, s, cfg.seed) from None
+    s, icfg = cfg.system_def(), cfg.integrator_config()
+    run = integrator.Run(s, icfg)  # the spin-up, checked before its path is drawn
+    path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+    run.advance(path)
+    traj = simulate(s, run.end_state(), path, dataclasses.replace(icfg, n_steps=cfg.nle_steps),
+                    offset=cfg.spin_up_steps)
     out = _out_path(cfg, "trajectory.csv", args.output)
     _write_csv(out, cfg, "t,x,y,z", traj, cfg.dt)
     _say(f"wrote {out} ({traj.shape[0]} states)",

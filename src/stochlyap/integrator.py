@@ -98,8 +98,8 @@ class Scheme(Enum):
 class BlowUpError(RuntimeError):
     """A state failed the bound max|x| <= 1e100 (NaN fails it too).
 
-    ``within`` names the phase and trajectory in ``context`` and in the
-    fields ``phase``, ``system`` (the noise kind), ``beta`` and ``seed``.
+    A run's error (``Run.end_state``, by ``within``) names the phase,
+    system (noise kind), beta and seed in ``context`` and in fields so named.
     """
 
     def __init__(self, step_index: int, state: np.ndarray, context: str = ""):
@@ -412,7 +412,7 @@ class Run:
     - prepare, the constructor: the convention rule, the ``Sys`` block and
       the (x, Q, rho) buffer ``state`` and the rho series;
     - kernel, ``advance``: the kernel calls;
-    - finish: ``end_state``, or ``cayley``'s exponents."""
+    - finish: ``end_state`` or ``cayley``'s exponents, else a named blow-up."""
 
     def __init__(self, s: SystemDef, cfg: IntegratorConfig, x0=SPIN_UP_STATE, offset: int = 0,
                  n_steps: int = 0, sample_every: int = 1, out: np.ndarray | None = None):
@@ -430,21 +430,23 @@ class Run:
         self.failed, self.phase, self.w_terminal, self.seconds = -1, "", 0.0, {}
 
     def advance(self, path: WienerPath) -> None:
-        """The run's kernel calls on path: ``base_loop`` for the spin-up,
-        then ``frame_loop`` once per ``REORTH_EVERY`` steps, with Q
-        re-orthogonalised after each full call.  A state failing the bound
-        ends the run and is recorded, not raised: ``failed`` is its step
-        within ``phase``, "spin-up" or "exponent phase".  ``w_terminal`` is
-        W_T, the sum of the exponent phase's increments, and ``seconds`` the
-        wall seconds of the ``base_loop`` call ("spin_up") and of the
-        ``frame_loop`` calls with their re-orthogonalisations ("engine")."""
+        """The run's kernel calls on path, whose ``seed`` it records:
+        ``base_loop`` for the spin-up, then ``frame_loop`` once per
+        ``REORTH_EVERY`` steps, with Q re-orthogonalised after each full
+        call.  A state failing the bound ends the run and is recorded, not
+        raised: ``failed`` is its step within ``phase``, "spin-up" (with out,
+        "trajectory") or "exponent phase".  ``w_terminal`` is W_T, the sum of
+        the exponent phase's increments, and ``seconds`` the wall seconds of
+        the ``base_loop`` call ("spin_up") and of the ``frame_loop`` calls
+        with their re-orthogonalisations ("engine")."""
         kernel, state, spin = _kernel(), self.state, self.spin_up_steps
+        self.seed = path.seed
         inc = path.window(self.offset, spin + self.n_steps)
         t0 = time.perf_counter()
         if spin:  # none in run_nle's runs: skip the call's ctypes conversions
             self.failed = kernel.base_loop(self.args, self.heun, state[:3], inc, spin, self.out)
             if self.failed >= 0:
-                self.phase = "spin-up"
+                self.phase = "spin-up" if self.out is None else "trajectory"
                 return
         t1 = time.perf_counter()
         inc = inc[spin:]
@@ -462,9 +464,10 @@ class Run:
 
     def end_state(self) -> np.ndarray:
         """The finish: a copy of x at the end of the run, or the
-        ``BlowUpError`` of the step that failed the bound."""
+        ``BlowUpError`` of the step that failed the bound, naming the run."""
         if self.failed >= 0:
-            raise BlowUpError(self.failed, self.state[:3].copy())
+            err = BlowUpError(self.failed, self.state[:3].copy())
+            raise err.within(self.phase, self.s, self.seed)
         return self.state[:3].copy()
 
 

@@ -157,13 +157,21 @@ class TestRunOneEqualsItsPhases:
         ({"nle_steps": 0}, "n_steps must be >= 1, got 0"),
         ({"eta": 1.0}, "eta must lie in (0, 1), got 1.0"),
         ({"system": "fd", "scheme": "heun"}, "heun expects a stratonovich system, got ito"),
-    ], ids=["nle-steps", "eta", "paper-mode-heun"])
+        ({"system": "salt", "convention_mode": "Paper"}, "unknown convention_mode 'Paper'"),
+    ], ids=["nle-steps", "eta", "paper-mode-heun", "unknown-mode"])
     def test_checks_before_any_path(self, change, message, monkeypatch):
         calls = []
         monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match=re.escape(message)):
             run_one(RunSpec(**{"spin_up_steps": 10, "nle_steps": 10, **change}))
         assert calls == []
+
+    @pytest.mark.parametrize("field, value", [("system", "SALT"), ("scheme", "rk4"),
+                                              ("convention_mode", "ito")])
+    def test_unknown_choice_is_refused(self, field, value):
+        # in the command line's words, not run as another choice
+        with pytest.raises(ValueError, match=f"^unknown {field} {value!r}$"):
+            RunSpec(**{field: value}).system_def()
 
 
 def loop_oracle(s, traj, path, offset):
@@ -407,7 +415,7 @@ class TestSweep:
     def test_sweep_checks_betas_and_jobs_before_any_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append("path"))
-        monkeypatch.setattr(analysis.Run, "__init__", lambda *a: calls.append("prepare"))
+        monkeypatch.setattr(integrator.Run, "__init__", lambda *a: calls.append("prepare"))
         monkeypatch.setattr(analysis.threading, "Thread", lambda *a, **k: calls.append("thread"))
         spec = RunSpec(spin_up_steps=10, nle_steps=10)
         with pytest.raises(ValueError, match="^betas must be nonempty$"):
@@ -464,7 +472,7 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checks_sizes_before_any_work(self, field, value, message, jobs, monkeypatch):
         calls = []
-        for owner, name in ((analysis.Run, "advance"), (analysis, "generate_path")):
+        for owner, name in ((integrator.Run, "advance"), (analysis, "generate_path")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
@@ -596,13 +604,13 @@ class TestFanOut:
     @staticmethod
     def recording_runs(monkeypatch):
         runs = []
-        real = analysis.Run.advance
+        real = integrator.Run.advance
 
         def advance(run, path):
             runs.append((threading.current_thread(), run.s.kind.value, run.s.beta))
             return real(run, path)
 
-        monkeypatch.setattr(analysis.Run, "advance", advance)
+        monkeypatch.setattr(integrator.Run, "advance", advance)
         return runs
 
     CFG = SweepConfig(spin_up_steps=50, nle_steps=100, sample_every=10)
@@ -648,7 +656,7 @@ class TestFanOut:
             helper_busy.set()
             assert joining.wait(timeout=60)
 
-        monkeypatch.setattr(analysis.Run, "advance", advance)
+        monkeypatch.setattr(integrator.Run, "advance", advance)
         with pytest.raises(KeyboardInterrupt):
             sweep_beta(np.array([0.1, 0.2, 0.3, 0.4]), SweepMode.FIXED_PATH, 3,
                        dataclasses.replace(self.CFG, jobs=2))

@@ -259,15 +259,22 @@ class TestRunNle:
                              ids=["em", "heun"])
     def test_blow_up_step_matches_base_trajectory(self, scheme, short_path):
         # dt = 0.5 overflows the FD state; the engine's base step fails where
-        # simulate does, and a NaN start fails at step 0
+        # simulate does, each error (spin_up's too) names its phase and path,
+        # and a NaN start fails at step 0
         s, x0 = fd_lorenz(beta=0.5), np.array([1.0, 2.0, 3.0])
         path = generate_path(3, 200, 0.5)
         cfg = IntegratorConfig(scheme, 0.5, 200, allow_convention_mismatch=True)
+        with pytest.raises(BlowUpError) as spun:
+            spin_up(s, path, cfg)
         with pytest.raises(BlowUpError) as base:
             simulate(s, x0, path, cfg)
         with pytest.raises(BlowUpError) as engine:
             run_nle(s, x0, path, 0.5, 200, scheme=scheme, allow_convention_mismatch=True)
         assert engine.value.step_index == base.value.step_index > 0
+        for exc, phase in ((spun, "spin-up"), (base, "trajectory"), (engine, "exponent phase")):
+            err = exc.value
+            assert err.context == f"the {phase} (fd, beta=0.5, seed=3)"
+            assert (err.phase, err.system, err.beta, err.seed) == (phase, "fd", 0.5, 3)
         with pytest.raises(BlowUpError) as exc:
             run_nle(s, np.array([1.0, float("nan"), 3.0]), short_path, 0.001, 10,
                     scheme=scheme, allow_convention_mismatch=True)
@@ -519,6 +526,47 @@ class TestStructuralZeros:
     def test_correction_vanishes_where_the_frame_step_skips_it(self, s):
         k = jacobian_correction(s)
         assert [k[0, 2], k[1, 0], k[1, 2], k[2, 0], k[2, 1]] == [0.0] * 5
+
+
+# FD below the convection threshold on the default protocol, on the compiled
+# kernel over the grid and on its Python twin at one point of it
+CLOSED_FORM_CASES = [("c", r, beta, seed, strict) for r in (0.5, 0.9) for beta in (0.0, 0.5, 1.0)
+                     for seed in (1, 2, 3) for strict in (False, True)]
+CLOSED_FORM_CASES.append(("python", 0.5, 0.5, 1, False))
+
+
+class TestClosedFormBelowConvection:
+    """For r < 1 every trajectory falls into the origin, where both noises
+    vanish and the variational equation has the constant drift Jacobian A =
+    Df0(0).  FD's Df1 = beta I commutes with A, so over a window of length
+    tau, with W the path's increment over it, the exponents are mu_i +
+    beta W / tau in paper mode (the algorithm's rho increment has no Ito
+    term) and mu_i - beta^2 / 2 + beta W / tau in strict Heun, mu being A's
+    eigenvalues (-(sigma + 1) +- sqrt((sigma - 1)^2 + 4 sigma r)) / 2 and
+    -b.  The window is the rho series' second half, after the frame has
+    turned to A's eigenvectors.  Worst errors measured: 2.65e-10 at r = 0.9,
+    beta = 0, and 3.2e-12 for beta > 0."""
+
+    @pytest.mark.parametrize("kernel, r, beta, seed, strict", CLOSED_FORM_CASES,
+                             indirect=["kernel"])
+    def test_fd_exponents_over_the_second_half(self, kernel, r, beta, seed, strict):
+        dt, n_spin, n = 0.001, 50_000, 100_000
+        p = LorenzParams(r=r)
+        s, scheme = fd_lorenz(p, beta), Scheme.HEUN if strict else Scheme.EULER_MARUYAMA
+        if strict:
+            s = convert_convention(s, Convention.STRATONOVICH)
+        path = generate_path(seed, n_spin + n, dt)
+        x0 = spin_up(s, path, IntegratorConfig(scheme, dt, n_spin))
+        res = run_nle(s, x0, path, dt, n, scheme=scheme, path_offset=n_spin)
+        series, tau = res.rho_series, n // 2 * dt
+        mid, end = series[n // 2 // 100 - 1], series[-1]  # sampled every 100 steps
+        assert (mid[0], end[0]) == (tau, 2 * tau)
+        got = np.sort((end[1:] - mid[1:]) / tau)
+        w = float(path.increments[n_spin + n // 2:].sum())
+        root = np.sqrt((p.sigma - 1) ** 2 + 4 * p.sigma * r)
+        mu = np.sort([(-(p.sigma + 1) - root) / 2, -p.b, (-(p.sigma + 1) + root) / 2])
+        want = mu - (beta**2 / 2 if strict else 0.0) + beta * w / tau
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_package_attribute_is_engine_module():

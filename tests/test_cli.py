@@ -374,7 +374,7 @@ class TestNumericalFailure:
     ], ids=["spin-up", "exponent-phase"])
     def test_sweep_stops_at_the_first_failing_row(self, argv, phase, want, tmp_path,
                                                   capsys, monkeypatch):
-        calls, real = [], analysis.Run.advance
+        calls, real = [], integrator.Run.advance
 
         def advance(run, path):
             # a run's kernel calls: the spin-up, then the exponent phase unless
@@ -384,7 +384,7 @@ class TestNumericalFailure:
             if run.phase != "spin-up":
                 calls.append(("run_nle", run.s.kind.value, run.s.beta))
 
-        monkeypatch.setattr(analysis.Run, "advance", advance)
+        monkeypatch.setattr(integrator.Run, "advance", advance)
         code, _, err = run(argv + ["--jobs", "1", "--outdir", str(tmp_path)], capsys)
         assert code == EXIT_NUMERICAL
         assert f"of the {phase} (salt, beta={want[-1][2]}, seed=" in err
@@ -792,13 +792,17 @@ class TestSweep:
             assert theory == pytest.approx(trace + 3 * beta * w_over_t - 1.5 * beta**2,
                                            abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["fixed", "fresh"])
-    def test_paper_mode_heun_is_refused_before_any_path(self, mode, tmp_path, capsys,
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--count", "3", "--mode", "fixed"], ["sweep", "--count", "3", "--mode", "fresh"],
+        ["simulate", "--system", "fd"], ["nle", "--system", "fd"],
+    ], ids=["fixed", "fresh", "simulate", "nle"])
+    def test_paper_mode_heun_is_refused_before_any_path(self, argv, tmp_path, capsys,
                                                         monkeypatch):
         calls = []
-        monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append(a))
-        code, _, err = run(["sweep", "--count", "3", "--mode", mode, "--scheme", "heun",
-                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        for owner in (analysis, cli):
+            monkeypatch.setattr(owner, "generate_path", lambda *a: calls.append(a))
+        code, _, err = run(argv + ["--scheme", "heun", "--outdir", str(tmp_path)] + SMALL,
+                           capsys)
         assert code == EXIT_CONFIG
         assert "configuration error" in err and "--convention-mode stratonovich-strict" in err
         assert calls == [] and not any(tmp_path.iterdir())
