@@ -1,24 +1,24 @@
 /* The CSV float formatter of stochlyap: rows of doubles written as Python's
    repr writes them.  The digits are the shortest that round-trip (of those,
    the closest to the value, ties to even); the layout is float.__repr__'s:
-   positional for 1e-4 <= |x| < 1e16, with ".0" after an integral value,
+   fixed-point for 1e-4 <= |x| < 1e16, with ".0" after an integral value,
    otherwise d.ddde+XX with at least two exponent digits; NaN of either sign
-   is "nan".  At most 24 characters a value.  Where unsigned __int128 exists
-   (GCC and Clang on 64-bit targets), the positional range takes an exact
-   integer path, ``shortest``; every other value (the zeros, subnormals, inf
-   and nan among them), and every value without __int128, takes
-   std::to_chars (C++17, libstdc++ >= 11), to the same bytes. */
+   is "nan".  At most 24 characters a value.  The fixed-point range takes an
+   exact integer path on unsigned __int128, ``shortest``; nan, the zeros and
+   inf are written directly, and every other value (subnormals among them)
+   is std::to_chars's scientific form.  Needs GCC or Clang on a 64-bit target
+   (for __int128) and C++17 floating-point to_chars (libstdc++ >= 11). */
 
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 
-#ifdef __GNUC__
-#define INLINE inline __attribute__((always_inline))
-#else
-#define INLINE inline
+#ifndef __SIZEOF_INT128__
+#error "the formatter needs unsigned __int128 (GCC or Clang on a 64-bit target)"
 #endif
+
+#define INLINE inline __attribute__((always_inline))
 
 namespace {
 
@@ -28,28 +28,6 @@ char *put(char *out, const char *s, long n)
     return out + n;
 }
 
-/* the n digits at d (readable to d + 32) times 10^(e + 1 - n), -4 <= e < 16,
-   positionally at out by fixed-width copies (out has 40 bytes of room);
-   returns its end */
-char *positional(const char *d, long n, int e, char *out)
-{
-    if (e < 0) { /* "0.", -e - 1 zeros, the digits */
-        std::memcpy(out, "0.000", 5);
-        std::memcpy(out + 1 - e, d, 17);
-        return out + n + 1 - e;
-    }
-    std::memcpy(out, d, 16);
-    if (e + 1 < n) { /* e + 1 digits, the point, the others */
-        out[e + 1] = '.';
-        std::memcpy(out + e + 2, d + e + 1, 16);
-        return out + n + 1;
-    }
-    std::memset(out + n, '0', 16); /* the digits, e + 1 - n zeros, ".0" */
-    std::memcpy(out + e + 1, ".0", 2);
-    return out + e + 3;
-}
-
-#ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 struct Fives { /* 2 * 5^0 ... 2 * 5^20 */
     uint64_t v[21];
@@ -132,37 +110,24 @@ INLINE char *shortest(double x, char *out)
     std::memcpy(out + e + 1, ".0", 2); /* the digits, zeros to the point, ".0" */
     return out + e + 3;
 }
-#endif
 
 /* repr(x) at out (40 bytes of room); returns its end */
 INLINE char *repr(double x, char *out)
 {
-#ifdef __SIZEOF_INT128__
     double a = std::fabs(x);
     if (a >= 1e-4 && a < 1e16) {
         *out = '-';
         return shortest(a, out + std::signbit(x));
     }
-#endif
     if (std::isnan(x))
         return put(out, "nan", 3);
     if (std::signbit(x))
         *out++ = '-';
-    x = std::fabs(x);
-    if (std::isinf(x))
+    if (a == 0.0)
+        return put(out, "0.0", 3);
+    if (std::isinf(a))
         return put(out, "inf", 3);
-    char buf[48] = {};
-    int e = 0;
-    const char *end = std::to_chars(buf, buf + 32, x, std::chars_format::scientific).ptr;
-    const char *p = std::strchr(buf, 'e'); /* d[.ddd]e-XX */
-    std::from_chars(p + 1 + (p[1] == '+'), end, e);
-    if (e < -4 || e >= 16)
-        return put(out, buf, end - buf); /* as repr writes it */
-    long n = 0; /* the digits, to the front of buf */
-    for (const char *q = buf; q < p; ++q)
-        if (*q != '.')
-            buf[n++] = *q;
-    return positional(buf, n, e, out);
+    return std::to_chars(out, out + 32, a, std::chars_format::scientific).ptr;
 }
 
 } // namespace

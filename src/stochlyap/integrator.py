@@ -263,7 +263,7 @@ def step(s: SystemDef, x: np.ndarray, dW: float, cfg: IntegratorConfig) -> np.nd
     base_step, bounded, _, _ = _float_steps(_kernel_args(s, cfg.dt))
     y = base_step(cfg.scheme is Scheme.HEUN, *np.asarray(x, dtype=float).tolist(), float(dW))[1]
     if not bounded(*y):
-        raise BlowUpError(-1, np.array(y))
+        raise BlowUpError(0, np.array(y))
     return np.array(y)
 
 
@@ -278,11 +278,11 @@ class _Array:
 
 def _load_kernel():
     """Build ``_KERNEL_SOURCES`` once per sources and command into
-    ``_KERNEL_CACHE`` and load the library; None where a source or the
-    compiler is missing, the build fails or the cache directory is not
-    writable.  The library is written to a temporary file beside its name
-    and moved there, so concurrent builds do not race; after a build the
-    cache's other libraries are deleted, where that can be done."""
+    ``_KERNEL_CACHE`` and load the library; None where a source, the
+    compiler, libstdc++ >= 11 or ``unsigned __int128`` is missing, the build
+    fails or the cache directory is not writable.  The library is written to
+    a temporary file beside its name and moved there, so concurrent builds
+    do not race; after a build the cache's other libraries are deleted."""
     command = [_CC, *_CFLAGS]
     try:
         key = hashlib.sha256(" ".join([*command, *_LIBS]).encode())

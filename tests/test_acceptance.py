@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from stochlyap.analysis import (
+    RunSpec,
     SweepConfig,
     SweepMode,
     ellipsoid_residual,
     fit_fd_sum,
     liouville_oracle,
     lyapunov_function,
+    run_one,
     sweep_beta,
     theoretical_sum,
 )
@@ -98,6 +100,21 @@ def test_criterion_2_alternate_parameter_spectrum(table2_result):
     report(2, "deterministic spectrum, sigma=16 r=45.92 b=4", sum_ok and l1_ok)
     assert sum_ok, f"sum {res.sum}"
     assert l1_ok, f"lambda1 {res.lambdas[0]}"
+
+
+@pytest.mark.parametrize("params, l1, l1_tol, l3", [
+    ((10.0, 28.0, 8.0 / 3.0), 0.9056, 0.005, -14.5723),  # Sprott (2003)
+    ((16.0, 45.92, 4.0), 1.50, 0.015, None),  # Wolf et al. (1985), two decimals
+])
+def test_deterministic_spectrum_to_the_literature_under_heun(params, l1, l1_tol, l3):
+    # Heun at dt = 5e-4 over T = 1000 meets the literature spectra to ~1e-3, and
+    # lambda_2 = 0 exactly for a flow whose attractor is not a fixed point
+    sigma, r, b = params
+    res, _ = run_one(RunSpec(system="deterministic", sigma=sigma, r=r, b=b, scheme="heun",
+                             dt=5e-4, nle_steps=2_000_000))
+    assert abs(res.lambdas[0] - l1) <= l1_tol, f"lambda1 {res.lambdas[0]}"
+    assert abs(res.lambdas[1]) <= 0.005, f"lambda2 {res.lambdas[1]}"
+    assert l3 is None or abs(res.lambdas[2] - l3) <= 0.005, f"lambda3 {res.lambdas[2]}"
 
 
 def test_criterion_3_transport_noise_sum_invariance():

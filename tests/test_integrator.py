@@ -80,8 +80,10 @@ class TestStep:
 
     def test_blow_up_raises(self):
         s = deterministic_lorenz()
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError) as raised:
             step(s, np.array([1e80, 1e80, 1e80]), 0.0, cfg())
+        assert raised.value.step_index == 0  # the one step, numbered as base_loop numbers steps
+        assert "at step 0:" in str(raised.value)
 
 
 def numpy_em(s, x, dw, dt):

@@ -67,8 +67,8 @@ def test_random_bit_patterns():
     assert mismatch(bits.view(np.float64)) is None
 
 
-# Every double with 1e-4 <= |x| < 1e16 takes the formatter's exact integer path
-# where the compiler has __int128; the tests below cover that range.
+# Every double with 1e-4 <= |x| < 1e16 takes the formatter's exact integer path,
+# and every other one std::to_chars; the tests below cover the integer path.
 
 
 def test_random_bit_patterns_of_the_positional_range():
