@@ -59,6 +59,7 @@ from .wiener import WienerPath, generate_path
 
 __all__ = [
     "RunSpec",
+    "run_path",
     "run_one",
     "SweepMode",
     "SweepRow",
@@ -128,16 +129,29 @@ class RunSpec:
                                 allow_convention_mismatch=paper_em)
 
 
+def run_path(spec: RunSpec, s: SystemDef) -> WienerPath:
+    """The path of spec's run of system s, spin-up and exponent phase: drawn
+    from spec.seed, or for a noise-free s (beta 0) zero increments, which s
+    multiplies by zero as it would a drawn path's, at the cost of neither a
+    draw nor resident memory (np.zeros is calloc'd)."""
+    n = spec.spin_up_steps + spec.nle_steps
+    if s.beta == 0.0:
+        return WienerPath(spec.seed, spec.dt, np.zeros(n))
+    return generate_path(spec.seed, n, spec.dt)
+
+
 def run_one(spec: RunSpec, path: WienerPath | None = None) -> tuple[NleResult, dict]:
     """spec's run, one ``Run`` of both phases as a sweep row's: prepared,
-    with every check made, before its path is drawn (unless given),
-    advanced and finished.  Also the wall seconds of the ``path`` phase and
-    of the kernel calls of the ``spin_up`` and ``engine`` phases."""
-    run = prepare_nle(spec.system_def(), spec.integrator_config(), spec.nle_steps, spec.eta,
-                      spec.sample_every)
+    with every check made, before its path is made (unless given; see
+    ``run_path``: a noise-free run draws none, so its ``w_terminal`` is 0.0),
+    advanced and finished.  Also the wall seconds of the ``path`` phase
+    (~0 for a noise-free run) and of the kernel calls of the ``spin_up`` and
+    ``engine`` phases."""
+    s = spec.system_def()
+    run = prepare_nle(s, spec.integrator_config(), spec.nle_steps, spec.eta, spec.sample_every)
     t0 = time.perf_counter()
     if path is None:
-        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
+        path = run_path(spec, s)
     seconds = {"path": time.perf_counter() - t0}
     run.advance(path)
     return finish_nle(run), seconds | run.seconds

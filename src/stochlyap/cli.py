@@ -4,10 +4,11 @@ sweep noise amplitudes and reproduce the pinned reference experiments.
 Configuration is a flat ``key = value`` file overridden by command-line
 flags, resolved to a ``RunConfig``: an ``analysis.RunSpec`` and the output
 directory, run by ``analysis.run_one`` (``simulate``: a spin-up ``Run``,
-checked before any path is drawn, then ``integrator.simulate``) or passed
-to ``analysis.sweep``, whose rows are ``run_one``'s runs; a run names its
-own blow-up.  Every output file carries a metadata header with the
-resolved config hash and the noise generator id, so runs are replayable.
+checked before ``analysis.run_path`` makes its path, then
+``integrator.simulate``) or passed to ``analysis.sweep``, whose rows are
+``run_one``'s runs; a run names its own blow-up.  Every output file
+carries a metadata header with the resolved config hash and the noise
+generator id, so runs are replayable.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .integrator import (
 )
 from .models import theoretical_sum
 from .smallmat import SingularMatrixError
-from .wiener import GENERATOR_ID, generate_path
+from .wiener import GENERATOR_ID
 
 __all__ = ["RunConfig", "main"]
 
@@ -221,8 +222,8 @@ def _series_bytes(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_memory(cfg, 24 * (cfg.nle_steps + 1))  # the trajectory
     s, icfg = cfg.system_def(), cfg.integrator_config()
-    run = integrator.Run(s, icfg)  # the spin-up, checked before its path is drawn
-    path = generate_path(cfg.seed, cfg.spin_up_steps + cfg.nle_steps, cfg.dt)
+    run = integrator.Run(s, icfg)  # the spin-up, checked before its path is made
+    path = analysis.run_path(cfg, s)
     run.advance(path)
     traj = simulate(s, run.end_state(), path, dataclasses.replace(icfg, n_steps=cfg.nle_steps),
                     offset=cfg.spin_up_steps)
@@ -277,6 +278,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
+
+
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     fixed = args.mode == "fixed"
     # a fixed sweep in paper mode fits a line, which tests its 3 W_T/T law and
@@ -292,8 +298,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{flag} must be finite and >= 0, got {value}")
-    if args.jobs < 0:
-        raise ConfigError(f"--jobs must be >= 0 (0: all usable cores), got {args.jobs}")
+    _check_jobs(args)
     cores = _usable_cores()
     jobs = min(args.jobs or cores, cores)  # a thread per row at once, no more than the cores
     # every row's two runs hold their rho series from the start, and in fresh
@@ -334,6 +339,7 @@ _REPRODUCTIONS = {
 
 
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _check_jobs(args)  # every target takes --jobs, though only the sweeps use it
     overrides = _REPRODUCTIONS[args.target]
     cfg = dataclasses.replace(cfg, **overrides)  # the overrides are valid values
     if args.target in ("table1", "table2"):

@@ -99,7 +99,8 @@ class BlowUpError(RuntimeError):
     """A state failed the bound max|x| <= 1e100 (NaN fails it too).
 
     A run's error (``Run.end_state``, by ``within``) names the phase,
-    system (noise kind), beta and seed in ``context`` and in fields so named.
+    system (its ``--system`` name), beta and seed in ``context`` and in
+    fields so named.
     """
 
     def __init__(self, step_index: int, state: np.ndarray, context: str = ""):
@@ -112,9 +113,10 @@ class BlowUpError(RuntimeError):
 
     def within(self, phase: str, s: SystemDef, seed: int) -> "BlowUpError":
         """This error, naming the phase and the trajectory's system, beta and seed."""
-        where = f"the {phase} ({s.kind.value}, beta={s.beta}, seed={seed})"
+        system = "deterministic" if s.kind is NoiseKind.NONE else s.kind.value  # as --system
+        where = f"the {phase} ({system}, beta={s.beta}, seed={seed})"
         err = BlowUpError(self.step_index, self.state, where)
-        err.phase, err.system, err.beta, err.seed = phase, s.kind.value, s.beta, seed
+        err.phase, err.system, err.beta, err.seed = phase, system, s.beta, seed
         return err
 
     def __reduce__(self):

@@ -3,6 +3,9 @@
 A single path object drives every system and every noise amplitude in an
 experiment: the amplitude multiplies the diffusion coefficients, never the
 increments, so comparisons across systems see the identical realisation.
+A noise-free run (amplitude 0) draws no path: ``analysis.run_path`` gives
+it zero increments, which its zero coefficients use as they would drawn
+ones, so its path phase takes ~0 s and its W_T/T is 0.0.
 """
 
 from __future__ import annotations

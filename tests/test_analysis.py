@@ -27,12 +27,20 @@ from stochlyap.analysis import (
     liouville_oracle,
     lyapunov_function,
     run_one,
+    run_path,
     sweep,
     sweep_beta,
     theoretical_sum,
 )
-from stochlyap.cayley import run_nle
-from stochlyap.integrator import BlowUpError, IntegratorConfig, Scheme, simulate, spin_up
+from stochlyap.cayley import NleResult, finish_nle, prepare_nle, run_nle
+from stochlyap.integrator import (
+    SPIN_UP_STATE,
+    BlowUpError,
+    IntegratorConfig,
+    Scheme,
+    simulate,
+    spin_up,
+)
 from stochlyap.models import (
     Convention,
     LorenzParams,
@@ -145,13 +153,40 @@ class TestRunOneEqualsItsPhases:
                        spin_up_steps=400, nle_steps=10_300, sample_every=64)
         got, _ = run_one(spec)
         s, icfg = spec.system_def(), spec.integrator_config()
-        path = generate_path(spec.seed, spec.spin_up_steps + spec.nle_steps, spec.dt)
+        path = run_path(spec, s)  # drawn, or zero for the noise-free system
         x0 = np.array(spin_up(s, path, icfg).tolist())
         want = run_nle(s, x0, path, spec.dt, spec.nle_steps, scheme=icfg.scheme,
                        sample_every=spec.sample_every, path_offset=spec.spin_up_steps,
                        allow_convention_mismatch=icfg.allow_convention_mismatch)
         assert bits(got) == bits(want)
         assert np.array_equal(x0, spin_up(s, path, icfg))  # run_nle left x0 alone
+
+    @pytest.mark.parametrize("scheme, mode", [("euler-maruyama", "paper"),
+                                              ("heun", "stratonovich-strict")],
+                             ids=["em", "heun-strict"])
+    @pytest.mark.parametrize("system", ["deterministic", "salt", "fd"])
+    def test_a_zero_path_runs_as_a_drawn_one(self, system, scheme, mode, kernel):
+        # beta = 0 multiplies the increments by zero: a noise-free run's zero
+        # path gives the drawn path's run bit for bit, but for W_T
+        spec = RunSpec(system=system, beta=0.0, seed=9, scheme=scheme, convention_mode=mode,
+                       spin_up_steps=400, nle_steps=10_300, sample_every=64)
+        s, icfg = spec.system_def(), spec.integrator_config()
+        zero, drawn = run_path(spec, s), generate_path(spec.seed, 10_700, spec.dt)
+        assert not zero.increments.any() and drawn.increments.all()
+        states, results, trajectories = [], [], []
+        for path in (zero, drawn):
+            run = prepare_nle(s, icfg, spec.nle_steps, sample_every=spec.sample_every)
+            run.advance(path)
+            results.append(finish_nle(run))
+            states.append(run.state.tobytes())  # x, Q and rho at the end
+            trajectories.append(simulate(s, SPIN_UP_STATE, path,
+                                         dataclasses.replace(icfg, n_steps=10_700)).tobytes())
+        assert states[0] == states[1] and trajectories[0] == trajectories[1]
+        fields = [f.name for f in dataclasses.fields(NleResult) if f.name != "w_terminal"]
+        assert ([np.asarray(getattr(results[0], f)).tobytes() for f in fields]
+                == [np.asarray(getattr(results[1], f)).tobytes() for f in fields])
+        assert results[0].w_terminal == 0.0 != results[1].w_terminal
+        assert bits(run_one(spec)[0]) == bits(results[0])
 
     @pytest.mark.parametrize("change, message", [
         ({"nle_steps": 0}, "n_steps must be >= 1, got 0"),

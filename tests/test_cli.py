@@ -405,6 +405,23 @@ class TestNumericalFailure:
         assert "state fails max|x| <= 1e+100" in err
         assert f"of the {phase} (fd, beta=0.5, seed=3)" in err
 
+    @pytest.mark.parametrize("system, beta", [("deterministic", 0.0), ("salt", 0.5),
+                                              ("fd", 0.5)])
+    def test_blow_up_names_the_system_as_the_command_line_does(self, system, beta, tmp_path,
+                                                              capsys):
+        # sigma = 1e308 overflows x at the first step of the spin-up
+        argv = ["--system", system, "--sigma", "1e308", "--spin-up-steps", "10",
+                "--nle-steps", "20"]
+        code, _, err = run(["nle", *argv, "--outdir", str(tmp_path)], capsys)
+        assert code == EXIT_NUMERICAL
+        context = f"the spin-up ({system}, beta={beta}, seed=1)"
+        assert f"at step 0 of {context}: " in err and "Traceback" not in err
+        with pytest.raises(integrator.BlowUpError) as exc:
+            analysis.run_one(RunSpec(system=system, sigma=1e308, spin_up_steps=10,
+                                     nle_steps=20))
+        assert exc.value.context == context
+        assert (exc.value.phase, exc.value.system, exc.value.beta) == ("spin-up", system, beta)
+
 
 @pytest.mark.parametrize("argv, code, message", [
     # (Df1)^2 of the unused FD convention correction would overflow; the run blows up
@@ -663,6 +680,26 @@ class TestNle:
         assert code == EXIT_OK, err
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["nle", "simulate"])
+    @pytest.mark.parametrize("argv, draws", [
+        (["--system", "deterministic"], 0), (["--system", "salt", "--beta", "0"], 0),
+        (["--system", "fd", "--beta", "0"], 0), (["--system", "salt"], 1), (["--system", "fd"], 1),
+    ], ids=["deterministic", "salt-beta-0", "fd-beta-0", "salt", "fd"])
+    def test_a_noise_free_run_draws_no_path(self, command, argv, draws, tmp_path, capsys,
+                                            monkeypatch):
+        # every draw is a Philox generator's, made through analysis.generate_path
+        calls, generators = [], []
+        real_path, real_philox = analysis.generate_path, np.random.Philox
+        monkeypatch.setattr(analysis, "generate_path",
+                            lambda *a: calls.append(a) or real_path(*a))
+        monkeypatch.setattr(np.random, "Philox", lambda *a: generators.append(a) or real_philox(*a))
+        code, _, err = run([command, *argv, "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_OK, err
+        assert (len(calls), len(generators)) == (draws, draws)
+        if command == "nle":
+            summary = json.loads((tmp_path / "nle_summary.json").read_text())
+            assert (summary["w_T_over_T"] == 0.0) is (draws == 0)
+
     def test_convergence_csv_shape(self, tmp_path, capsys):
         conv = tmp_path / "conv.csv"
         run(["nle", "--output", str(conv),
@@ -799,8 +836,7 @@ class TestSweep:
     def test_paper_mode_heun_is_refused_before_any_path(self, argv, tmp_path, capsys,
                                                         monkeypatch):
         calls = []
-        for owner in (analysis, cli):
-            monkeypatch.setattr(owner, "generate_path", lambda *a: calls.append(a))
+        monkeypatch.setattr(analysis, "generate_path", lambda *a: calls.append(a))
         code, _, err = run(argv + ["--scheme", "heun", "--outdir", str(tmp_path)] + SMALL,
                            capsys)
         assert code == EXIT_CONFIG
@@ -861,6 +897,17 @@ class TestReproduce:
         data = json.loads((tmp_path / "s.json").read_text())
         # sigma=16, r=45.92, b=4 gives the trace -(16 + 1 + 4)
         assert data["sum"] == pytest.approx(-21.0, abs=1e-9)
+
+    @pytest.mark.parametrize("target", sorted(cli._REPRODUCTIONS))
+    def test_negative_jobs_are_refused_for_every_target(self, target, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(integrator.Run, "__init__", lambda *a, **k: calls.append(a))
+        code, _, err = run(["reproduce", target, "--jobs", "-1",
+                            "--outdir", str(tmp_path)] + SMALL, capsys)
+        assert code == EXIT_CONFIG
+        assert err == "configuration error: --jobs must be >= 0 (0: all usable cores), got -1\n"
+        assert calls == [] and not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
