@@ -11,14 +11,17 @@ thread prepares every run and, after the kernel calls, finishes it; it and
 up to ``jobs - 1`` helper threads take rows in turn and make only their
 kernel calls, in parallel inside the step kernel's loops, which release the
 interpreter lock (on its Python twin, one at a time); ``jobs = 1`` starts
-no thread.  ``stochlyap sweep`` of 8 fixed rows, in process on a 2-vCPU VM
-(median wall, CPU): at 500 + 1,500 steps a row (the benchmark's sweep),
-4.95 ms, 4.77 ms at one job and 4.67 ms, 5.83 ms at two; at 10 times those
-steps, 23.7 ms, 23.4 ms at one job and 14.5 ms, 22.7 ms at two.  The VM's
-speed varies by up to 2x over minutes; over three sessions two jobs took
-0.94-1.04 times one job's wall time at the benchmark's size and 0.59-0.64
-times at 10 times it.  The kernel is loaded before any helper starts, so a
-cold cache builds it once.  ``sweep_beta`` is ``sweep`` from a
+no thread.  A row's SALT and FD runs are the two lanes of each kernel call:
+per run-step, ~10-11 ns in the spin-up and ~33-35 ns in the exponent phase
+under Euler-Maruyama, ~18-20 ns and ~62-66 ns under Heun, against ~19-21,
+~61-66, ~35-40 and ~121-130 ns for a run alone (2-vCPU VM, gcc 12.2).
+``stochlyap sweep`` of 8 fixed rows, in process on that VM (median wall,
+CPU): at 500 + 1,500 steps a row (the benchmark's sweep), 2.28 ms, 2.18 ms
+at one job and 2.85 ms, 3.39 ms at two; at 10 times those steps, 11.6 ms,
+11.5 ms and 7.42 ms, 11.6 ms; at the paper's 50,000 + 100,000, 53.8 ms,
+53.6 ms and 35.9 ms, 60.1 ms.  The VM's speed varies by up to 2x over
+minutes.  The kernel is loaded before any helper starts, so a cold cache
+builds it once.  ``sweep_beta`` is ``sweep`` from a
 ``SweepConfig``.
 """
 
@@ -244,13 +247,15 @@ def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[Swee
     (fresh).  The calling thread prepares every run, so every check is made
     before any path is drawn or thread started.  It and min(jobs, rows) - 1
     helper threads then claim rows in index order, one at a time, and make
-    only the row's kernel calls (``Run.advance``), drawing its path first in
-    fresh mode, so at most ``jobs`` paths are live.  A failed row stops
-    every thread from claiming another; the helpers are joined, also when
-    the caller's own row raises (a KeyboardInterrupt, say), and then the
-    caller finishes the runs in the order of betas, SALT before FD.  So the
-    error of the first failing row is raised, whatever ``jobs``: every
-    earlier row was claimed and has run.  Rows come back ordered by beta."""
+    only the row's kernel calls, drawing its path first in fresh mode, so at
+    most ``jobs`` paths are live: one ``Run.advance`` of the SALT run with
+    the FD run as its partner, the two lanes of each call.  A failed row
+    (either run) stops every thread from claiming another; the helpers are
+    joined, also when the caller's own row raises (a KeyboardInterrupt,
+    say), and then the caller finishes the runs in the order of betas, SALT
+    before FD.  So the error of the first failing row is raised, whatever
+    ``jobs``: every earlier row was claimed and has run.  Rows come back
+    ordered by beta."""
     betas = [float(beta) for beta in betas]
     if not betas:
         raise ValueError("betas must be nonempty")
@@ -279,12 +284,10 @@ def sweep(spec: RunSpec, betas: np.ndarray, fixed: bool, jobs: int) -> list[Swee
             return None if stop.is_set() else next(indices, None)
 
     def advance_row(i: int) -> None:
-        row_path = path if fixed else generate_path(seeds[i], n, spec.dt)
-        for run in runs[i]:
-            run.advance(row_path)
-            if run.failed >= 0:
-                halt()
-                return
+        salt, fd = runs[i]
+        salt.advance(path if fixed else generate_path(seeds[i], n, spec.dt), fd)
+        if salt.failed >= 0 or fd.failed >= 0:
+            halt()
 
     def work() -> None:
         while (i := claim()) is not None:

@@ -28,9 +28,11 @@ strict lower triangle of Q^T M Q and the rotation of Q by the closed-form
 Cayley entries of ``smallmat``.  One kernel call covers the steps between
 re-orthogonalisations of Q, every ``REORTH_EVERY`` steps, and samples rho
 itself; x, Q and rho share one buffer, which the call takes whole.  Per
-step (base step included; 20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
-~0.06-0.09 us (Euler-Maruyama) and ~0.13-0.17 us (Heun) compiled, ~4.5 us
-and ~8.7 us on the kernel's Python twin, at any sampling interval.
+run-step (base step included; medians of 7 runs of 100k SALT and FD steps,
+2-vCPU VM, gcc 12.2): ~61-66 ns (Euler-Maruyama) and ~121-130 ns (Heun)
+compiled for one run, and ~33-35 ns and ~62-66 ns for each run of a pair,
+the two lanes of one call, as a sweep row's SALT and FD runs; ~4.5 us and
+~8.7 us on the kernel's Python twin, at any sampling interval.
 
 A run is ``prepare_nle``, ``Run.advance`` and ``finish_nle``.  Their Python,
 outside the kernel's loops, per run at 1 + 1 steps (same VM, whose speed

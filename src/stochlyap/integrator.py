@@ -5,33 +5,37 @@ consumes Stratonovich ones.  The reference experiments apply Euler-Maruyama
 directly to the transport-noise system in its Stratonovich form; that
 mismatch must be requested explicitly via ``allow_convention_mismatch``.
 
-The step kernel, ``_kernel()``, is the library built from ``_kernel.c``
+The step kernel, ``_kernel()``, is the library built from ``_kernel.cc``
 and ``_repr.cc`` or, where it cannot be built, its Python twin
 ``_PythonKernel``.  Both have the entry points ``base_loop`` and
 ``frame_loop`` (``Run.advance``) and ``repr_rows`` (``cli._write_csv``),
 take the same ndarrays and give the same results bit for bit, so no caller
-asks which one runs.  The loops read
-one block of constants, ``Sys``, which only ``_kernel_args`` computes.  The
-twin's arithmetic is ``_float_steps``, closures over that block that follow
-the C expression for expression, and ``_rotate``; ``step`` takes one step
-of them on an ndarray state.  ``repr_rows`` writes rows of floats as repr
+asks which one runs.  The loops read one block of constants, ``Sys``,
+which only ``_kernel_args`` computes, and step one run or, given a second
+run's block and buffers, two runs on one path: compiled, as the two lanes
+of a 128-bit vector; in the twin, one after the other.  The twin's
+arithmetic is ``_float_steps``, closures over that block that follow the
+compiled step expression for expression, and ``_rotate``; ``step`` takes one step of
+them on an ndarray state.  ``repr_rows`` writes rows of floats as repr
 does (``_repr.cc`` says how), each row led by its t, (first + i) * dt, where
 dt is not 0: ~29 ns a value compiled on the benchmark's trajectories.
 On first use both sources are built with one ``cc`` command into one
 library in the package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by
 the sources and the command; a build deletes the older libraries there) and
-loaded with ctypes.  Per step (20k-100k SALT steps, 2-vCPU VM, gcc 12.2):
-~0.02-0.025 us (Euler-Maruyama) and ~0.04 us (Heun) compiled, ~1.3 us and
-~2.0 us in Python.
+loaded with ctypes.  Per run-step of ``base_loop`` (medians of 7 runs of
+100k SALT and FD steps, 2-vCPU VM, gcc 12.2): ~19-21 ns (Euler-Maruyama)
+and ~35-40 ns (Heun) compiled for one run, ~10-11 ns and ~18-20 ns for
+each run of a pair; ~1.3 us and ~2.0 us in Python.
 
 Every run is a ``Run`` in three pieces: prepared (the checks, the ``Sys``
 block and the buffers), advanced (its kernel calls, which record a state
 failing the bound instead of raising) and finished.  ``simulate`` and
 ``spin_up`` are one each, ``cayley.run_nle`` and ``analysis.run_one`` one
 more each, and a sweep prepares and finishes its runs on the calling thread
-and advances them on others.  Per call, ``spin_up`` spends ~12-26 us of
-Python around its kernel call (1 step; the VM's speed varies by up to 2x);
-``cayley`` gives a run's whole fixed cost.
+and advances them on others, a row's FD run as its SALT run's partner.
+Per call, ``spin_up`` spends ~12-26 us of Python around its kernel call (1
+step; the VM's speed varies by up to 2x); ``cayley`` gives a run's whole
+fixed cost.
 """
 
 from __future__ import annotations
@@ -80,10 +84,10 @@ SPIN_UP_STATE = np.array([0.0, 1.0, 0.0])
 
 _STATE_BOUND = 1e100
 
-# The step kernel's sources, the loops in C and the CSV formatter in C++17,
+# The step kernel's sources, the loops and the CSV formatter, in C++17,
 # and where they are built on first use into one library: the package's own
 # __pycache__, keyed by a hash of the sources and the command.
-_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.c", "_repr.cc"))
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_kernel.cc", "_repr.cc"))
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -187,7 +191,7 @@ def _float_steps(args: np.ndarray):
     frame_increment(q, x0, x1, x2, dw) gives, for the flat row-major frame q,
     the diagonal of A = Q^T M Q with M = Df0(x) dt + Df1 dW and then -(1/2)
     times its strict lower triangle (1,0), (2,0), (2,1).  Each follows the
-    function of that name in ``_kernel.c`` expression for expression, so the
+    function of that name in ``_kernel.cc`` expression for expression, so the
     results are the kernel's bit for bit."""
     (sigma, r, b, dt, bound, a00, a11, a12, a21, a22, h00, h11, h12, h21, h22,
      e00, e01, e11, e22) = args.tolist()
@@ -242,7 +246,7 @@ def _float_steps(args: np.ndarray):
 
 def _rotate(q, s0: float, s1: float, s2: float):
     """The flat frame q times cayley(S), S skew with strict lower triangle
-    (s0, s1, s2), on Python floats: ``rotate`` of ``_kernel.c``, with the
+    (s0, s1, s2), on Python floats: ``rotate`` of ``_kernel.cc``, with the
     entries of ``smallmat._cayley_entries``."""
     num, den = _cayley_entries(s0, s1, s2)
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = (v / den for row in num for v in row)
@@ -313,61 +317,80 @@ def _load_kernel():
     except OSError:
         return None
     arr, long = _Array, ctypes.c_long
-    kernel.base_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, arr]
-    kernel.frame_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, long, long, arr]
+    kernel.base_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, arr, arr, arr, arr, arr]
+    kernel.frame_loop.argtypes = [arr, ctypes.c_int, arr, arr, long, long, long, arr,
+                                  arr, arr, arr, arr]
     kernel.repr_rows.argtypes = [arr, long, long, long, ctypes.c_double, arr]
     kernel.base_loop.restype = kernel.frame_loop.restype = kernel.repr_rows.restype = long
     return kernel
 
 
+def _base_lane(args, heun, x, dw, n, out) -> int:
+    """One run's ``base_loop``, storing into out 1024 states at a time:
+    memory stays flat."""
+    base_step, bounded, _, _ = _float_steps(args)
+    y, failed = tuple(x.tolist()), -1
+    for lo in range(0, n, 1024):
+        states = []
+        for i, w in enumerate(dw[lo:min(lo + 1024, n)].tolist(), lo):
+            y = base_step(heun, *y, w)[1]
+            if not bounded(*y):
+                failed = i
+                break
+            states.append(y)
+        if out is not None and states:
+            out[lo:lo + len(states)] = states
+        if failed >= 0:
+            break
+    x[:] = y
+    return failed
+
+
+def _frame_lane(args, heun, state, dw, lo, hi, every, samples) -> int:
+    """One run's ``frame_loop`` on the buffer state = (x, Q, rho)."""
+    base_step, bounded, increment, dt = _float_steps(args)
+    values = state.tolist()
+    x, q, (r0, r1, r2) = tuple(values[:3]), tuple(values[3:12]), values[12:]
+    failed = -1
+    for i, w in enumerate(dw[lo:hi].tolist(), lo):
+        p, y = base_step(heun, *x, w)
+        if not bounded(*y):
+            x, failed = y, i
+            break
+        d0, d1, d2, s0, s1, s2 = increment(q, *x, w)
+        if heun:
+            e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), *p, w)
+            r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
+            s0, s1, s2 = 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2)
+        else:
+            r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
+        q, x = _rotate(q, s0, s1, s2), y
+        if (i + 1) % every == 0:
+            samples[(i + 1) // every - 1] = (i + 1) * dt, r0, r1, r2
+    state[:] = *x, *q, r0, r1, r2
+    return failed
+
+
 class _PythonKernel:
     """The compiled kernel's entry points on ndarrays, in Python: the same
-    arguments, the same results and the same writes, bit for bit."""
+    arguments, the same results and the same writes, bit for bit.  A second
+    lane's run (args2 not None) is stepped after the first."""
 
     @staticmethod
-    def base_loop(args, heun, x, dw, n, out) -> int:
-        """``base_loop`` of ``_kernel.c``, storing into out 1024 states at a
-        time: memory stays flat."""
-        base_step, bounded, _, _ = _float_steps(args)
-        y, failed = tuple(x.tolist()), -1
-        for lo in range(0, n, 1024):
-            states = []
-            for i, w in enumerate(dw[lo:min(lo + 1024, n)].tolist(), lo):
-                y = base_step(heun, *y, w)[1]
-                if not bounded(*y):
-                    failed = i
-                    break
-                states.append(y)
-            if out is not None and states:
-                out[lo:lo + len(states)] = states
-            if failed >= 0:
-                break
-        x[:] = y
+    def base_loop(args, heun, x, dw, n, out, args2, x2, out2, failed2) -> int:
+        """``base_loop`` of ``_kernel.cc``."""
+        failed = _base_lane(args, heun, x, dw, n, out)
+        if args2 is not None:
+            failed2[0] = _base_lane(args2, heun, x2, dw, n, out2)
         return failed
 
     @staticmethod
-    def frame_loop(args, heun, state, dw, lo, hi, every, samples) -> int:
-        """``frame_loop`` of ``_kernel.c`` on the buffer state = (x, Q, rho)."""
-        base_step, bounded, increment, dt = _float_steps(args)
-        values = state.tolist()
-        x, q, (r0, r1, r2) = tuple(values[:3]), tuple(values[3:12]), values[12:]
-        failed = -1
-        for i, w in enumerate(dw[lo:hi].tolist(), lo):
-            p, y = base_step(heun, *x, w)
-            if not bounded(*y):
-                x, failed = y, i
-                break
-            d0, d1, d2, s0, s1, s2 = increment(q, *x, w)
-            if heun:
-                e0, e1, e2, t0, t1, t2 = increment(_rotate(q, s0, s1, s2), *p, w)
-                r0, r1, r2 = r0 + 0.5 * (d0 + e0), r1 + 0.5 * (d1 + e1), r2 + 0.5 * (d2 + e2)
-                s0, s1, s2 = 0.5 * (s0 + t0), 0.5 * (s1 + t1), 0.5 * (s2 + t2)
-            else:
-                r0, r1, r2 = r0 + d0, r1 + d1, r2 + d2
-            q, x = _rotate(q, s0, s1, s2), y
-            if (i + 1) % every == 0:
-                samples[(i + 1) // every - 1] = (i + 1) * dt, r0, r1, r2
-        state[:] = *x, *q, r0, r1, r2
+    def frame_loop(args, heun, state, dw, lo, hi, every, samples, args2, state2, samples2,
+                   failed2) -> int:
+        """``frame_loop`` of ``_kernel.cc``."""
+        failed = _frame_lane(args, heun, state, dw, lo, hi, every, samples)
+        if args2 is not None:
+            failed2[0] = _frame_lane(args2, heun, state2, dw, lo, hi, every, samples2)
         return failed
 
     @staticmethod
@@ -401,6 +424,27 @@ def _reorthogonalize(q: np.ndarray) -> np.ndarray:
     return qr_decompose(q)[0]
 
 
+def _on_lanes(loop, runs: list, steps: tuple, lane) -> list:
+    """One call of the kernel's loop (``base_loop`` or ``frame_loop``) on
+    runs, one or two, as its lanes; steps are the arguments that the lanes
+    share and lane(run) gives a run's state buffer, output and phase.  A run
+    whose state fails the bound records its step and phase; the others are
+    returned."""
+    first, *rest = runs
+    state, out, _ = lane(first)
+    second = None, None, None, None
+    if rest:
+        failed2 = np.empty(1, "l")  # a C long
+        second = rest[0].args, *lane(rest[0])[:2], failed2
+    failed = [loop(first.args, first.heun, state, *steps, out, *second)]
+    if rest:
+        failed.append(int(failed2[0]))
+    for run, step_index in zip(runs, failed):
+        if step_index >= 0:
+            run.failed, run.phase = step_index, lane(run)[2]
+    return [run for run in runs if run.failed < 0]
+
+
 class Run:
     """One run of the step kernel, in three pieces that every caller
     composes, so that one thread can prepare and finish runs whose kernel
@@ -431,38 +475,53 @@ class Run:
         self.series = np.empty((-(-n_steps // sample_every), 4))
         self.failed, self.phase, self.w_terminal, self.seconds = -1, "", 0.0, {}
 
-    def advance(self, path: WienerPath) -> None:
+    def advance(self, path: WienerPath, partner: Run | None = None) -> None:
         """The run's kernel calls on path, whose ``seed`` it records:
         ``base_loop`` for the spin-up, then ``frame_loop`` once per
         ``REORTH_EVERY`` steps, with Q re-orthogonalised after each full
-        call.  A state failing the bound ends the run and is recorded, not
-        raised: ``failed`` is its step within ``phase``, "spin-up" (with out,
-        "trajectory") or "exponent phase".  ``w_terminal`` is W_T, the sum of
-        the exponent phase's increments, and ``seconds`` the wall seconds of
-        the ``base_loop`` call ("spin_up") and of the ``frame_loop`` calls
-        with their re-orthogonalisations ("engine")."""
-        kernel, state, spin = _kernel(), self.state, self.spin_up_steps
-        self.seed = path.seed
+        call.  A partner run, which steps as this one does (scheme, dt,
+        steps, sampling and offset), is advanced in the same calls as their
+        second lane, with the results it would have alone, bit for bit.  A
+        state failing the bound ends its run and is recorded, not raised:
+        ``failed`` is its step within ``phase``, "spin-up" (with out,
+        "trajectory") or "exponent phase".  ``w_terminal`` is W_T, the sum
+        of the exponent phase's increments, and ``seconds`` the wall seconds
+        of the ``base_loop`` call ("spin_up") and of the ``frame_loop``
+        calls with their re-orthogonalisations ("engine")."""
+        runs = [self] if partner is None else [self, self._check_partner(partner)]
+        kernel, spin = _kernel(), self.spin_up_steps
+        for run in runs:
+            run.seed = path.seed
         inc = path.window(self.offset, spin + self.n_steps)
         t0 = time.perf_counter()
         if spin:  # none in run_nle's runs: skip the call's ctypes conversions
-            self.failed = kernel.base_loop(self.args, self.heun, state[:3], inc, spin, self.out)
-            if self.failed >= 0:
-                self.phase = "spin-up" if self.out is None else "trajectory"
-                return
+            runs = _on_lanes(kernel.base_loop, runs, (inc, spin), lambda run: (
+                run.state[:3], run.out, "spin-up" if run.out is None else "trajectory"))
         t1 = time.perf_counter()
         inc = inc[spin:]
         for lo in range(0, self.n_steps, REORTH_EVERY):
-            hi = min(lo + REORTH_EVERY, self.n_steps)
-            self.failed = kernel.frame_loop(self.args, self.heun, state, inc, lo, hi,
-                                            self.sample_every, self.series)
-            if self.failed >= 0:
-                self.phase = "exponent phase"
+            if not runs:
                 return
+            hi = min(lo + REORTH_EVERY, self.n_steps)
+            runs = _on_lanes(kernel.frame_loop, runs, (inc, lo, hi, self.sample_every),
+                             lambda run: (run.state, run.series, "exponent phase"))
             if hi % REORTH_EVERY == 0:
-                state[3:12] = _reorthogonalize(state[3:12].reshape(3, 3)).ravel()
-        self.seconds = {"spin_up": t1 - t0, "engine": time.perf_counter() - t1}
-        self.w_terminal = float(inc.sum())
+                for run in runs:
+                    run.state[3:12] = _reorthogonalize(run.state[3:12].reshape(3, 3)).ravel()
+        seconds = {"spin_up": t1 - t0, "engine": time.perf_counter() - t1}
+        for run in runs:
+            run.seconds, run.w_terminal = seconds, float(inc.sum())
+
+    def _check_partner(self, partner: Run) -> Run:
+        """partner, refused unless it is another run that steps as this one does."""
+        if partner is self:
+            raise ValueError("a run cannot be its own partner")
+        names = ("heun", "dt", "spin_up_steps", "n_steps", "sample_every", "offset")
+        for name in names:
+            if getattr(partner, name) != getattr(self, name):
+                raise ValueError(f"a partner run must step as the run does: its {name} is "
+                                 f"{getattr(partner, name)!r}, not {getattr(self, name)!r}")
+        return partner
 
     def end_state(self) -> np.ndarray:
         """The finish: a copy of x at the end of the run, or the

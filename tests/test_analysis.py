@@ -641,9 +641,11 @@ class TestFanOut:
         runs = []
         real = integrator.Run.advance
 
-        def advance(run, path):
-            runs.append((threading.current_thread(), run.s.kind.value, run.s.beta))
-            return real(run, path)
+        def advance(run, path, partner=None):
+            # a row's SALT run advances its FD run as partner, in the same calls
+            for r in (run, partner)[:1 + (partner is not None)]:
+                runs.append((threading.current_thread(), r.s.kind.value, r.s.beta))
+            return real(run, path, partner)
 
         monkeypatch.setattr(integrator.Run, "advance", advance)
         return runs
@@ -683,8 +685,9 @@ class TestFanOut:
                             lambda self, *a: joining.set() or real_join(self, *a))
         runs = []
 
-        def advance(run, path):
-            runs.append((threading.current_thread(), run.s.kind.value, run.s.beta))
+        def advance(run, path, partner=None):
+            for r in (run, partner)[:1 + (partner is not None)]:
+                runs.append((threading.current_thread(), r.s.kind.value, r.s.beta))
             if threading.current_thread() is threading.main_thread():
                 assert helper_busy.wait(timeout=60)
                 raise KeyboardInterrupt

@@ -363,26 +363,29 @@ class TestNumericalFailure:
         assert "at step 23 of the spin-up (salt, beta=0.0, seed=4)" in results[0][2]
 
     @pytest.mark.parametrize("argv, phase, want", [
-        (BLOW_UP_SWEEP, "spin-up", [("spin_up", "salt", 0.0)]),
+        # a row's FD run shares its SALT run's kernel calls, so it runs, and
+        # at beta = 0 fails in the same spin-up
+        (BLOW_UP_SWEEP, "spin-up", [("spin_up", "salt", 0.0), ("spin_up", "fd", 0.0)]),
         # dt = 0.02: the row beta = 1.5 fails in its SALT exponent phase, and
         # the row beta = 3.0 does not start
         (["sweep", "--mode", "fixed", "--beta-min", "0", "--beta-max", "3", "--count", "3",
           "--dt", "0.02", "--spin-up-steps", "30", "--nle-steps", "200", "--seed", "3"],
          "exponent phase",
-         [(name, kind, 0.0) for kind in ("salt", "fd") for name in ("spin_up", "run_nle")]
-         + [("spin_up", "salt", 1.5), ("run_nle", "salt", 1.5)]),
+         [(name, kind, beta) for beta in (0.0, 1.5) for kind in ("salt", "fd")
+          for name in ("spin_up", "run_nle")]),
     ], ids=["spin-up", "exponent-phase"])
     def test_sweep_stops_at_the_first_failing_row(self, argv, phase, want, tmp_path,
                                                   capsys, monkeypatch):
         calls, real = [], integrator.Run.advance
 
-        def advance(run, path):
-            # a run's kernel calls: the spin-up, then the exponent phase unless
-            # the spin-up failed
-            real(run, path)
-            calls.append(("spin_up", run.s.kind.value, run.s.beta))
-            if run.phase != "spin-up":
-                calls.append(("run_nle", run.s.kind.value, run.s.beta))
+        def advance(run, path, partner=None):
+            # a run's kernel calls and its partner's: the spin-up, then the
+            # exponent phase unless the spin-up failed
+            real(run, path, partner)
+            for r in (run, partner)[:1 + (partner is not None)]:
+                calls.append(("spin_up", r.s.kind.value, r.s.beta))
+                if r.phase != "spin-up":
+                    calls.append(("run_nle", r.s.kind.value, r.s.beta))
 
         monkeypatch.setattr(integrator.Run, "advance", advance)
         code, _, err = run(argv + ["--jobs", "1", "--outdir", str(tmp_path)], capsys)

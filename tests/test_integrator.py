@@ -1,5 +1,7 @@
 import inspect
 import re
+import shutil
+import subprocess
 import tomllib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 from stochlyap import integrator
 from stochlyap.integrator import (
+    REORTH_EVERY,
     BlowUpError,
     ConventionMismatchError,
     IntegratorConfig,
+    Run,
     SPIN_UP_STATE,
     Scheme,
     _float_steps,
@@ -359,6 +363,119 @@ class TestWeakOrder:
         np.testing.assert_array_less(np.abs(mean - exact), 3.0 * stderr + 1e-12)
 
 
+def pair_systems(scheme, beta):
+    """A sweep row's SALT and FD systems: paper-mode Euler-Maruyama takes
+    their native forms, strict Heun their Stratonovich ones."""
+    systems = salt_lorenz(beta=beta), fd_lorenz(beta=beta)
+    if scheme is HEUN:
+        systems = tuple(convert_convention(s, Convention.STRATONOVICH) for s in systems)
+    return systems
+
+
+def new_runs(systems, scheme, dt, spin, n_steps, every=10, trajectory=False):
+    """Runs of systems as a sweep row prepares them, their series filled
+    with a sentinel so that rows left unwritten compare too; with
+    trajectory, spin-up runs that store their states."""
+    c = cfg(scheme, dt, spin, mismatch=scheme is EM)
+    runs = [Run(s, c, n_steps=n_steps, sample_every=every,
+                out=np.full((spin, 3), -7.0) if trajectory else None) for s in systems]
+    for run in runs:
+        run.series[:] = -7.0
+    return runs
+
+
+def outcome(run):
+    """What advance leaves in a run, as bytes where it is floats."""
+    return (run.state.tobytes(), run.series.tobytes(), run.failed, run.phase, run.seed,
+            float(run.w_terminal).hex(), None if run.out is None else run.out.tobytes())
+
+
+@pytest.mark.usefixtures("kernel")
+class TestPairedRuns:
+    """``Run.advance(path, partner)`` steps two runs as the two lanes of the
+    kernel's calls and leaves each as advancing it alone does, bit for bit."""
+
+    @staticmethod
+    def check(systems, scheme, dt, spin, n_steps, seed, **kw):
+        path = generate_path(seed, spin + n_steps, dt)
+        alone = new_runs(systems, scheme, dt, spin, n_steps, **kw)
+        for run in alone:
+            run.advance(path)
+        first, second = new_runs(systems, scheme, dt, spin, n_steps, **kw)
+        first.advance(path, second)
+        assert [outcome(first), outcome(second)] == [outcome(run) for run in alone]
+        return [(run.phase, run.failed) for run in alone]
+
+    @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["paper-em", "strict-heun"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_a_salt_and_fd_row(self, scheme, beta):
+        runs = self.check(pair_systems(scheme, beta), scheme, 0.001, 300, 1000, 7, every=7)
+        assert runs == [("", -1)] * 2
+
+    @pytest.mark.parametrize("scheme", [EM, HEUN], ids=["paper-em", "strict-heun"])
+    def test_past_a_reorthogonalisation(self, scheme):
+        systems = pair_systems(scheme, 0.5)
+        assert self.check(systems, scheme, 0.001, 100, REORTH_EVERY + 500, 3, every=100) == [
+            ("", -1)] * 2
+
+    # (scheme, dt, beta, seed, spin-up, exponent steps): the SALT and FD runs'
+    # (phase, failing step) alone; each case runs in both lane orders
+    FAILURES = {
+        "salt-spin-up": ((EM, 0.02, 0.5, 2, 300, 100), [("spin-up", 62), ("", -1)]),
+        "salt-exponent": ((EM, 0.02, 0.5, 2, 30, 200), [("exponent phase", 32), ("", -1)]),
+        "fd-exponent": ((EM, 0.02, 0.5, 1, 300, 100), [("", -1), ("exponent phase", 16)]),
+        "both-spin-up": ((EM, 0.02, 1.5, 1, 300, 100), [("spin-up", 94), ("spin-up", 86)]),
+        "both-exponent": ((EM, 0.02, 1.5, 1, 30, 200),
+                          [("exponent phase", 64), ("exponent phase", 56)]),
+        "both-each-phase": ((EM, 0.05, 3.0, 3, 30, 200),
+                            [("spin-up", 25), ("exponent phase", 0)]),
+        # the rows of test_cli's BLOW_UP_SWEEP, beta = 0 and 3
+        "same-step": ((EM, 0.05, 0.0, 4, 30, 200), [("spin-up", 23), ("spin-up", 23)]),
+        "blow-up-sweep": ((EM, 0.05, 3.0, 4, 30, 200), [("spin-up", 22), ("exponent phase", 11)]),
+        "heun-salt-spin-up": ((HEUN, 0.02, 3.0, 3, 300, 100), [("spin-up", 40), ("", -1)]),
+        "heun-salt-exponent": ((HEUN, 0.02, 3.0, 1, 30, 200),
+                               [("exponent phase", 66), ("", -1)]),
+        "heun-both-spin-up": ((HEUN, 0.02, 3.0, 1, 300, 100), [("spin-up", 96), ("spin-up", 295)]),
+        "heun-both-exponent": ((HEUN, 0.02, 3.0, 2, 30, 200),
+                               [("exponent phase", 26), ("exponent phase", 8)]),
+        "dt-0.5": ((EM, 0.5, 2.0, 8, 100, 200), [("spin-up", 10), ("spin-up", 9)]),
+    }
+
+    @pytest.mark.parametrize("lanes", ["salt-fd", "fd-salt"])
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_failures_in_either_lane(self, case, lanes):
+        (scheme, dt, beta, seed, spin, n_steps), want = self.FAILURES[case]
+        order = slice(None) if lanes == "salt-fd" else slice(None, None, -1)
+        got = self.check(pair_systems(scheme, beta)[order], scheme, dt, spin, n_steps, seed)
+        assert got == want[order]
+
+    def test_two_trajectories(self):
+        # the SALT trajectory overflows at step 62; the FD one runs on
+        systems = pair_systems(EM, 0.5)
+        got = self.check(systems, EM, 0.02, 300, 0, 2, trajectory=True)
+        assert got == [("trajectory", 62), ("", -1)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("scheme", HEUN), ("dt", 0.002), ("spin", 299), ("n_steps", 999), ("every", 5),
+        ("offset", 1),
+    ])
+    def test_a_partner_that_steps_otherwise_is_refused(self, name, value):
+        def run(s, scheme=EM, dt=0.001, spin=300, n_steps=1000, every=10, offset=0):
+            return Run(s, cfg(scheme, dt, spin, mismatch=True), offset=offset, n_steps=n_steps,
+                       sample_every=every)
+
+        salt, fd = pair_systems(EM, 0.5)
+        first, partner = run(salt), run(fd, **{name: value})
+        with pytest.raises(ValueError, match="a partner run must step as the run does"):
+            first.advance(generate_path(1, 2000, 0.001), partner)
+        assert first.failed == partner.failed == -1 and not hasattr(first, "seed")
+
+    def test_a_run_is_not_its_own_partner(self):
+        run = Run(fd_lorenz(beta=0.5), cfg(n_steps=10), n_steps=10)
+        with pytest.raises(ValueError, match="own partner"):
+            run.advance(generate_path(1, 20, 0.001), run)
+
+
 class TestKernelLoader:
     """The step kernel is built once per source and command into the cache
     directory and loaded; where that fails the loader gives None."""
@@ -406,13 +523,31 @@ class TestKernelLoader:
 
     @pytest.mark.parametrize("name", ["base_loop", "frame_loop", "repr_rows"])
     def test_entry_points_agree_on_their_parameters(self, name):
-        # ctypes passes a call of the wrong arity on without a word
+        # ctypes passes a call of the wrong arity on without a word; the twin
+        # names the Sys blocks s and s2 args and args2
         kernel = integrator._kernel()
         assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
         sources = "".join(source.read_text() for source in integrator._KERNEL_SOURCES)
         (params,) = re.findall(rf"\blong {name}\(([^)]*)\)\s*{{", sources)  # the definition
-        twin = inspect.signature(getattr(integrator._PythonKernel, name)).parameters
-        assert params.count(",") + 1 == len(getattr(kernel, name).argtypes) == len(twin)
+        names = [re.findall(r"\w+", param)[-1] for param in params.split(",")]
+        twin = list(inspect.signature(getattr(integrator._PythonKernel, name)).parameters)
+        assert [{"s": "args", "s2": "args2"}.get(n, n) for n in names] == twin
+        assert len(names) == len(getattr(kernel, name).argtypes)
+
+    def test_each_step_function_is_defined_once(self):
+        # one body for both widths: no second copy of a step for the lane pair
+        sources = "".join(source.read_text() for source in integrator._KERNEL_SOURCES)
+        for name in ("coefficients", "base_step", "bounded", "frame_increment", "rotate"):
+            assert len(re.findall(rf"\b{name}\([^;{{]*\)\s*{{", sources)) == 1, name
+
+    def test_the_library_defines_only_the_entry_points(self):
+        kernel = integrator._kernel()
+        assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
+        assert shutil.which("nm"), "nm lists the library's symbols"
+        listing = subprocess.run(["nm", "-D", "--defined-only", kernel._name],
+                                 capture_output=True, text=True, check=True).stdout
+        assert sorted(line.split()[-1] for line in listing.splitlines()) == [
+            "base_loop", "frame_loop", "repr_rows"]
 
     def test_package_data_ships_the_source(self):
         # a source a non-editable install lacks fails the build: it runs in Python
