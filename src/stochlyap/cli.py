@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,39 +151,84 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _out_path(cfg: RunConfig, name: str, override: str | None) -> Path:
-    if override:
-        return Path(override)
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+def _out_paths(cfg: RunConfig, *outputs: tuple[str, str | None]) -> list[Path]:
+    """The path of each (name, override) output: the override, or name in
+    cfg.outdir, which is made once, and only where some output lands in it."""
+    if not all(override for _, override in outputs):
+        Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
+    return [Path(override) if override else Path(cfg.outdir) / name
+            for name, override in outputs]
+
+
+MIN_ROWS = 4096  # a lane's fewest rows: ~0.5 ms of formatting, against a thread's start
 
 
 def _write_csv(out: Path, cfg: RunConfig, header: str, rows, dt: float = 0.0) -> None:
-    """Write the metadata lines, the header and the rows to out, 1024 rows
-    at a time, each value as its repr: for a float the shortest digits that
-    round-trip.  rows is either a float array of shape (rows, columns), which
-    the step kernel's ``repr_rows`` formats, or a list of row tuples
-    (sweep.csv, whose seed column is an int), which %-formatting writes.
-    Where dt is not 0, row i starts with t = i * dt and rows holds the
-    columns after it.  Both ways give the same bytes."""
+    """Write the metadata lines, the header and the rows to out, each value
+    as its repr: for a float the shortest digits that round-trip.  rows is
+    either a float array of shape (rows, columns), which the step kernel's
+    ``repr_rows`` formats, or a list of row tuples (sweep.csv, whose seed
+    column is an int), which %-formatting writes.  Where dt is not 0, row i
+    starts with t = i * dt and rows holds the columns after it.  Both ways
+    give the same bytes.
+
+    An array's rows are formatted on min(usable cores, rows // MIN_ROWS)
+    lanes, one on the kernel's Python twin, whose ``repr_rows`` holds the
+    interpreter lock; a list's on one.  The rows are split evenly into
+    stripes of at most 16384 rows, and each round formats one stripe a
+    lane: the calling thread formats its stripe 1024 rows at a time, writing
+    each block as it goes, while a helper thread a lane formats each of the
+    others into that lane's buffer, which the caller then writes in row
+    order.  So the bytes are the same at any lane count, and memory stays
+    flat: at most a block and a stripe of text a helper are live."""
     n, cols = len(rows), header.count(",") + 1
     fmt = ",".join(["%r"] * cols) + "\n"
-    if isinstance(rows, np.ndarray):
-        kernel, text = integrator._kernel(), np.empty(1024 * cols * 25, np.uint8)  # <= 25 a value
+    lanes, array = 1, isinstance(rows, np.ndarray)
+    if array:
+        if rows.shape != (n, cols - (dt != 0)):  # what the kernel reads and writes
+            raise RuntimeError(f"{out.name}: rows 0-{n} have shape {rows.shape}")
+        kernel = integrator._kernel()
+        if not isinstance(kernel, integrator._PythonKernel):
+            lanes = max(1, min(_usable_cores(), n // MIN_ROWS))
+    stripes = lanes * max(1, -(-n // (lanes * 16384)))
+    edges = [n * i // stripes for i in range(stripes + 1)]
+    row_bytes = cols * 25 if array else 0  # a row's text: <= 25 bytes a value
+    texts = [np.empty(row_bytes * (-(-n // stripes) if j else 1024), np.uint8)
+             for j in range(lanes)]  # the caller's block, then each helper's stripe
+    done: dict[int, object] = {}  # a helper's stripe's text, or its error
+
+    def text_of(lo: int, hi: int, text: np.ndarray):
+        if not array:
+            return (fmt * (hi - lo) % tuple(v for row in rows[lo:hi] for v in row)).encode()
+        block = np.ascontiguousarray(rows[lo:hi], dtype=float)
+        return text[:kernel.repr_rows(block, hi - lo, block.shape[1], lo, dt, text)]
+
+    def lane(i: int) -> None:
+        try:
+            done[i] = text_of(edges[i], edges[i + 1], texts[i % lanes])
+        except Exception as err:  # raised again on the calling thread
+            done[i] = err
+
     with open(out, "wb") as fh:
         fh.write(f"# config-hash = {cfg.config_hash()}\n# generator-id = {GENERATOR_ID}\n"
                  f"{header}\n".encode())
-        for lo in range(0, n, 1024):  # in blocks: memory stays flat
-            hi = min(lo + 1024, n)
-            block = rows[lo:hi]
-            if isinstance(block, np.ndarray):
-                block = np.ascontiguousarray(block, dtype=float)
-                if block.shape != (hi - lo, cols - (dt != 0)):  # what the kernel reads and writes
-                    raise RuntimeError(f"{out.name}: rows {lo}-{hi} have shape {block.shape}")
-                fh.write(text[:kernel.repr_rows(block, hi - lo, block.shape[1], lo, dt, text)])
-            else:
-                fh.write((fmt * (hi - lo) % tuple(v for row in block for v in row)).encode())
+        for first in range(0, stripes, lanes):
+            helpers = []
+            try:
+                for i in range(first + 1, first + lanes):
+                    helper = threading.Thread(target=lane, args=(i,))
+                    helper.start()
+                    helpers.append(helper)
+                for lo in range(edges[first], edges[first + 1], 1024):
+                    fh.write(text_of(lo, min(lo + 1024, edges[first + 1]), texts[0]))
+                for i, helper in enumerate(helpers, first + 1):
+                    helper.join()
+                    if isinstance(text := done.pop(i), Exception):
+                        raise text
+                    fh.write(text)
+            finally:
+                for helper in helpers:
+                    helper.join()
 
 
 def _say(*lines: str) -> None:
@@ -227,7 +273,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     run.advance(path)
     traj = simulate(s, run.end_state(), path, dataclasses.replace(icfg, n_steps=cfg.nle_steps),
                     offset=cfg.spin_up_steps)
-    out = _out_path(cfg, "trajectory.csv", args.output)
+    (out,) = _out_paths(cfg, ("trajectory.csv", args.output))
     _write_csv(out, cfg, "t,x,y,z", traj, cfg.dt)
     _say(f"wrote {out} ({traj.shape[0]} states)",
          f"terminal state: x={traj[-1][0]:.6f} y={traj[-1][1]:.6f} z={traj[-1][2]:.6f}")
@@ -241,7 +287,8 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
     theory = theoretical_sum(cfg.system_def(), res.w_terminal, res.t_final)
 
     conv = analysis.convergence_series(res)
-    conv_out = _out_path(cfg, "nle_convergence.csv", args.output)
+    conv_out, json_out = _out_paths(cfg, ("nle_convergence.csv", args.output),
+                                    ("nle_summary.json", args.json_output))
     table = np.column_stack((conv, conv[:, 1] + conv[:, 2] + conv[:, 3]))  # sum = l1 + l2 + l3
     _write_csv(conv_out, cfg, "t,lambda1,lambda2,lambda3,sum", table)
 
@@ -260,7 +307,6 @@ def cmd_nle(cfg: RunConfig, args: argparse.Namespace) -> int:
         "generator_id": GENERATOR_ID,
         "config_hash": cfg.config_hash(),
     }
-    json_out = _out_path(cfg, "nle_summary.json", args.json_output)
     json_out.write_text(json.dumps(summary, indent=2) + "\n")
 
     _say(f"system: {cfg.system}  beta={cfg.beta if cfg.system != 'deterministic' else 0.0}",
@@ -306,7 +352,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_memory(cfg, 2 * args.count * _series_bytes(cfg) + 8 * args.count,
                   1 if fixed else min(jobs, args.count), jobs=jobs, count=args.count)
     rows = sweep(cfg, np.linspace(args.beta_min, args.beta_max, args.count), fixed, jobs)
-    out = _out_path(cfg, "sweep.csv", args.output)
+    (out,) = _out_paths(cfg, ("sweep.csv", args.output))
     # the identity of each row's FD run, which reads the path through W_T/T only
     fd_system = dataclasses.replace(cfg, system="fd").system_def()
     theory = [theoretical_sum(dataclasses.replace(fd_system, beta=row.beta), row.w_T_over_T, 1.0)

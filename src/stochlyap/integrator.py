@@ -18,7 +18,11 @@ arithmetic is ``_float_steps``, closures over that block that follow the
 compiled step expression for expression, and ``_rotate``; ``step`` takes one step of
 them on an ndarray state.  ``repr_rows`` writes rows of floats as repr
 does (``_repr.cc`` says how), each row led by its t, (first + i) * dt, where
-dt is not 0: ~29 ns a value compiled on the benchmark's trajectories.
+dt is not 0: ~29 ns a value compiled on the benchmark's trajectories.  The
+compiled entry points keep no state between calls and ctypes releases the
+interpreter lock around each, so threads call them at once (a sweep's rows,
+``cli._write_csv``'s stripes); the twin holds the lock, and ``_write_csv``
+gives it one thread.
 On first use both sources are built with one ``cc`` command into one
 library in the package's ``__pycache__`` (``_kernel-<hash>.so``, keyed by
 the sources and the command; a build deletes the older libraries there) and

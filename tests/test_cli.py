@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +52,19 @@ def returns_of(monkeypatch, name, module=cli):
 def csv_row(*values):
     """A data row of an output CSV: each value's repr, comma-separated."""
     return ",".join(map(repr, values))
+
+
+def counting_threads(monkeypatch):
+    """The list every later-started threading.Thread is appended to."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
 
 
 # Every subcommand's actions as (option_strings, dest, default, type,
@@ -596,12 +612,17 @@ class TestSimulate:
         assert out.read_text().splitlines()[3:] == [
             csv_row(i * dt, *state) for i, state in enumerate(traj.tolist())]
 
-    def test_a_block_of_the_wrong_width_is_refused(self, tmp_path):
-        # the kernel reads and writes by the block's shape: x, y, z and t make 4 columns
+    def test_a_block_of_the_wrong_width_is_refused(self, tmp_path, monkeypatch):
+        # the kernel reads and writes by the block's shape: x, y, z and t make 4
+        # columns.  The refusal comes before the file is made or a thread started
         kernel = integrator._kernel()
         assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
-        with pytest.raises(RuntimeError, match=r"rows 0-2 have shape \(2, 4\)"):
-            cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", np.zeros((2, 4)), 0.001)
+        made = counting_threads(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        for n in (2, 20_000):
+            with pytest.raises(RuntimeError, match=rf"rows 0-{n} have shape \({n}, 4\)"):
+                cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", np.zeros((n, 4)), 0.001)
+        assert made == [] and not any(tmp_path.iterdir())
 
     def test_bit_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -616,7 +637,121 @@ class TestSimulate:
         assert a.read_text().splitlines()[3:] != b.read_text().splitlines()[3:]
 
 
+class TestWriteCsvLanes:
+    """``_write_csv`` formats an array's rows in stripes on up to the usable
+    cores, helper threads formatting all but the calling thread's stripe."""
+
+    STRIPE = 16384  # the most rows of a stripe on more than one lane
+
+    @staticmethod
+    def write(tmp_path, monkeypatch, cores, rows, dt):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        out = tmp_path / f"{cores}.csv"
+        header = "t,x,y,z" if dt else "t,lambda1,lambda2,lambda3,sum"
+        cli._write_csv(out, RunConfig(), header, rows, dt)
+        return out.read_bytes()
+
+    # on each side of two lanes' threshold and of a round of two stripes;
+    # dt = 0 is the convergence table's layout, whose t is a column
+    @pytest.mark.parametrize("dt", [0.001, 0.003, 0.0])
+    @pytest.mark.parametrize("n", [2 * cli.MIN_ROWS - 1, 2 * cli.MIN_ROWS, 2 * cli.MIN_ROWS + 1,
+                                   2 * STRIPE + 1])
+    def test_the_bytes_are_the_same_at_any_lane_count(self, n, dt, tmp_path, monkeypatch,
+                                                      kernel):
+        rng = np.random.default_rng(n)
+        # magnitudes from 1e-7 to 1e17: both of repr's notations
+        rows = rng.standard_normal((n, 3 if dt else 5)) * 10.0 ** rng.integers(-7, 18, (n, 1))
+        made = counting_threads(monkeypatch)
+        want = self.write(tmp_path, monkeypatch, 1, rows, dt)
+        assert made == []
+        lines = want.decode().splitlines()
+        assert len(lines) == 3 + n
+        assert lines[3] == csv_row(*([0.0] if dt else []), *rows[0].tolist())
+        assert lines[-1] == csv_row(*([(n - 1) * dt] if dt else []), *rows[-1].tolist())
+        for cores in (2, 3):
+            assert self.write(tmp_path, monkeypatch, cores, rows, dt) == want
+        # a helper a lane but the caller's, in each round; none on the twin
+        lanes = {cores: min(cores, n // cli.MIN_ROWS) for cores in (2, 3)}
+        rounds = {cores: -(-n // (lanes[cores] * self.STRIPE)) for cores in (2, 3)}
+        assert len(made) == (0 if kernel == "python" else
+                             sum((lanes[c] - 1) * rounds[c] for c in (2, 3)))
+        assert not any(thread.is_alive() for thread in made)
+
+    def test_small_writes_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        # nle_convergence.csv has too few rows for two lanes, sweep.csv is a list
+        made = counting_threads(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        for argv in (["nle", "--system", "salt"], ["sweep", "--count", "3", "--jobs", "1"]):
+            code, _, err = run(argv + SMALL + ["--outdir", str(tmp_path)], capsys)
+            assert code == EXIT_OK, err
+        assert {f.name for f in tmp_path.iterdir()} == {
+            "nle_convergence.csv", "nle_summary.json", "sweep.csv"}
+        assert made == []
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_stripes_error_is_raised_on_the_calling_thread(self, where, tmp_path,
+                                                              monkeypatch):
+        # two lanes of two stripes, the helper's from row n / 2: the caller's
+        # first block or the helper's stripe fails, and the helper is joined
+        # before the error is raised
+        real, raised = integrator._kernel(), []
+
+        def repr_rows(v, rows, cols, first, dt, out):
+            if (threading.current_thread() is threading.main_thread()) is (where == "caller"):
+                raised.append(first)
+                raise ValueError(f"rows from {first}")
+            return real.repr_rows(v, rows, cols, first, dt, out)
+
+        monkeypatch.setattr(integrator, "_kernel", lambda: SimpleNamespace(repr_rows=repr_rows))
+        before = threading.active_count()
+        n = 2 * cli.MIN_ROWS
+        with pytest.raises(ValueError, match=f"rows from {0 if where == 'caller' else n // 2}$"):
+            self.write(tmp_path, monkeypatch, 2, np.zeros((n, 3)), 0.001)
+        assert len(raised) == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_memory_stays_flat(self, cores, tmp_path, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  The write holds the
+        # caller's block of text and one stripe's text a helper, <= 25 bytes a
+        # value; at 4n rows its peak is within a block of its peak at n rows
+        kernel = integrator._kernel()
+        assert not isinstance(kernel, integrator._PythonKernel), "the step kernel did not build"
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        block = 1024 * 4 * 25
+        held = block + (cores - 1) * self.STRIPE * 4 * 25
+        peaks = []
+        for rows in (np.ones((2 * self.STRIPE, 3)), np.ones((8 * self.STRIPE, 3))):
+            tracemalloc.start()
+            try:
+                cli._write_csv(tmp_path / "t.csv", RunConfig(), "t,x,y,z", rows, 0.001)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert held <= peaks[0] <= held + block
+        assert peaks[1] - peaks[0] <= block
+
+
 class TestNle:
+    def test_the_output_directory_is_made_once(self, tmp_path, capsys, monkeypatch):
+        made, real = [], Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: made.append(self) or
+                            real(self, *a, **k))
+        outdir = tmp_path / "out"
+        for flags, want in ((["--output", str(tmp_path / "c.csv")], [outdir]),
+                            ([], [outdir]),
+                            (["--output", str(tmp_path / "c.csv"),
+                              "--json-output", str(tmp_path / "s.json")], [])):
+            made.clear()
+            code, _, err = run(["nle", "--outdir", str(outdir)] + flags + SMALL, capsys)
+            assert code == EXIT_OK, err
+            assert made == want
+        # an outdir that no output lands in is not made
+        assert run(["nle", "--outdir", str(tmp_path / "unused"), "--output",
+                    str(tmp_path / "c.csv"), "--json-output", str(tmp_path / "s.json")]
+                   + SMALL, capsys)[0] == EXIT_OK
+        assert not (tmp_path / "unused").exists()
+
     def test_json_summary_keys(self, tmp_path, capsys):
         conv = tmp_path / "conv.csv"
         summ = tmp_path / "summary.json"
